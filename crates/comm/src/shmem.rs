@@ -982,7 +982,9 @@ impl SharedMemoryBackend {
         let helper = self.helper.get_or_insert_with(|| {
             let core = self.core.clone();
             let (tx, rx) = channel::<Job>();
+            let trace_scope = dmt_metrics::trace::current_scope();
             let join = std::thread::spawn(move || {
+                dmt_metrics::trace::enter_scope(trace_scope);
                 while let Ok(job) = rx.recv() {
                     job(&core);
                 }

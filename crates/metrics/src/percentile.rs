@@ -24,7 +24,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 }
 
 /// A p50/p95/p99 summary of latency samples, with mean and extremes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencyPercentiles {
     /// Number of samples.
     pub count: usize,

@@ -17,6 +17,13 @@
 //!   clock read. The serving hot path stays allocation-free (asserted by
 //!   `tests/zero_alloc.rs`) and its ns/request stays within noise (asserted
 //!   by the `bench_obs` gate).
+//! * **Scoped captures.** Every thread carries a [`Scope`]: a thread nobody
+//!   enrolled gets a fresh one, a worker inherits its spawner's
+//!   ([`current_scope`] before the spawn, [`enter_scope`] inside it).
+//!   [`set_tracing`]`(true)` records the *caller's* scope only, so two
+//!   engines driven from two threads of one process — parallel tests — never
+//!   write into each other's capture. The scope is thread state, not recorder
+//!   state, so a capture switched on after the workers exist still sees them.
 //! * **Per-thread buffers.** When on, events are pushed onto a thread-local
 //!   buffer registered in a global list, so recording never contends across
 //!   threads; [`take_events`] drains every buffer (including those of threads
@@ -47,9 +54,9 @@
 //! second witness to the overlap claim.
 
 use serde::json::Value;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -88,7 +95,9 @@ pub mod deployment {
 /// cannot carry `f64::INFINITY`.
 pub const FULL_EXPOSURE: f64 = -1.0;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The scope being recorded; 0 while the recorder is off.
+static RECORDING: AtomicU64 = AtomicU64::new(0);
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static FALLBACK_TID: AtomicU64 = AtomicU64::new(1 << 32);
 
@@ -114,18 +123,51 @@ pub fn epoch_instant() -> Instant {
     epoch()
 }
 
-/// Turns the span recorder on or off at runtime. Off is the default and costs
-/// one relaxed atomic load per (skipped) emission site.
-pub fn set_tracing(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+/// The set of threads one capture records: a root thread and every worker
+/// that inherited its scope through [`enter_scope`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(u64);
+
+thread_local! {
+    /// This thread's scope id; 0 until first asked for.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether the recorder is currently on. Emission sites check this first so
-/// the disabled path performs no allocation and no clock read.
+/// The calling thread's scope — a fresh one if the thread was never enrolled
+/// in another's. Read it before spawning a worker and hand it to
+/// [`enter_scope`] on the new thread.
+#[must_use]
+pub fn current_scope() -> Scope {
+    SCOPE.with(|scope| {
+        if scope.get() == 0 {
+            scope.set(NEXT_SCOPE.fetch_add(1, Ordering::Relaxed));
+        }
+        Scope(scope.get())
+    })
+}
+
+/// Enrolls the calling thread in `scope` (its spawner's): its events belong
+/// to whatever capture records that scope, now or later.
+pub fn enter_scope(scope: Scope) {
+    SCOPE.with(|mine| mine.set(scope.0));
+}
+
+/// Turns the span recorder on — for the calling thread's [`Scope`] — or off
+/// at runtime. Off is the default and costs one relaxed atomic load per
+/// (skipped) emission site.
+pub fn set_tracing(on: bool) {
+    let scope = if on { current_scope().0 } else { 0 };
+    RECORDING.store(scope, Ordering::SeqCst);
+}
+
+/// Whether the recorder is on *and* recording the calling thread's scope.
+/// Emission sites check this first so the disabled path performs no
+/// allocation and no clock read.
 #[inline]
 #[must_use]
 pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let recording = RECORDING.load(Ordering::Relaxed);
+    recording != 0 && recording == current_scope().0
 }
 
 /// Events dropped so far because a thread buffer hit [`MAX_EVENTS_PER_THREAD`].

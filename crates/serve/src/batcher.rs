@@ -76,6 +76,12 @@ impl<T> MicroBatcher<T> {
         self.config
     }
 
+    /// Replaces the policy for what is pushed from now on; queued requests
+    /// keep the close deadlines they were pushed with.
+    pub fn set_config(&mut self, config: BatcherConfig) {
+        self.config = config;
+    }
+
     /// Requests currently queued (always `< max_batch` between calls).
     #[must_use]
     pub fn len(&self) -> usize {

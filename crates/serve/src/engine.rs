@@ -1,1219 +1,51 @@
-//! The disaggregated serving engine: one worker thread per cluster rank, driving
-//! the same deployment flows the trainer measures — minus every backward pass.
+//! [`ServingEngine`]: the colocated placement behind a blocking call.
 //!
-//! A [`ServingEngine`] loads a frozen [`ModelSnapshot`], re-shards its embedding
-//! tables onto the *serving* cluster, and answers query batches over real
-//! `dmt-comm` collectives (with the configured [`FabricProfile`] pacing and
-//! per-link-class byte accounting):
-//!
-//! * **Baseline serving** — every table is row-sharded across all ranks; a batch
-//!   does a global index AlltoAll (cache misses only), a global row-fetch
-//!   AlltoAll, requester-side pooling and the replicated dense forward.
-//! * **DMT serving** — the SPTT query path: peer index distribution to the
-//!   owning tower's same-slot rank, *intra-host* sharded lookup, tower-module
-//!   forward, and a small compressed peer AlltoAll carrying tower outputs back;
-//!   only tower outputs and peer indices ever cross hosts.
-//!
-//! Each rank fronts its lookup with a [`HotRowCache`]: cached rows skip both the
-//! index and the row exchange entirely, so on Zipf-skewed traffic the cache
-//! directly cuts wire bytes (the engine's [`ServeStats`] report the savings).
-//!
-//! # Fault tolerance (baseline serving)
-//!
-//! Every rank's collectives run through a `dmt_comm::FaultInjectingBackend`, so
-//! scripted faults ([`ServeConfig::faults`](crate::ServeConfig)) surface as the
-//! same `RankDown` / `Timeout` errors real failures would. The baseline query
-//! path then:
-//!
-//! * **retries** transiently-failed collectives (bounded, with backoff),
-//!   convicting peers that stay missing for `down_after` consecutive timeouts
-//!   and excluding them from the rendezvous;
-//! * **fails over**: with `replicas > 0` the row fetch runs a *fixed* two-round
-//!   protocol — round one to the first live holder of each owner's shard, round
-//!   two (always issued, usually empty, and free of pacing since empty
-//!   collectives carry no payload) re-routing any bundle a dead holder left
-//!   unanswered to the next holder in its chain. Replica rows are byte-identical
-//!   snapshot slices, so failed-over answers are bit-identical to healthy ones;
-//! * **degrades** per [`DegradedPolicy`] when a row has no live holder at all:
-//!   fail the batch with [`ServeError::Unavailable`], or zero-fill and count the
-//!   affected queries.
-//!
-//! The dispatcher treats fault errors as survivable: a rank that reports its own
-//! death is excluded from future batches (and marked down in every world so its
-//! peers' collectives complete without it), while the remaining ranks keep
-//! serving. Probing ([`ServeConfig::probe_every_batches`](crate::ServeConfig))
-//! periodically readmits dead ranks the fault schedule does not hold permanently
-//! down. DMT serving has no replica path — a fault there surfaces as a clean
-//! error and poisons the engine, exactly like the pre-fault-tolerance behavior.
-//!
-//! Determinism: the same modules and float paths as training run here, so a
-//! served batch's predictions are bit-identical to a training-side forward pass
-//! over the same per-rank sub-batches (covered by the workspace serving tests) —
-//! including batches answered through replica failover.
+//! One caller, one pre-formed batch at a time: `submit` hands the batch to a
+//! [`Pipeline`] started without stage pools — every rank of the configured
+//! cluster runs the lookup stage and the dense stage on its slice — and waits
+//! for its completion. Everything else (fetch, cache, replication, failover,
+//! precision, fabric pacing, accounting) is the pipeline's.
 
-use crate::cache::{CacheStats, HotRowCache};
-use crate::health::HealthView;
-use crate::replica::ReplicatedAnswerer;
-use crate::{DegradedPolicy, ServeConfig, ServeError};
-use dmt_comm::{
-    AbortHandle, Backend, CommError, FabricProfile, FaultInjectingBackend, FaultProfile,
-    SharedMemoryBackend, SharedMemoryComm,
-};
-use dmt_core::tower::TowerModule;
-use dmt_core::DlrmTowerModule;
+use crate::pipeline::{Pipeline, StagePools};
+use crate::stats::ServeStats;
+use crate::{ServeConfig, ServeError};
 use dmt_data::Query;
-use dmt_metrics::trace;
-use dmt_metrics::{Counter, Gauge, Registry};
-use dmt_tensor::Tensor;
-use dmt_topology::{ClusterTopology, ProcessGroup, Rank};
-use dmt_trainer::distributed::model::{
-    self, load_params, DenseScratch, DenseStack, LookupRouting, ShardedLookup,
-};
-use dmt_trainer::distributed::{ExecutionMode, ModelSnapshot};
-use serde::{Deserialize, Serialize};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use dmt_trainer::distributed::ModelSnapshot;
 
-/// How long `submit` waits for a rank before declaring the engine dead. Paced
-/// fabrics stretch transfers to milliseconds; minutes means a lost rank.
-const RANK_REPLY_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// Every serving collective runs through the fault-injection wrapper; with
-/// [`FaultProfile::none`] it is behaviorally transparent.
-type ServeBackend = FaultInjectingBackend<SharedMemoryBackend>;
-
-/// Aggregated serving-side accounting across all ranks and batches.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServeStats {
-    /// Queries answered.
-    pub queries: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Sum of per-rank collective payload bytes.
-    pub payload_bytes: u64,
-    /// Sum of per-rank bytes pushed over cross-host links.
-    pub cross_host_bytes: u64,
-    /// Sum of per-rank bytes pushed over intra-host links.
-    pub intra_host_bytes: u64,
-    /// Collectives re-issued after a transient fault.
-    pub retries: u64,
-    /// Requested rows served by a replica holder instead of their owner.
-    pub failovers: u64,
-    /// Queries answered with one or more zero-filled rows under
-    /// [`DegradedPolicy::ZeroFill`].
-    pub degraded_answers: u64,
-    /// Bytes of replica shard copies held across all ranks — a capacity
-    /// *gauge*, not a per-batch delta (constant for the engine's lifetime).
-    pub replica_bytes: u64,
-    /// Bytes resident in embedding shard storage across all ranks (primaries
-    /// plus replicas, at the configured
-    /// [`ComputePrecision`](crate::ComputePrecision)) — a gauge, constant for
-    /// the engine's lifetime. This is the number int8/fp16 storage shrinks.
-    pub table_resident_bytes: u64,
-    /// Bytes resident in hot-row cache entries across all ranks, sampled after
-    /// the most recent batch — a gauge that grows as the cache fills.
-    pub cache_resident_bytes: u64,
-    /// Hot-row cache counters, summed across ranks.
-    pub cache: CacheStats,
-}
-
-impl ServeStats {
-    /// Mean cross-host bytes per answered query (the paper's topology metric on
-    /// the query path); 0 before any query.
-    #[must_use]
-    pub fn cross_host_bytes_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.cross_host_bytes as f64 / self.queries as f64
-    }
-
-    /// Mean intra-host bytes per answered query.
-    #[must_use]
-    pub fn intra_host_bytes_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.intra_host_bytes as f64 / self.queries as f64
-    }
-
-    /// The accounting accumulated since `before` was captured (`self - before`,
-    /// field-wise) — how the frontend reports one stream's window out of the
-    /// engine's cumulative counters. `replica_bytes` is a gauge and carries
-    /// through unchanged.
-    #[must_use]
-    pub fn since(&self, before: &ServeStats) -> ServeStats {
-        ServeStats {
-            queries: self.queries - before.queries,
-            batches: self.batches - before.batches,
-            payload_bytes: self.payload_bytes - before.payload_bytes,
-            cross_host_bytes: self.cross_host_bytes - before.cross_host_bytes,
-            intra_host_bytes: self.intra_host_bytes - before.intra_host_bytes,
-            retries: self.retries - before.retries,
-            failovers: self.failovers - before.failovers,
-            degraded_answers: self.degraded_answers - before.degraded_answers,
-            replica_bytes: self.replica_bytes,
-            table_resident_bytes: self.table_resident_bytes,
-            cache_resident_bytes: self.cache_resident_bytes,
-            cache: self.cache.since(&before.cache),
-        }
-    }
-}
-
-/// One dispatched batch: the shared query buffer plus this rank's slice of it
-/// and everyone's slice sizes (DMT peers need each source's sample count).
-struct Job {
-    queries: Arc<Vec<Query>>,
-    counts: Arc<Vec<usize>>,
-    start: usize,
-    len: usize,
-}
-
-/// Per-batch result a rank reports back.
-struct RankBatchResult {
-    preds: Vec<f32>,
-    payload_bytes: u64,
-    cross_host_bytes: u64,
-    intra_host_bytes: u64,
-    retries: u64,
-    failovers: u64,
-    degraded_answers: u64,
-    cache: CacheStats,
-    /// Bytes resident in this rank's cache after the batch (a gauge).
-    cache_resident_bytes: u64,
-}
-
-struct RankReply {
-    rank: usize,
-    result: Result<RankBatchResult, ServeError>,
-}
-
-/// The communicator bundle one serving rank owns (mirrors the trainer's), each
-/// world behind the fault-injection wrapper.
-struct RankWorlds {
-    global: ServeBackend,
-    intra: ServeBackend,
-    peer: ServeBackend,
-}
-
-impl RankWorlds {
-    fn abort(&self) {
-        self.global.get_ref().abort();
-        self.intra.get_ref().abort();
-        self.peer.get_ref().abort();
-    }
-
-    /// Sums the byte accounting of every collective since the last drain.
-    fn drain_bytes(&mut self) -> (u64, u64, u64) {
-        let mut payload = 0;
-        let mut cross = 0;
-        let mut intra = 0;
-        for backend in [
-            self.global.get_mut(),
-            self.intra.get_mut(),
-            self.peer.get_mut(),
-        ] {
-            for record in backend.drain_records() {
-                payload += record.payload_bytes;
-                cross += record.cross_host_bytes;
-                intra += record.intra_host_bytes;
-            }
-        }
-        (payload, cross, intra)
-    }
-}
-
-/// The dispatcher's detached handles into one rank's three worlds: abort for
-/// shutdown, mark_down / mark_up for membership.
-struct WorldControls {
-    global: AbortHandle,
-    intra: AbortHandle,
-    peer: AbortHandle,
-}
-
-impl WorldControls {
-    fn abort(&self) {
-        self.global.abort();
-        self.intra.abort();
-        self.peer.abort();
-    }
-
-    // Membership changes touch the *global* world only: it is the one world
-    // baseline serving (the only deployment with failover) runs collectives
-    // over, and it is indexed by global rank. The intra/peer worlds use local
-    // indices and stay idle on the baseline path.
-    fn mark_down(&self, rank: usize) {
-        self.global.mark_down(rank);
-    }
-
-    fn mark_up(&self, rank: usize) {
-        self.global.mark_up(rank);
-    }
-}
-
-/// The per-worker fault-handling knobs, lifted out of [`ServeConfig`].
-#[derive(Clone)]
-struct FaultPolicy {
-    max_retries: u32,
-    retry_backoff: Duration,
-    down_after: u32,
-    degraded: DegradedPolicy,
-    replicas: usize,
-}
-
-/// Per-batch fault accounting a fetch accumulates.
-#[derive(Default)]
-struct FetchCounters {
-    retries: u64,
-    failovers: u64,
-}
-
-/// Static DMT serving layout (the serving twin of the trainer's tower layout).
-struct ServeLayout {
-    groups: Vec<Vec<usize>>,
-    my_features: Vec<usize>,
-    my_host: usize,
-    my_slot: usize,
-    hosts: usize,
-    tower_widths: Vec<usize>,
-}
-
-fn serve_layout(
-    snapshot: &ModelSnapshot,
-    cluster: &ClusterTopology,
-    rank: usize,
-) -> Result<ServeLayout, ServeError> {
-    let hosts = cluster.num_hosts();
-    // Same partition, sort order and width arithmetic as the trainer's layout —
-    // one definition (`model::tower_*`) serves both, so the geometry cannot
-    // drift between the training and serving sides.
-    let groups = model::tower_groups(snapshot.schema.num_sparse(), hosts)?;
-    let (c, p, d) = (
-        snapshot.tower_ensemble_c,
-        snapshot.tower_ensemble_p,
-        snapshot.tower_output_dim,
-    );
-    let tower_widths = model::tower_widths(&groups, c, p, d);
-    let my_host = cluster.host_of(Rank(rank));
-    Ok(ServeLayout {
-        my_features: groups[my_host].clone(),
-        groups,
-        my_host,
-        my_slot: cluster.local_index(Rank(rank)),
-        hosts,
-        tower_widths,
-    })
-}
-
-/// The dense-stack interaction geometry `(unit_width, num_units)` of a snapshot —
-/// must match what training used, or the exported weights will not load.
-pub(crate) fn dense_geometry(snapshot: &ModelSnapshot) -> Result<(usize, usize), ServeError> {
-    match snapshot.mode {
-        ExecutionMode::Baseline => Ok((
-            snapshot.hyper.embedding_dim,
-            snapshot.schema.num_sparse() + 1,
-        )),
-        ExecutionMode::Dmt => {
-            // An inconsistent snapshot (e.g. more towers than features) must
-            // surface as a Config error, not a panic.
-            let groups = model::tower_groups(snapshot.schema.num_sparse(), snapshot.num_towers)?;
-            let units = model::tower_num_units(
-                &groups,
-                snapshot.tower_ensemble_c,
-                snapshot.tower_ensemble_p,
-            );
-            Ok((snapshot.tower_output_dim, units))
-        }
-    }
-}
-
-/// One rank's loaded model state (boxed per deployment: the variants differ a
-/// lot in size and live for the engine's whole lifetime anyway).
-enum RankModel {
-    Baseline(Box<BaselineRank>),
-    Dmt(Box<DmtRank>),
-}
-
-/// Per-worker reusable buffers for the dense half of `run_batch`: the
-/// concatenated feature block, the dense input and the dense stack's
-/// internal scratch. Owned by the rank model (one worker thread each), so
-/// their capacity amortizes across the engine's whole lifetime.
-#[derive(Default)]
-struct BatchScratch {
-    dense_input: Tensor,
-    feature_block: Tensor,
-    dense: DenseScratch,
-}
-
-/// Fills `out` with the `[queries, num_dense]` row-major dense features,
-/// reusing its capacity — the allocation-free form of [`dense_flat`].
-fn dense_input_into(queries: &[Query], num_dense: usize, out: &mut Tensor) {
-    out.reset_to_shape(&[queries.len(), num_dense]);
-    for (row, q) in out.data_mut().chunks_exact_mut(num_dense).zip(queries) {
-        row.copy_from_slice(&q.dense);
-    }
-}
-
-struct BaselineRank {
-    /// Primary shard plus hosted replica shards; also the router/pooler.
-    answerer: ReplicatedAnswerer,
-    dense: DenseStack,
-    cache: HotRowCache,
-    num_dense: usize,
-    /// Served feature ids, ascending (snapshot of `answerer.primary()`).
-    features: Vec<usize>,
-    scratch: BatchScratch,
-}
-
-struct DmtRank {
-    lookup: ShardedLookup,
-    tower: DlrmTowerModule,
-    dense: DenseStack,
-    cache: HotRowCache,
-    layout: ServeLayout,
-    num_dense: usize,
-    /// Global rank of each peer-world member (host-ascending, same slot).
-    peer_ranks: Vec<usize>,
-    scratch: BatchScratch,
-}
-
-/// Builds rank `rank`'s model state from the snapshot.
-fn build_rank_model(
-    snapshot: &ModelSnapshot,
-    config: &ServeConfig,
-    rank: usize,
-) -> Result<RankModel, ServeError> {
-    use rand::SeedableRng;
-    let cluster = &config.cluster;
-    let n = snapshot.hyper.embedding_dim;
-    let (unit_width, num_units) = dense_geometry(snapshot)?;
-    let mut dense = DenseStack::new(
-        snapshot.seed,
-        &snapshot.schema,
-        snapshot.arch,
-        &snapshot.hyper,
-        unit_width,
-        num_units,
-    );
-    load_params(&mut dense, &snapshot.dense_params)?;
-    // The whole forward pass follows the configured precision: dense GEMMs,
-    // embedding shard storage and the hot-row cache. F32 is exactly the
-    // pre-quantization bit-identical path.
-    dense.quantize_weights(config.precision);
-    let cache = HotRowCache::with_precision(config.batch.cache_rows, n, config.precision);
-    match snapshot.mode {
-        ExecutionMode::Baseline => {
-            let answerer = ReplicatedAnswerer::with_precision(
-                (0..snapshot.schema.num_sparse()).collect(),
-                &snapshot.tables,
-                cluster.world_size(),
-                rank,
-                config.resilience.replicas,
-                cluster.gpus_per_host(),
-                config.precision,
-            )?;
-            let features = answerer.primary().features().to_vec();
-            Ok(RankModel::Baseline(Box::new(BaselineRank {
-                answerer,
-                dense,
-                cache,
-                num_dense: snapshot.schema.num_dense,
-                features,
-                scratch: BatchScratch::default(),
-            })))
-        }
-        ExecutionMode::Dmt => {
-            let layout = serve_layout(snapshot, cluster, rank)?;
-            let lookup = ShardedLookup::from_tables_quantized(
-                layout.my_features.clone(),
-                &snapshot.tables,
-                cluster.gpus_per_host(),
-                layout.my_slot,
-                config.precision,
-            )?;
-            // Geometry first (any rng — every parameter is overwritten).
-            let mut rng = rand::rngs::StdRng::seed_from_u64(snapshot.seed);
-            let mut tower = DlrmTowerModule::new(
-                &mut rng,
-                layout.my_features.len(),
-                n,
-                snapshot.tower_ensemble_c,
-                snapshot.tower_ensemble_p,
-                snapshot.tower_output_dim,
-            )
-            .map_err(|e| ServeError::Config {
-                reason: e.to_string(),
-            })?;
-            load_params(&mut tower, &snapshot.tower_params[layout.my_host])?;
-            tower.quantize_weights(config.precision);
-            let peer_ranks = (0..layout.hosts)
-                .map(|h| cluster.ranks_on_host(h)[layout.my_slot].0)
-                .collect();
-            Ok(RankModel::Dmt(Box::new(DmtRank {
-                lookup,
-                tower,
-                dense,
-                cache,
-                layout,
-                num_dense: snapshot.schema.num_dense,
-                peer_ranks,
-                scratch: BatchScratch::default(),
-            })))
-        }
-    }
-}
-
-/// Feature-major bag views over a contiguous query slice.
-pub(crate) fn bags_of(queries: &[Query], features: &[usize]) -> Vec<Vec<Vec<usize>>> {
-    features
-        .iter()
-        .map(|&f| queries.iter().map(|q| q.sparse[f].clone()).collect())
-        .collect()
-}
-
-/// Row-major flattened dense features of a query slice.
-pub(crate) fn dense_flat(queries: &[Query]) -> Vec<f32> {
-    queries
-        .iter()
-        .flat_map(|q| q.dense.iter().copied())
-        .collect()
-}
-
-/// Issues one collective with bounded retries on transient faults. Timeouts
-/// implicate their missing ranks in `health`; a peer convicted (`down_after`
-/// consecutive implications) is committed to the shared rendezvous down-set so
-/// the retried collective — and all later ones — complete without it.
-fn with_retries<T>(
-    backend: &mut ServeBackend,
-    health: &mut HealthView,
-    policy: &FaultPolicy,
-    retries: &mut u64,
-    mut op: impl FnMut(&mut ServeBackend) -> Result<T, CommError>,
-) -> Result<T, ServeError> {
-    let mut attempts = 0u32;
-    loop {
-        match op(backend) {
-            Ok(value) => {
-                health.record_success();
-                return Ok(value);
-            }
-            Err(error) if error.is_transient() && attempts < policy.max_retries => {
-                attempts += 1;
-                *retries += 1;
-                if let CommError::Timeout { missing, .. } = &error {
-                    for rank in health.record_failure(missing) {
-                        backend.get_ref().mark_down(rank);
-                    }
-                }
-                std::thread::sleep(policy.retry_backoff);
-            }
-            Err(error) => return Err(error.into()),
-        }
-    }
-}
-
-/// The cache-aware sharded fetch the DMT deployment uses: route keys, peel off
-/// cached rows, exchange only the misses, reassemble the full per-owner buffers
-/// in routing order (bit-identical to the uncached fetch) and feed the cache.
-///
-/// Keys owned by this rank itself bypass the cache entirely: their "fetch" is a
-/// local memcpy through the self-loop shard, which moves no wire bytes.
-fn fetch_rows_cached(
-    lookup: &ShardedLookup,
-    cache: &mut HotRowCache,
-    backend: &mut ServeBackend,
-    bags: &[&[Vec<usize>]],
-) -> Result<(LookupRouting, Vec<Vec<f32>>), ServeError> {
-    let world = backend.get_ref().world_size();
-    let me = backend.get_ref().rank();
-    let dim = lookup.dim();
-    let request_keys = lookup.route(world, bags);
-    let mut wire_keys: Vec<Vec<u64>> = Vec::with_capacity(world);
-    let mut hit_flags: Vec<Vec<bool>> = Vec::with_capacity(world);
-    let mut cached_rows: Vec<Vec<f32>> = Vec::with_capacity(world);
-    for (owner, keys) in request_keys.iter().enumerate() {
-        let mut wire = Vec::with_capacity(keys.len());
-        let mut hits = vec![false; keys.len()];
-        let mut rows = Vec::new();
-        if owner == me {
-            wire.extend_from_slice(keys);
-        } else {
-            for (slot, &key) in keys.iter().enumerate() {
-                if cache.lookup_into(key, &mut rows) {
-                    hits[slot] = true;
-                } else {
-                    wire.push(key);
-                }
-            }
-        }
-        wire_keys.push(wire);
-        hit_flags.push(hits);
-        cached_rows.push(rows);
-    }
-    let incoming = backend.all_to_all_indices(wire_keys)?;
-    let replies = lookup.answer(&incoming)?;
-    let fetched_wire = backend.all_to_all(replies)?;
-    // Reassemble per-owner buffers in request-key order, feeding misses into the
-    // cache as they stream past.
-    let mut fetched = Vec::with_capacity(world);
-    for (owner, keys) in request_keys.iter().enumerate() {
-        let mut full = Vec::with_capacity(keys.len() * dim);
-        let mut cached_cursor = 0usize;
-        let mut wire_cursor = 0usize;
-        let wire_rows = &fetched_wire[owner];
-        for (slot, &key) in keys.iter().enumerate() {
-            if hit_flags[owner][slot] {
-                full.extend_from_slice(&cached_rows[owner][cached_cursor..cached_cursor + dim]);
-                cached_cursor += dim;
-            } else {
-                let row = &wire_rows[wire_cursor..wire_cursor + dim];
-                full.extend_from_slice(row);
-                wire_cursor += dim;
-                if owner != me {
-                    cache.insert(key, row);
-                }
-            }
-        }
-        fetched.push(full);
-    }
-    Ok((
-        LookupRouting {
-            request_keys,
-            served_keys: Vec::new(),
-        },
-        fetched,
-    ))
-}
-
-/// Where one owner's cache-missed keys were ultimately served from.
-enum MissSource {
-    /// Round 1 or 2 wire reply: which round, which rank answered, and the slot
-    /// offset of this owner's segment in that rank's reply.
-    Wire {
-        round: u8,
-        dest: usize,
-        start: usize,
-    },
-    /// No live holder: rows are lost (zero-filled or batch-failing, per policy).
-    Lost,
-    /// Nothing was missed.
-    None,
-}
-
-/// What [`fetch_rows_replicated`] returns: the routing, the reassembled
-/// per-owner row buffers (zero-filled for lost keys), and the sorted lost keys
-/// themselves for the caller's degraded policy.
-type ReplicatedFetch = (LookupRouting, Vec<Vec<f32>>, Vec<u64>);
-
-/// The replicated, fault-tolerant fetch baseline serving uses.
-///
-/// Routing is identical to [`fetch_rows_cached`] — primary-owner request keys,
-/// cache peel — but each owner's missed bundle goes to the first *live* holder
-/// in its replica chain, and with `replicas > 0` a second exchange round
-/// (always issued, so every rank's collective sequence stays aligned no matter
-/// how health views diverge; empty rounds carry no payload and cost no pacing)
-/// re-routes bundles a dead holder left unanswered. Replies are all-or-nothing
-/// per bundle ([`ReplicatedAnswerer::answer`]), so a short reply is always
-/// "empty", never misaligned.
-///
-/// Returns a [`ReplicatedFetch`].
-fn fetch_rows_replicated(
-    answerer: &ReplicatedAnswerer,
-    cache: &mut HotRowCache,
-    backend: &mut ServeBackend,
-    health: &mut HealthView,
-    policy: &FaultPolicy,
-    bags: &[&[Vec<usize>]],
-    counters: &mut FetchCounters,
-) -> Result<ReplicatedFetch, ServeError> {
-    let lookup = answerer.primary();
-    let world = backend.get_ref().world_size();
-    let me = backend.get_ref().rank();
-    let dim = lookup.dim();
-    let request_keys = lookup.route(world, bags);
-
-    // Route each owner's bundle to its first live holder, peeling the cache for
-    // anything not served from a local shard.
-    let mut hit_flags: Vec<Vec<bool>> = Vec::with_capacity(world);
-    let mut cached_rows: Vec<Vec<f32>> = Vec::with_capacity(world);
-    let mut misses: Vec<Vec<u64>> = Vec::with_capacity(world);
-    let mut dest1: Vec<Option<usize>> = Vec::with_capacity(world);
-    for (owner, keys) in request_keys.iter().enumerate() {
-        let holder = health.first_live(answerer.chain(owner).iter().copied());
-        let mut hits = vec![false; keys.len()];
-        let mut rows = Vec::new();
-        let mut miss = Vec::new();
-        if holder == Some(me) {
-            // A shard this rank holds (its own, or a replica it hosts): the
-            // fetch is a local memcpy through the self-loop — bypass the cache.
-            miss.extend_from_slice(keys);
-        } else {
-            for (slot, &key) in keys.iter().enumerate() {
-                if cache.lookup_into(key, &mut rows) {
-                    hits[slot] = true;
-                } else {
-                    miss.push(key);
-                }
-            }
-        }
-        hit_flags.push(hits);
-        cached_rows.push(rows);
-        misses.push(miss);
-        dest1.push(holder);
-    }
-
-    // Round 1: bundle per-owner misses into per-destination wire vectors,
-    // remembering where each owner's segment starts.
-    let mut wire1: Vec<Vec<u64>> = vec![Vec::new(); world];
-    let mut seg1 = vec![0usize; world];
-    for owner in 0..world {
-        if let Some(dest) = dest1[owner] {
-            seg1[owner] = wire1[dest].len();
-            wire1[dest].extend_from_slice(&misses[owner]);
-        }
-    }
-    let expect1: Vec<usize> = wire1.iter().map(Vec::len).collect();
-    let incoming = with_retries(backend, health, policy, &mut counters.retries, |b| {
-        b.all_to_all_indices(wire1.clone())
-    })?;
-    let replies = answerer.answer(&incoming)?;
-    let fetched1 = with_retries(backend, health, policy, &mut counters.retries, |b| {
-        b.all_to_all(replies.clone())
-    })?;
-    let resolved1 = resolved_flags(&fetched1, &expect1, dim)?;
-
-    // Round 2 (replicated mode only, and *always* issued then): re-route every
-    // bundle whose round-1 holder went silent to the next live holder in its
-    // chain. Health is re-synced first — the holder that answered empty was
-    // usually convicted by some rank mid-round-1.
-    let mut dest2: Vec<Option<usize>> = vec![None; world];
-    let mut seg2 = vec![0usize; world];
-    let mut fetched2: Vec<Vec<f32>> = Vec::new();
-    let mut resolved2: Vec<bool> = vec![false; world];
-    if policy.replicas > 0 {
-        health.sync_down(&backend.get_ref().down_ranks());
-        let mut wire2: Vec<Vec<u64>> = vec![Vec::new(); world];
-        for owner in 0..world {
-            let unresolved =
-                !misses[owner].is_empty() && !dest1[owner].is_some_and(|d| resolved1[d]);
-            if !unresolved {
-                continue;
-            }
-            let holder = health.first_live(
-                answerer
-                    .chain(owner)
-                    .iter()
-                    .copied()
-                    .filter(|&r| Some(r) != dest1[owner]),
-            );
-            dest2[owner] = holder;
-            if let Some(dest) = holder {
-                seg2[owner] = wire2[dest].len();
-                wire2[dest].extend_from_slice(&misses[owner]);
-            }
-        }
-        let expect2: Vec<usize> = wire2.iter().map(Vec::len).collect();
-        let incoming2 = with_retries(backend, health, policy, &mut counters.retries, |b| {
-            b.all_to_all_indices(wire2.clone())
-        })?;
-        let replies2 = answerer.answer(&incoming2)?;
-        fetched2 = with_retries(backend, health, policy, &mut counters.retries, |b| {
-            b.all_to_all(replies2.clone())
-        })?;
-        resolved2 = resolved_flags(&fetched2, &expect2, dim)?;
-    }
-
-    // Reassemble per-owner buffers in request-key order: cache hits, wire rows
-    // from whichever round served the bundle, zeros for lost rows.
-    let mut lost: Vec<u64> = Vec::new();
-    let mut fetched = Vec::with_capacity(world);
-    for (owner, keys) in request_keys.iter().enumerate() {
-        let source = if misses[owner].is_empty() {
-            MissSource::None
-        } else if let Some(dest) = dest1[owner].filter(|&d| resolved1[d]) {
-            MissSource::Wire {
-                round: 1,
-                dest,
-                start: seg1[owner],
-            }
-        } else if let Some(dest) = dest2[owner].filter(|&d| resolved2[d]) {
-            MissSource::Wire {
-                round: 2,
-                dest,
-                start: seg2[owner],
-            }
-        } else {
-            lost.extend_from_slice(&misses[owner]);
-            MissSource::Lost
-        };
-        if let MissSource::Wire { dest, .. } = source {
-            if dest != owner {
-                counters.failovers += misses[owner].len() as u64;
-            }
-        }
-        let mut full = Vec::with_capacity(keys.len() * dim);
-        let mut cached_cursor = 0usize;
-        let mut wire_cursor = match source {
-            MissSource::Wire { start, .. } => start * dim,
-            _ => 0,
-        };
-        for (slot, &key) in keys.iter().enumerate() {
-            if hit_flags[owner][slot] {
-                full.extend_from_slice(&cached_rows[owner][cached_cursor..cached_cursor + dim]);
-                cached_cursor += dim;
-                continue;
-            }
-            match source {
-                MissSource::Wire { round, dest, .. } => {
-                    let rows = if round == 1 {
-                        &fetched1[dest]
-                    } else {
-                        &fetched2[dest]
-                    };
-                    let row = &rows[wire_cursor..wire_cursor + dim];
-                    full.extend_from_slice(row);
-                    wire_cursor += dim;
-                    if dest != me {
-                        cache.insert(key, row);
-                    }
-                }
-                // Lost rows read as zero; they are *not* cached — a later batch
-                // with a recovered holder must fetch the real row.
-                MissSource::Lost => full.extend(std::iter::repeat_n(0.0, dim)),
-                MissSource::None => unreachable!("no source only when nothing was missed"),
-            }
-        }
-        fetched.push(full);
-    }
-    lost.sort_unstable();
-    lost.dedup();
-    Ok((
-        LookupRouting {
-            request_keys,
-            served_keys: Vec::new(),
-        },
-        fetched,
-        lost,
-    ))
-}
-
-/// Per-destination reply check: a live holder answers its whole bundle
-/// (`expected × dim` floats), a dead or unservable one answers nothing. Any
-/// other length is a protocol violation, not a fault.
-fn resolved_flags(
-    fetched: &[Vec<f32>],
-    expected: &[usize],
-    dim: usize,
-) -> Result<Vec<bool>, ServeError> {
-    fetched
-        .iter()
-        .zip(expected)
-        .enumerate()
-        .map(|(rank, (reply, &keys))| {
-            if reply.len() == keys * dim {
-                Ok(true)
-            } else if reply.is_empty() {
-                Ok(false)
-            } else {
-                Err(ServeError::Rank {
-                    rank,
-                    message: format!(
-                        "fetch reply carries {} floats for {} requested rows",
-                        reply.len(),
-                        keys
-                    ),
-                })
-            }
-        })
-        .collect()
-}
-
-impl RankModel {
-    /// Runs one batch's forward flow and returns this rank's predictions (for
-    /// its own query slice) plus the batch's accounting.
-    fn run_batch(
-        &mut self,
-        worlds: &mut RankWorlds,
-        health: &mut HealthView,
-        policy: &FaultPolicy,
-        job: &Job,
-    ) -> Result<RankBatchResult, ServeError> {
-        let my_queries = &job.queries[job.start..job.start + job.len];
-        let mut counters = FetchCounters::default();
-        let mut degraded_answers = 0u64;
-        let preds = match self {
-            RankModel::Baseline(state) => {
-                let BaselineRank {
-                    answerer,
-                    dense,
-                    cache,
-                    num_dense,
-                    features,
-                    scratch,
-                } = state.as_mut();
-                let bags_owned = bags_of(my_queries, features);
-                let bags: Vec<&[Vec<usize>]> = bags_owned.iter().map(Vec::as_slice).collect();
-                let (routing, fetched, lost) = fetch_rows_replicated(
-                    answerer,
-                    cache,
-                    &mut worlds.global,
-                    health,
-                    policy,
-                    &bags,
-                    &mut counters,
-                )?;
-                if !lost.is_empty() {
-                    match policy.degraded {
-                        // Every collective of the batch has already run, so
-                        // failing here cannot desync the world's sequence.
-                        DegradedPolicy::Error => {
-                            return Err(ServeError::Unavailable { rows: lost.len() })
-                        }
-                        DegradedPolicy::ZeroFill => {
-                            degraded_answers = answerer.queries_touching(&bags, &lost);
-                        }
-                    }
-                }
-                if my_queries.is_empty() {
-                    Vec::new()
-                } else {
-                    let lookup = answerer.primary();
-                    let embs = lookup.pool(&bags, &routing, &fetched)?;
-                    let refs: Vec<&Tensor> = embs.iter().collect();
-                    Tensor::concat_cols_into(&refs, &mut scratch.feature_block)?;
-                    dense_input_into(my_queries, *num_dense, &mut scratch.dense_input);
-                    let mut preds = Vec::with_capacity(my_queries.len());
-                    dense.forward_infer(
-                        &scratch.dense_input,
-                        &scratch.feature_block,
-                        &mut preds,
-                        &mut scratch.dense,
-                    )?;
-                    preds
-                }
-            }
-            RankModel::Dmt(state) => {
-                let DmtRank {
-                    lookup,
-                    tower,
-                    dense,
-                    cache,
-                    layout,
-                    num_dense,
-                    peer_ranks,
-                    scratch,
-                } = state.as_mut();
-                // SPTT step 1: distribute indices to the owning towers' same-slot
-                // ranks, using the trainer's shared wire codec.
-                let sends =
-                    model::encode_tower_streams(&layout.groups, my_queries.len(), |f, s| {
-                        my_queries[s].sparse[f].as_slice()
-                    });
-                let incoming = worlds.peer.all_to_all_indices(sends)?;
-                let src_counts: Vec<usize> = peer_ranks.iter().map(|&r| job.counts[r]).collect();
-                let tower_batch: usize = src_counts.iter().sum();
-                let tower_bags =
-                    model::decode_tower_streams(&incoming, layout.my_features.len(), &src_counts);
-                // Step 2: intra-host sharded lookup (cache-fronted).
-                let bags: Vec<&[Vec<usize>]> = tower_bags.iter().map(Vec::as_slice).collect();
-                let (routing, fetched) =
-                    fetch_rows_cached(lookup, cache, &mut worlds.intra, &bags)?;
-                // Step 3: tower forward over the combined tower batch, sliced
-                // back per source host.
-                let w_mine = layout.tower_widths[layout.my_host];
-                let out_sends: Vec<Vec<f32>> = if tower_batch == 0 {
-                    vec![Vec::new(); layout.hosts]
-                } else {
-                    let embs = lookup.pool(&bags, &routing, &fetched)?;
-                    let refs: Vec<&Tensor> = embs.iter().collect();
-                    let tower_input = Tensor::concat_cols(&refs)?;
-                    let tower_out = tower.forward(&tower_input)?;
-                    let data = tower_out.data();
-                    let mut offset = 0usize;
-                    src_counts
-                        .iter()
-                        .map(|&b| {
-                            let slice = data[offset * w_mine..(offset + b) * w_mine].to_vec();
-                            offset += b;
-                            slice
-                        })
-                        .collect()
-                };
-                // Step 4: compressed tower outputs ride back over the peer world.
-                let out_recv = worlds.peer.all_to_all(out_sends)?;
-                if my_queries.is_empty() {
-                    Vec::new()
-                } else {
-                    let b = my_queries.len();
-                    let tower_blocks: Vec<Tensor> = out_recv
-                        .into_iter()
-                        .enumerate()
-                        .map(|(t, flat)| Tensor::from_vec(vec![b, layout.tower_widths[t]], flat))
-                        .collect::<Result<_, _>>()?;
-                    let refs: Vec<&Tensor> = tower_blocks.iter().collect();
-                    Tensor::concat_cols_into(&refs, &mut scratch.feature_block)?;
-                    dense_input_into(my_queries, *num_dense, &mut scratch.dense_input);
-                    let mut preds = Vec::with_capacity(b);
-                    dense.forward_infer(
-                        &scratch.dense_input,
-                        &scratch.feature_block,
-                        &mut preds,
-                        &mut scratch.dense,
-                    )?;
-                    preds
-                }
-            }
-        };
-        let (payload_bytes, cross_host_bytes, intra_host_bytes) = worlds.drain_bytes();
-        let (cache, cache_resident_bytes) = match self {
-            RankModel::Baseline(state) => (state.cache.take_stats(), state.cache.resident_bytes()),
-            RankModel::Dmt(state) => (state.cache.take_stats(), state.cache.resident_bytes()),
-        };
-        Ok(RankBatchResult {
-            preds,
-            payload_bytes,
-            cross_host_bytes,
-            intra_host_bytes,
-            retries: counters.retries,
-            failovers: counters.failovers,
-            degraded_answers,
-            cache,
-            cache_resident_bytes,
-        })
-    }
-}
-
-/// How close an error is to a failure's root cause: a rank's own death report
-/// beats the liveness errors it causes elsewhere, which beat the abort cascades
-/// of a teardown.
-fn error_score(error: &ServeError) -> u8 {
-    match error {
-        ServeError::Comm(CommError::RankDown { .. }) => 0,
-        ServeError::Unavailable { .. } => 1,
-        ServeError::Comm(CommError::Timeout { .. }) => 2,
-        ServeError::Comm(CommError::Aborted) => 4,
-        _ => 3,
-    }
-}
-
-/// Cached handles into the global metrics registry: resolved once at engine
-/// start so publishing a batch's accounting is a handful of atomic adds, never
-/// a registry-lock round trip on the serving path.
-struct EngineMetrics {
-    queries: Arc<Counter>,
-    batches: Arc<Counter>,
-    payload_bytes: Arc<Counter>,
-    cross_host_bytes: Arc<Counter>,
-    intra_host_bytes: Arc<Counter>,
-    retries: Arc<Counter>,
-    failovers: Arc<Counter>,
-    degraded_answers: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_resident_bytes: Arc<Gauge>,
-}
-
-impl EngineMetrics {
-    fn new() -> Self {
-        let r = Registry::global();
-        Self {
-            queries: r.counter("serve.queries"),
-            batches: r.counter("serve.batches"),
-            payload_bytes: r.counter("serve.payload_bytes"),
-            cross_host_bytes: r.counter("serve.cross_host_bytes"),
-            intra_host_bytes: r.counter("serve.intra_host_bytes"),
-            retries: r.counter("serve.retries"),
-            failovers: r.counter("serve.failovers"),
-            degraded_answers: r.counter("serve.degraded_answers"),
-            cache_hits: r.counter("serve.cache.hits"),
-            cache_misses: r.counter("serve.cache.misses"),
-            cache_evictions: r.counter("serve.cache.evictions"),
-            cache_resident_bytes: r.gauge("serve.cache.resident_bytes"),
-        }
-    }
-
-    /// Publishes one rank's per-batch accounting delta.
-    fn publish_rank(&self, result: &RankBatchResult) {
-        self.payload_bytes.add(result.payload_bytes);
-        self.cross_host_bytes.add(result.cross_host_bytes);
-        self.intra_host_bytes.add(result.intra_host_bytes);
-        self.retries.add(result.retries);
-        self.failovers.add(result.failovers);
-        self.degraded_answers.add(result.degraded_answers);
-        self.cache_hits.add(result.cache.hits);
-        self.cache_misses.add(result.cache.misses);
-        self.cache_evictions.add(result.cache.evictions);
-    }
-}
-
-/// A running disaggregated inference deployment: rank worker threads holding the
-/// sharded model, fed batches through [`ServingEngine::submit`].
+/// A running colocated deployment, fed batches through
+/// [`ServingEngine::submit`].
 pub struct ServingEngine {
-    mode: ExecutionMode,
-    world: usize,
-    senders: Vec<Option<Sender<Job>>>,
-    replies: Receiver<RankReply>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    controls: Vec<WorldControls>,
-    stats: ServeStats,
-    poisoned: bool,
-    /// Ranks that reported their own death; excluded from batches until probed
-    /// back up.
-    dead: Vec<bool>,
-    profile: FaultProfile,
-    probe_every: u64,
-    /// Submissions dispatched so far (failed ones included) — the probe clock.
-    submits: u64,
-    /// Baseline serving survives rank deaths (replicas, degraded mode); DMT has
-    /// no replica path, so a fault there poisons the engine.
-    can_recover: bool,
-    metrics: EngineMetrics,
+    pub(crate) pipeline: Pipeline,
 }
 
 impl ServingEngine {
     /// Loads `snapshot` onto `config.cluster` and starts one worker thread per
-    /// rank. The snapshot's tables are re-sharded onto the serving cluster; DMT
-    /// snapshots require `cluster.num_hosts() == snapshot.num_towers`.
+    /// rank ([`Pipeline::start`] without stage pools).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] if the snapshot cannot be mapped onto the
-    /// cluster or its weights do not match the declared geometry.
+    /// Returns [`ServeError::Config`] if the snapshot or configuration cannot
+    /// be served.
     pub fn start(snapshot: &ModelSnapshot, config: &ServeConfig) -> Result<Self, ServeError> {
-        let cluster = &config.cluster;
-        if snapshot.mode == ExecutionMode::Dmt && cluster.num_hosts() != snapshot.num_towers {
-            return Err(ServeError::Config {
-                reason: format!(
-                    "DMT snapshot has {} towers but the serving cluster has {} hosts",
-                    snapshot.num_towers,
-                    cluster.num_hosts()
-                ),
-            });
-        }
-        if snapshot.mode == ExecutionMode::Dmt && snapshot.tower_params.len() != snapshot.num_towers
-        {
-            return Err(ServeError::Config {
-                reason: "snapshot tower weights do not cover every tower".into(),
-            });
-        }
-        if config.resilience.replicas > 0 && snapshot.mode == ExecutionMode::Dmt {
-            return Err(ServeError::Config {
-                reason: "shard replication supports baseline serving only".into(),
-            });
-        }
-        if config.resilience.replicas >= cluster.world_size() {
-            return Err(ServeError::Config {
-                reason: format!(
-                    "{} replicas need more than the {} ranks available",
-                    config.resilience.replicas,
-                    cluster.world_size()
-                ),
-            });
-        }
-        // Load every rank's model up front so configuration errors surface here,
-        // synchronously, instead of inside a worker thread.
-        let models: Vec<RankModel> = (0..cluster.world_size())
-            .map(|rank| build_rank_model(snapshot, config, rank))
-            .collect::<Result<_, _>>()?;
-        let replica_bytes = models
-            .iter()
-            .map(|m| match m {
-                RankModel::Baseline(state) => state.answerer.replica_bytes(),
-                RankModel::Dmt(_) => 0,
-            })
-            .sum();
-        let table_resident_bytes = models
-            .iter()
-            .map(|m| match m {
-                RankModel::Baseline(state) => state.answerer.resident_bytes(),
-                RankModel::Dmt(state) => state.lookup.resident_bytes(),
-            })
-            .sum();
-        let worlds = build_worlds(
-            cluster,
-            config.fabric,
-            config.resilience.op_timeout,
-            &config.resilience.faults,
-        );
-        let controls = worlds
-            .iter()
-            .map(|w| WorldControls {
-                global: w.global.get_ref().abort_handle(),
-                intra: w.intra.get_ref().abort_handle(),
-                peer: w.peer.get_ref().abort_handle(),
-            })
-            .collect();
-        let policy = FaultPolicy {
-            max_retries: config.resilience.max_retries,
-            retry_backoff: config.resilience.retry_backoff,
-            down_after: config.resilience.down_after,
-            degraded: config.resilience.degraded,
-            replicas: config.resilience.replicas,
-        };
-        let (reply_tx, replies) = std::sync::mpsc::channel();
-        let mut senders = Vec::with_capacity(models.len());
-        let mut threads = Vec::with_capacity(models.len());
-        for (rank, (model, world)) in models.into_iter().zip(worlds).enumerate() {
-            let (tx, rx) = std::sync::mpsc::channel::<Job>();
-            let reply_tx = reply_tx.clone();
-            let policy = policy.clone();
-            senders.push(Some(tx));
-            threads.push(std::thread::spawn(move || {
-                worker_loop(rank, model, world, &policy, &rx, &reply_tx);
-            }));
-        }
-        Ok(Self {
-            mode: snapshot.mode,
-            world: cluster.world_size(),
-            senders,
-            replies,
-            threads,
-            controls,
-            stats: ServeStats {
-                replica_bytes,
-                table_resident_bytes,
-                ..ServeStats::default()
-            },
-            poisoned: false,
-            dead: vec![false; cluster.world_size()],
-            profile: config.resilience.faults.clone(),
-            probe_every: config.resilience.probe_every_batches,
-            submits: 0,
-            can_recover: snapshot.mode == ExecutionMode::Baseline,
-            metrics: EngineMetrics::new(),
-        })
-    }
-
-    /// The deployment this engine serves.
-    #[must_use]
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Rank worker threads.
-    #[must_use]
-    pub fn world_size(&self) -> usize {
-        self.world
+        let pipeline = Pipeline::start(snapshot, None::<StagePools>, config)?;
+        Ok(Self { pipeline })
     }
 
     /// Ranks currently excluded from serving (they reported their own death
     /// and have not been probed back up), ascending.
     #[must_use]
     pub fn dead_ranks(&self) -> Vec<usize> {
-        (0..self.world).filter(|&r| self.dead[r]).collect()
+        self.pipeline.dead_ranks()
     }
 
     /// Accounting accumulated across every submitted batch.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        self.stats
+        self.pipeline.serve_stats()
     }
 
-    /// Answers one batch: splits `queries` into contiguous per-rank sub-batches
-    /// over the *live* ranks, runs the deployment's forward flow collectively,
-    /// and returns the predicted click probabilities in query order.
+    /// Answers one batch ([`Pipeline::submit`]): the predicted click
+    /// probabilities in query order.
     ///
     /// # Errors
     ///
@@ -1222,270 +54,13 @@ impl ServingEngine {
     /// is excluded and the engine keeps serving (baseline deployments). Any
     /// other error — or any error in DMT mode — poisons the engine.
     pub fn submit(&mut self, queries: Vec<Query>) -> Result<Vec<f32>, ServeError> {
-        if self.poisoned {
-            return Err(ServeError::Config {
-                reason: "engine is poisoned by an earlier failure".into(),
-            });
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Probe: periodically readmit dead ranks the fault schedule does not
-        // hold permanently down. Paced by submissions (failed batches count —
-        // under heavy faults successes may be rare, and recovery must not wait
-        // on them). Workers are idle between batches, so flipping membership
-        // here cannot race a collective.
-        let attempt = self.submits;
-        self.submits += 1;
-        if self.probe_every > 0 && attempt > 0 && attempt.is_multiple_of(self.probe_every) {
-            for rank in 0..self.world {
-                if self.dead[rank] && !self.profile.permanently_down(rank) {
-                    self.controls[rank].mark_up(rank);
-                    self.dead[rank] = false;
-                }
-            }
-        }
-        let live: Vec<usize> = (0..self.world).filter(|&r| !self.dead[r]).collect();
-        if live.is_empty() {
-            return Err(ServeError::Config {
-                reason: "every serving rank is dead".into(),
-            });
-        }
-        let total = queries.len();
-        let base = total / live.len();
-        let rem = total % live.len();
-        let mut count_per_rank = vec![0usize; self.world];
-        for (slot, &rank) in live.iter().enumerate() {
-            count_per_rank[rank] = base + usize::from(slot < rem);
-        }
-        let counts: Arc<Vec<usize>> = Arc::new(count_per_rank);
-        let queries = Arc::new(queries);
-        let mut start = 0usize;
-        for &rank in &live {
-            let len = counts[rank];
-            let job = Job {
-                queries: Arc::clone(&queries),
-                counts: Arc::clone(&counts),
-                start,
-                len,
-            };
-            start += len;
-            let alive = self.senders[rank]
-                .as_ref()
-                .is_some_and(|s| s.send(job).is_ok());
-            if !alive {
-                self.poison();
-                return Err(ServeError::Rank {
-                    rank,
-                    message: "worker thread is gone".into(),
-                });
-            }
-        }
-        let mut per_rank: Vec<Option<RankBatchResult>> = (0..self.world).map(|_| None).collect();
-        let mut first_error: Option<ServeError> = None;
-        for _ in 0..live.len() {
-            match self.replies.recv_timeout(RANK_REPLY_TIMEOUT) {
-                Ok(reply) => match reply.result {
-                    Ok(result) => per_rank[reply.rank] = Some(result),
-                    Err(e) => {
-                        // A rank reporting its own death is excluded immediately
-                        // — and marked down in every world, which releases any
-                        // peer still waiting for its deposit.
-                        if matches!(&e, ServeError::Comm(CommError::RankDown { rank })
-                                if *rank == reply.rank)
-                        {
-                            self.dead[reply.rank] = true;
-                            self.controls[reply.rank].mark_down(reply.rank);
-                        }
-                        // Keep the error closest to the root cause.
-                        let replace = match &first_error {
-                            None => true,
-                            Some(current) => error_score(&e) < error_score(current),
-                        };
-                        if replace {
-                            first_error = Some(e);
-                        }
-                    }
-                },
-                Err(_) => {
-                    first_error.get_or_insert(ServeError::Config {
-                        reason: "timed out waiting for a rank".into(),
-                    });
-                    break;
-                }
-            }
-        }
-        if let Some(error) = first_error {
-            if !(self.can_recover && error.is_fault()) {
-                self.poison();
-            }
-            return Err(error);
-        }
-        let mut preds = Vec::with_capacity(total);
-        let mut cache_resident = 0u64;
-        for mut result in per_rank.into_iter().flatten() {
-            self.metrics.publish_rank(&result);
-            preds.append(&mut result.preds);
-            self.stats.payload_bytes += result.payload_bytes;
-            self.stats.cross_host_bytes += result.cross_host_bytes;
-            self.stats.intra_host_bytes += result.intra_host_bytes;
-            self.stats.retries += result.retries;
-            self.stats.failovers += result.failovers;
-            self.stats.degraded_answers += result.degraded_answers;
-            self.stats.cache.merge(&result.cache);
-            cache_resident += result.cache_resident_bytes;
-        }
-        self.stats.cache_resident_bytes = cache_resident;
-        self.metrics.cache_resident_bytes.set(cache_resident as f64);
-        debug_assert_eq!(preds.len(), total);
-        self.stats.queries += total as u64;
-        self.stats.batches += 1;
-        self.metrics.queries.add(total as u64);
-        self.metrics.batches.inc();
-        Ok(preds)
+        self.pipeline.submit(queries)
     }
 
     /// Stops the workers and returns the final accounting.
     #[must_use]
     pub fn shutdown(mut self) -> ServeStats {
-        self.stop();
-        self.stats
+        self.pipeline.stop();
+        self.pipeline.serve_stats()
     }
-
-    fn poison(&mut self) {
-        self.poisoned = true;
-        for control in &self.controls {
-            control.abort();
-        }
-    }
-
-    fn stop(&mut self) {
-        self.senders.clear(); // closes every job channel; idle workers exit
-                              // A worker can still be blocked inside a collective (e.g. waiting on a
-                              // rank that died without a deadline configured); abort every world so
-                              // blocked workers fail out instead of hanging the join below. Idle
-                              // workers never see the poison — they exit through the closed channel.
-        for control in &self.controls {
-            control.abort();
-        }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for ServingEngine {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn worker_loop(
-    rank: usize,
-    mut model: RankModel,
-    mut worlds: RankWorlds,
-    policy: &FaultPolicy,
-    jobs: &Receiver<Job>,
-    replies: &Sender<RankReply>,
-) {
-    let world_size = worlds.global.get_ref().world_size();
-    let mut health = HealthView::new(world_size, rank, policy.down_after);
-    trace::register_thread(
-        "serve",
-        &format!("rank{rank}"),
-        trace::Track {
-            pid: trace::deployment::SERVE,
-            tid: rank as u64,
-        },
-    );
-    while let Ok(job) = jobs.recv() {
-        // Adopt membership changes peers or the dispatcher committed (deaths
-        // and probe readmissions) before routing anything.
-        health.sync_down(&worlds.global.get_ref().down_ranks());
-        let mut span = trace::span(trace::cat::SERVE, || "rank batch".to_string());
-        if let Some(span) = span.as_mut() {
-            span.arg_u64("rank", rank as u64);
-            span.arg_u64("queries", job.len as u64);
-        }
-        let result = model.run_batch(&mut worlds, &mut health, policy, &job);
-        drop(span);
-        // Fault errors are survivable: report and keep serving. Anything else
-        // is fatal for the whole engine — poison the worlds so peers blocked in
-        // a collective fail out instead of hanging.
-        let fatal = matches!(&result, Err(e) if !e.is_fault());
-        if fatal {
-            worlds.abort();
-        }
-        if replies.send(RankReply { rank, result }).is_err() || fatal {
-            break;
-        }
-    }
-}
-
-/// Builds the per-rank communicator bundles (global / intra-host / peer worlds),
-/// mirroring the trainer's mapping of [`ProcessGroup`]s onto the cluster — each
-/// world wrapped in the fault injector and bounded by the collective deadline.
-fn build_worlds(
-    cluster: &ClusterTopology,
-    fabric: FabricProfile,
-    op_timeout: Option<Duration>,
-    faults: &FaultProfile,
-) -> Vec<RankWorlds> {
-    let wrap = |mut backend: SharedMemoryBackend| {
-        backend.set_op_timeout(op_timeout);
-        FaultInjectingBackend::new(backend, faults.clone())
-    };
-    let global = SharedMemoryComm::for_group(cluster, &ProcessGroup::global(cluster), fabric);
-    let mut intra: Vec<Option<SharedMemoryBackend>> =
-        (0..cluster.world_size()).map(|_| None).collect();
-    for group in ProcessGroup::intra_host_groups(cluster) {
-        let handles = SharedMemoryComm::for_group(cluster, &group, fabric);
-        for (rank, handle) in group.ranks().iter().zip(handles) {
-            intra[rank.0] = Some(handle);
-        }
-    }
-    let mut peer: Vec<Option<SharedMemoryBackend>> =
-        (0..cluster.world_size()).map(|_| None).collect();
-    for group in ProcessGroup::peer_groups(cluster) {
-        let handles = SharedMemoryComm::for_group(cluster, &group, fabric);
-        for (rank, handle) in group.ranks().iter().zip(handles) {
-            peer[rank.0] = Some(handle);
-        }
-    }
-    global
-        .into_iter()
-        .zip(intra)
-        .zip(peer)
-        .enumerate()
-        .map(|(rank, ((global, intra), peer))| {
-            let intra = intra.expect("intra-host groups cover every rank");
-            let peer = peer.expect("peer groups cover every rank");
-            // Serving comm lanes sit in a tid block disjoint from the trainer's
-            // (`rank*4`) so a process that trains and then serves never lands
-            // two backends on one timeline row.
-            let scopes: [(&SharedMemoryBackend, &str, &str, u64); 3] = [
-                (&global, "Global", "global", 0),
-                (&intra, "IntraHost", "intra-host", 1),
-                (&peer, "Peer", "peer", 2),
-            ];
-            for (backend, scope, lane, slot) in scopes {
-                backend.set_trace_target(
-                    dmt_comm::TraceTarget {
-                        track: trace::Track {
-                            pid: trace::deployment::COMM,
-                            tid: 1000 + (rank as u64) * 4 + slot,
-                        },
-                        rank: rank as u64,
-                        scope,
-                    },
-                    &format!("serve rank{rank} {lane}"),
-                );
-            }
-            RankWorlds {
-                global: wrap(global),
-                intra: wrap(intra),
-                peer: wrap(peer),
-            }
-        })
-        .collect()
 }

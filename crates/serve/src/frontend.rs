@@ -1,43 +1,34 @@
-//! The colocated-engine frontend: drives a query stream through a micro-batcher
-//! and the synchronous [`ServingEngine`], recording per-request latency.
-//!
-//! This is a thin wrapper over the load-harness vocabulary ([`crate::harness`]):
-//! arrival instants come from an [`ArrivalProcess`] schedule and throughput is
-//! a [`ThroughputWindow`], so a [`ServeReport`] and a
-//! [`crate::LoadReport`] quote rates and percentiles identically.
+//! The colocated-engine frontend: drives a query stream of single-query
+//! requests through a [`ServingEngine`]'s own front — admission, batcher,
+//! dispatch — with the load harness ([`crate::run_load`]), and reports
+//! per-request latency next to the engine's byte and cache accounting.
 //!
 //! Two traffic modes cover the interesting operating points:
 //!
-//! * **Closed loop** (`inter_arrival_us == 0`) — the next request is admitted
-//!   the moment the batcher can take it, so the engine runs saturated and
-//!   batches close on the **size** trigger. This is the throughput measurement
-//!   mode, and its latency numbers are **arrival-coordinated**: the driver
-//!   blocks in `submit`, arrivals pause while the engine works, and no open
-//!   queue ever builds, so the percentiles describe batch assembly + service
-//!   time — *not* what an independent arrival stream would experience. Use the
-//!   staged engine's open-loop harness ([`crate::run_load`]) for
-//!   SLO-meaningful latency.
-//! * **Paced** (`inter_arrival_us > 0`) — requests arrive on a fixed schedule;
-//!   under trickle traffic the **deadline** trigger closes partial batches,
-//!   bounding tail latency the way an online system must. Latency is measured
-//!   from the *scheduled* arrival instant (sojourn-style, queueing included),
-//!   but because this driver still blocks in `submit`, a schedule it cannot
-//!   keep up with degrades into the closed-loop regime rather than building an
-//!   open queue.
+//! * **Closed loop** (`inter_arrival_us == 0`) — one batch's worth of
+//!   always-busy clients: the next request is offered the moment an earlier
+//!   one completes, so the engine runs saturated and batches close on the
+//!   **size** trigger. This is the throughput measurement mode, and its
+//!   latency numbers are **arrival-coordinated**: no open queue ever builds,
+//!   so the percentiles describe batch assembly + service time — *not* what
+//!   an independent arrival stream would experience.
+//! * **Paced** (`inter_arrival_us > 0`) — open loop on a fixed schedule; under
+//!   trickle traffic the **deadline** trigger closes partial batches, bounding
+//!   tail latency the way an online system must. Latency is sojourn time from
+//!   the *scheduled* arrival instant, queueing included.
 //!
 //! Per-request latency is accumulated in a bounded log-bucketed
 //! [`dmt_metrics::Histogram`] — constant memory regardless of stream length —
 //! and summarized as the shared [`dmt_metrics::LatencyPercentiles`] form the
 //! trainer quotes for iteration wall times.
 
-use crate::batcher::MicroBatcher;
-use crate::engine::{ServeStats, ServingEngine};
-use crate::harness::ArrivalProcess;
+use crate::engine::ServingEngine;
+use crate::harness::{run_load, ArrivalProcess, LoadConfig};
+use crate::stats::ServeStats;
 use crate::{BatcherConfig, ServeError};
 use dmt_data::Query;
-use dmt_metrics::{Histogram, LatencyPercentiles, ThroughputWindow};
+use dmt_metrics::LatencyPercentiles;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Traffic and batching policy of one serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,21 +39,6 @@ pub struct StreamConfig {
     pub inter_arrival_us: u64,
     /// Batch-close policy.
     pub batcher: BatcherConfig,
-}
-
-impl StreamConfig {
-    /// This stream's arrival discipline in the load harness's vocabulary: a
-    /// single always-busy client when closed, a periodic schedule when paced.
-    #[must_use]
-    pub fn arrivals(&self) -> ArrivalProcess {
-        if self.inter_arrival_us == 0 {
-            ArrivalProcess::Closed { clients: 1 }
-        } else {
-            ArrivalProcess::Periodic {
-                qps: 1e6 / self.inter_arrival_us as f64,
-            }
-        }
-    }
 }
 
 /// The outcome of serving one query stream.
@@ -87,25 +63,8 @@ pub struct ServeReport {
     pub stats: ServeStats,
 }
 
-impl ServeReport {
-    /// Mean batch size over the stream.
-    #[must_use]
-    pub fn mean_batch(&self) -> f64 {
-        if self.stats.batches == 0 {
-            return 0.0;
-        }
-        self.requests as f64 / self.stats.batches as f64
-    }
-
-    /// The stream's throughput as the shared counted-window form.
-    #[must_use]
-    pub fn window(&self) -> ThroughputWindow {
-        ThroughputWindow::new(self.requests, self.wall_s)
-    }
-}
-
 /// Serves `config.num_requests` queries drawn from `next_query` through
-/// `engine`, batching with the configured policy, and reports latency
+/// `engine`, batching with the stream's policy, and reports latency
 /// percentiles, throughput and the engine's byte/cache accounting delta.
 ///
 /// # Errors
@@ -116,99 +75,30 @@ pub fn serve_stream(
     config: &StreamConfig,
     mut next_query: impl FnMut() -> Query,
 ) -> Result<ServeReport, ServeError> {
-    let schedule = config.arrivals().schedule(config.num_requests);
-    let closed_loop = config.inter_arrival_us == 0;
-    let start = Instant::now();
-    let stats_before = engine.stats();
-    let mut batcher: MicroBatcher<(u64, Query)> = MicroBatcher::new(config.batcher);
-    // Bounded accumulation: the histogram's memory is fixed no matter how many
-    // requests the stream carries (the old per-request Vec<f64> grew without
-    // bound on long soak runs).
-    let latencies = Histogram::new();
-    let mut flush_closes = 0u64;
-    let mut admitted = 0usize;
-    let now_us = |start: &Instant| start.elapsed().as_micros() as u64;
-
-    let run_batch = |engine: &mut ServingEngine,
-                     batch: Vec<(u64, Query)>,
-                     latencies: &Histogram,
-                     start: &Instant|
-     -> Result<(), ServeError> {
-        let (arrivals, queries): (Vec<u64>, Vec<Query>) = batch.into_iter().unzip();
-        let _ = engine.submit(queries)?;
-        let done_us = now_us(start);
-        for arrival_us in arrivals {
-            latencies.record(done_us.saturating_sub(arrival_us) as f64 * 1e-6);
-        }
-        Ok(())
+    let pipeline = &mut engine.pipeline;
+    pipeline.set_batching(config.batcher);
+    let (front_before, stats_before) = (pipeline.stats(), pipeline.serve_stats());
+    // One batch of always-busy clients when closed, a periodic schedule when
+    // paced.
+    let arrivals = match config.inter_arrival_us {
+        0 => ArrivalProcess::Closed {
+            clients: config.batcher.max_batch,
+        },
+        gap_us => ArrivalProcess::Periodic {
+            qps: 1e6 / gap_us as f64,
+        },
     };
-
-    while admitted < config.num_requests || !batcher.is_empty() {
-        // Admit every request whose scheduled arrival has passed. In closed
-        // loop mode the schedule is "immediately", so the batcher fills
-        // straight to its size trigger.
-        let mut closed: Option<Vec<(u64, Query)>> = None;
-        while admitted < config.num_requests {
-            let scheduled_us = schedule[admitted];
-            let now = now_us(&start);
-            if scheduled_us > now {
-                break;
-            }
-            // Paced mode anchors latency to the scheduled instant: a request
-            // that waited for the engine to drain the queue ahead of it has
-            // been latent since then.
-            let arrival_us = if closed_loop { now } else { scheduled_us };
-            admitted += 1;
-            closed = batcher.push(arrival_us, (arrival_us, next_query()));
-            if closed.is_some() {
-                break;
-            }
-        }
-        if let Some(batch) = closed {
-            run_batch(engine, batch, &latencies, &start)?;
-            continue;
-        }
-        // No size close: fire the deadline trigger, flush at end of stream, or
-        // sleep until the next event.
-        if let Some(batch) = batcher.poll(now_us(&start)) {
-            run_batch(engine, batch, &latencies, &start)?;
-            continue;
-        }
-        if admitted >= config.num_requests {
-            if let Some(batch) = batcher.flush() {
-                flush_closes += 1;
-                run_batch(engine, batch, &latencies, &start)?;
-            }
-            continue;
-        }
-        let mut wake_us = schedule[admitted];
-        if let Some(deadline) = batcher.next_deadline_us() {
-            wake_us = wake_us.min(deadline);
-        }
-        let now = now_us(&start);
-        if wake_us > now {
-            std::thread::sleep(std::time::Duration::from_micros((wake_us - now).min(1_000)));
-        }
-    }
-
-    let window = ThroughputWindow::new(latencies.count() as usize, start.elapsed().as_secs_f64());
-    let stats_after = engine.stats();
+    let load = LoadConfig::new(config.num_requests, arrivals);
+    let report = run_load(pipeline, &load, || vec![next_query()])?;
+    let front = report.stats;
     Ok(ServeReport {
-        requests: window.count,
-        wall_s: window.wall_s,
-        throughput_qps: window.per_second(),
-        latency: latencies.percentiles().unwrap_or(LatencyPercentiles {
-            count: 0,
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-        }),
-        size_closes: batcher.size_closes(),
-        deadline_closes: batcher.deadline_closes(),
-        flush_closes,
-        stats: stats_after.since(&stats_before),
+        requests: report.completed,
+        wall_s: report.rate.wall_s,
+        throughput_qps: report.rate.per_second(),
+        latency: report.sojourn,
+        size_closes: front.size_closes - front_before.size_closes,
+        deadline_closes: front.deadline_closes - front_before.deadline_closes,
+        flush_closes: front.flush_closes - front_before.flush_closes,
+        stats: pipeline.serve_stats().since(&stats_before),
     })
 }

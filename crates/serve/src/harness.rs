@@ -11,7 +11,7 @@
 //! is doing; latency is **sojourn time** — scheduled arrival to completion,
 //! queueing included — which is the quantity an SLO constrains.
 //!
-//! [`run_load`] drives a [`StagedEngine`] with either discipline:
+//! [`run_load`] drives a [`Pipeline`] — any placement — with either discipline:
 //!
 //! * [`ArrivalProcess::Poisson`] / [`ArrivalProcess::Periodic`] — open loop at
 //!   a controlled offered rate. The schedule is precomputed and deadlines are
@@ -25,8 +25,9 @@
 //! rate whose admitted-traffic p99 sojourn still meets the SLO — the serving
 //! capacity number `bench_slo` reports and CI gates.
 
+use crate::pipeline::Pipeline;
 use crate::request::{Priority, Request, NO_DEADLINE};
-use crate::stage::StagedEngine;
+use crate::stats::StageStats;
 use crate::ServeError;
 use dmt_data::Query;
 use dmt_metrics::{Histogram, LatencyPercentiles, ThroughputWindow};
@@ -35,8 +36,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 /// How a harness run gives up on a wedged pipeline instead of spinning
-/// forever: no run is allowed to outlive this wall-clock budget.
-const HARNESS_STALL_LIMIT: Duration = Duration::from_secs(300);
+/// forever: no run is allowed to outlive this wall-clock budget (5 minutes).
+const HARNESS_STALL_LIMIT_US: u64 = 300_000_000;
 
 /// The arrival discipline of one load run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,7 +197,7 @@ pub struct LoadReport {
     /// requests are shed up front instead.
     pub deadline_misses: u64,
     /// The engine's accounting over the run.
-    pub stats: crate::stage::StageStats,
+    pub stats: StageStats,
 }
 
 impl LoadReport {
@@ -210,15 +211,6 @@ impl LoadReport {
     #[must_use]
     pub fn total_shed(&self) -> u64 {
         self.shed_by_class.iter().sum()
-    }
-
-    /// The fraction of offered requests that were shed.
-    #[must_use]
-    pub fn shed_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.total_shed() as f64 / self.offered as f64
     }
 }
 
@@ -235,7 +227,7 @@ impl LoadReport {
 ///
 /// Surfaces pipeline failures; shed requests are counted, not errors.
 pub fn run_load(
-    engine: &mut StagedEngine,
+    engine: &mut Pipeline,
     config: &LoadConfig,
     mut next_queries: impl FnMut() -> Vec<Query>,
 ) -> Result<LoadReport, ServeError> {
@@ -245,8 +237,7 @@ pub fn run_load(
         _ => None,
     };
     let base = engine.now_us();
-    let stall_by =
-        base.saturating_add(u64::try_from(HARNESS_STALL_LIMIT.as_micros()).unwrap_or(u64::MAX));
+    let stall_by = base.saturating_add(HARNESS_STALL_LIMIT_US);
     // Completions are absorbed as they drain instead of being hoarded until the
     // end: each one removes its anchor, bumps the counters and records into a
     // bounded histogram, so the harness's memory stays flat on long soak runs
@@ -257,7 +248,7 @@ pub fn run_load(
     let mut deadline_misses = 0u64;
     let mut shed_by_class = [0u64; 3];
     let mut admitted = 0usize;
-    let absorb = |engine: &mut StagedEngine,
+    let absorb = |engine: &mut Pipeline,
                   anchor_of: &mut HashMap<u64, u64>,
                   completed: &mut usize,
                   deadline_misses: &mut u64|
@@ -275,8 +266,7 @@ pub fn run_load(
 
     for (i, offset) in schedule.iter().enumerate() {
         let scheduled = base + offset;
-        // Wait for the request's turn: its scheduled instant (open loop) or a
-        // free client slot (closed loop), harvesting completions meanwhile.
+        // Wait for the request's turn, harvesting completions meanwhile.
         loop {
             engine.pump()?;
             absorb(engine, &mut anchor_of, &mut completed, &mut deadline_misses)?;
@@ -284,24 +274,20 @@ pub fn run_load(
             if now > stall_by {
                 return Err(stalled(admitted, completed));
             }
-            match clients {
-                Some(cap) => {
-                    if admitted - completed < cap {
-                        break;
-                    }
-                }
-                None => {
-                    if now >= scheduled {
-                        break;
-                    }
-                }
-            }
-            let wake = match clients {
-                Some(_) => now + 100,
-                None => scheduled.min(engine.next_close_us().unwrap_or(u64::MAX)),
+            // Ready at the scheduled instant (open loop) or on a free client
+            // slot (closed loop). Until then, idle up to the next thing this
+            // driver must act on — a batch close, the arrival — or until the
+            // stages finish a batch.
+            let (ready, wake) = match clients {
+                Some(cap) => (admitted - completed < cap, u64::MAX),
+                None => (now >= scheduled, scheduled),
             };
+            if ready {
+                break;
+            }
+            let wake = wake.min(engine.next_close_us().unwrap_or(u64::MAX));
             if wake > now {
-                std::thread::sleep(Duration::from_micros((wake - now).min(200)));
+                engine.wait(Duration::from_micros((wake - now).min(200)));
             }
         }
         // Deadlines anchor to the schedule, not to when the driver got here.
@@ -310,14 +296,10 @@ pub fn run_load(
         } else {
             scheduled
         };
-        let deadline = if config.deadline_us == NO_DEADLINE {
-            NO_DEADLINE
-        } else {
-            anchor.saturating_add(config.deadline_us)
-        };
         let priority = config.priority_of(i);
+        // Saturating: a budget of `NO_DEADLINE` stays `NO_DEADLINE`.
         let request = Request::new(next_queries())
-            .with_deadline_us(deadline)
+            .with_deadline_us(anchor.saturating_add(config.deadline_us))
             .with_priority(priority);
         match engine.offer(request) {
             Ok(seq) => {
@@ -331,12 +313,11 @@ pub fn run_load(
 
     engine.flush()?;
     while completed < admitted {
-        engine.pump()?;
         absorb(engine, &mut anchor_of, &mut completed, &mut deadline_misses)?;
         if engine.now_us() > stall_by {
             return Err(stalled(admitted, completed));
         }
-        std::thread::sleep(Duration::from_micros(200));
+        engine.wait(Duration::from_micros(200));
     }
 
     let wall_s = (engine.now_us() - base) as f64 * 1e-6;
@@ -347,22 +328,11 @@ pub fn run_load(
         shed_by_class,
         offered_qps: config.requests as f64 / wall_s.max(1e-12),
         rate: ThroughputWindow::new(completed, wall_s),
-        sojourn: sojourns.percentiles().unwrap_or(ZERO_LATENCY),
+        sojourn: sojourns.percentiles().unwrap_or_default(),
         deadline_misses,
         stats: engine.stats(),
     })
 }
-
-/// All-zero percentiles for an empty run (every request shed).
-const ZERO_LATENCY: LatencyPercentiles = LatencyPercentiles {
-    count: 0,
-    p50: 0.0,
-    p95: 0.0,
-    p99: 0.0,
-    mean: 0.0,
-    min: 0.0,
-    max: 0.0,
-};
 
 fn stalled(admitted: usize, completed: usize) -> ServeError {
     ServeError::Rank {
@@ -388,7 +358,7 @@ pub fn sweep_rates<E, S, Q>(
     mut stream_for: S,
 ) -> Result<Vec<LoadReport>, ServeError>
 where
-    E: FnMut() -> Result<StagedEngine, ServeError>,
+    E: FnMut() -> Result<Pipeline, ServeError>,
     S: FnMut() -> Q,
     Q: FnMut() -> Vec<Query>,
 {
@@ -503,7 +473,7 @@ mod tests {
                 max: p99,
             },
             deadline_misses: 0,
-            stats: crate::stage::StageStats::default(),
+            stats: StageStats::default(),
         };
         let reports = vec![mk(100.0, 0.01), mk(200.0, 0.02), mk(400.0, 0.09)];
         assert_eq!(max_qps_under_slo(&reports, 0.025), Some(200.0));

@@ -1,57 +1,74 @@
 //! `dmt-serve` — disaggregated online inference for the DMT reproduction.
 //!
-//! Training proves the paper's topology argument on the gradient path; this crate
-//! proves it on the **query path**. It loads a frozen
+//! Training proves the paper's topology argument on the gradient path; this
+//! crate proves it on the **query path**. It loads a frozen
 //! [`dmt_trainer::distributed::ModelSnapshot`] (exported by
-//! `dmt_trainer::distributed::run_with_snapshot`) and serves it with the same two
-//! deployments the trainer measures, over the same executable fabric
-//! (`dmt-comm` collectives, `FabricProfile` pacing, per-link-class byte
-//! accounting against the `ClusterTopology`):
+//! `dmt_trainer::distributed::run_with_snapshot`) and serves it over the same
+//! executable fabric the trainer measures (`dmt-comm` collectives,
+//! `FabricProfile` pacing, per-link-class byte accounting against the
+//! `ClusterTopology`), through **one request path**:
 //!
-//! * **Baseline serving** — embedding tables row-sharded across *all* ranks; every
-//!   batch pays a global index + row AlltoAll before the replicated dense forward.
-//! * **DMT serving** — the SPTT flow: peer index distribution, *intra-host*
-//!   sharded lookup, tower-module compression, and only the small tower outputs
-//!   cross hosts.
+//! ```text
+//!   offer() ──► AdmissionController ──► MicroBatcher (per-request close
+//!      │              │ shed                 deadlines from the SLO budget)
+//!      │              ▼                        │ closed batch, split into one
+//!      │        ServeError::Shed               ▼ contiguous slice per live rank
+//!      │                              LOOKUP STAGE: one worker per rank over
+//!      │                              `dmt-comm` worlds — cache-fronted,
+//!      │                              replica-aware fetch + pool (+ tower
+//!      │                              forward and peer exchange for DMT)
+//!      │                                        │
+//!      │                     colocated ─────────┴───────── pooled
+//!      │              dense runs inline on        slices stitched in rank order,
+//!      │              each rank's slice           paced at `xfer_bytes_per_s`,
+//!      │                       │                  bounded queue (`stage_queue`)
+//!      │                       │                          │
+//!      │                       │                  DENSE STAGE: `dense_ranks`
+//!      │                       │                  workers, whole-batch forward
+//!      │                       ▼                          ▼
+//!      └──── drain() ◄── one seq-tagged completion per request, or a
+//!                        seq-tagged failure once the completions are delivered
+//! ```
 //!
-//! On top of the colocated [`ServingEngine`], the crate provides a
-//! **stage-disaggregated** deployment and the SLO machinery around it:
+//! * The **lookup stage** is the same for every deployment: a cache-fronted,
+//!   replica-aware sharded fetch and requester-side pooling ([`model`]). A
+//!   *baseline* snapshot row-shards every table across all lookup ranks and
+//!   pays a global index + row AlltoAll per batch; a *DMT* snapshot runs the
+//!   SPTT flow — peer index distribution, the same fetch over the *intra-host*
+//!   world, tower-module compression — so only the small tower outputs cross
+//!   hosts.
+//! * **Placement is a parameter** of [`Pipeline::start`]: without stage pools
+//!   dense runs inline on each lookup rank's slice (*colocated* — what
+//!   [`ServingEngine`] fronts with a blocking `submit`); with [`StagePools`]
+//!   the slices are stitched in rank order and handed through a bounded
+//!   rate-matching queue to a separate dense pool (*pooled* —
+//!   [`StagedEngine`]); a world of one rank is called inline with no threads
+//!   and no allocation ([`SingleRankServer`]).
+//! * Everything else composes with every placement and both deployments:
+//!   [`Request`] / [`Priority`] deadlines and classes, the
+//!   [`AdmissionController`]'s watermark and deadline-feasibility shedding (a
+//!   refused request is a fast, observable [`ServeError::Shed`], never a
+//!   timeout), the [`MicroBatcher`]'s size- and deadline-triggered close, the
+//!   per-rank [`HotRowCache`] whose savings show up directly in the wire-byte
+//!   accounting, [`ServeConfig::precision`] (int8 / fp16 tables, cache rows
+//!   and dense GEMMs; F32 keeps the exact bit-identical path), and — for
+//!   baseline snapshots — [`ReplicatedAnswerer`] shard replicas with
+//!   [`HealthView`] conviction, bounded retries, bit-identical failover and
+//!   the [`DegradedPolicy`] fallback, exercised by deterministic
+//!   [`dmt_comm::FaultProfile`] injection.
+//! * [`harness`] drives any placement open- or closed-loop ([`run_load`]):
+//!   Poisson or periodic arrivals at controlled rates, **sojourn-time**
+//!   latency (queueing included), and rate sweeps for max-QPS-under-SLO
+//!   capacity measurement; [`serve_stream`] is the same harness over a
+//!   [`ServingEngine`] with per-stream batching.
 //!
-//! * [`StagedEngine`] — embedding-lookup ranks and dense-compute ranks as
-//!   *separate stage pools* with independent world sizes, joined by an explicit
-//!   bounded rate-matching queue (see [`stage`]).
-//! * [`Request`] / [`Priority`] — the deadline- and priority-tagged request
-//!   lifecycle; deadlines flow from admission through the [`MicroBatcher`]'s
-//!   per-item close deadlines to completion.
-//! * [`AdmissionController`] — bounded queue occupancy with nested priority
-//!   watermarks and deadline-budget feasibility; a refused request is a fast,
-//!   observable [`ServeError::Shed`], never a timeout.
-//! * [`harness`] — an open-loop load harness ([`run_load`]): Poisson or
-//!   periodic arrivals at controlled rates, **sojourn-time** latency (queueing
-//!   included), and rate sweeps for max-QPS-under-SLO capacity measurement.
-//! * [`MicroBatcher`] — size- and deadline-triggered batch close.
-//! * [`HotRowCache`] — a per-rank LRU over fetched embedding rows; on the
-//!   Zipf-skewed request streams of `dmt_data::requests` it absorbs most remote
-//!   fetches and its savings show up directly in the wire-byte accounting.
-//! * [`serve_stream`] — the closed/paced frontend loop over the colocated
-//!   engine, reporting per-request p50/p95/p99 latency
-//!   ([`dmt_metrics::LatencyPercentiles`]) with the same sojourn-time semantics
-//!   as the load harness.
-//! * **Fault tolerance** — [`ReplicatedAnswerer`] keeps `replicas` cross-host
-//!   copies of every embedding shard, [`HealthView`] convicts dead peers from
-//!   consecutive collective timeouts, and the baseline engine retries transient
-//!   faults, fails lookups over to replica holders (bit-identically), and
-//!   either errors or zero-fills ([`DegradedPolicy`]) rows with no live holder.
-//!   Faults are injected deterministically via [`dmt_comm::FaultProfile`].
-//! * **Quantized compute** — [`ServeConfig::precision`] switches the whole
-//!   forward pass to int8 or fp16 storage: embedding shards and replicas are
-//!   quantized once at load time ([`dmt_nn::QuantizedShardedTable`]), the
-//!   hot-row cache stores quantized rows, and the dense stack runs through the
-//!   SIMD int8 / fp16 GEMM kernels. F32 keeps the exact bit-identical path.
+//! Accounting is kept once ([`stats`]): bytes are what the comm backends'
+//! op records say moved, and [`ServeStats`] / [`StageStats`] are two views of
+//! the same totals.
 //!
 //! Served predictions are **bit-identical** to a forward pass through the
-//! training-side model over the same sub-batches: the engine reuses the trainer's
-//! `ShardedLookup` protocol and `DenseStack` float path rather than
+//! training-side model over the same sub-batches: the stages reuse the
+//! trainer's `ShardedLookup` protocol and `DenseStack` float path rather than
 //! reimplementing them (see the workspace `serving` tests).
 //!
 //! # Example
@@ -82,24 +99,27 @@ pub mod engine;
 pub mod frontend;
 pub mod harness;
 pub mod health;
+pub mod model;
+pub mod pipeline;
 pub mod replica;
 pub mod request;
 pub mod single;
-pub mod stage;
+pub mod stats;
 
 pub use admission::{batcher_close_by, AdmissionController};
 pub use batcher::{BatcherConfig, MicroBatcher};
 pub use cache::{CacheStats, HotRowCache};
-pub use engine::{ServeStats, ServingEngine};
+pub use engine::ServingEngine;
 pub use frontend::{serve_stream, ServeReport, StreamConfig};
 pub use harness::{
     max_qps_under_slo, run_load, sweep_rates, ArrivalProcess, LoadConfig, LoadReport,
 };
 pub use health::HealthView;
+pub use pipeline::{CompletedRequest, Pipeline, StagePools, StagedEngine};
 pub use replica::ReplicatedAnswerer;
 pub use request::{Priority, Request, ShedReason, NO_DEADLINE};
 pub use single::SingleRankServer;
-pub use stage::{CompletedRequest, StagePools, StageStats, StagedEngine};
+pub use stats::{ServeStats, StageStats};
 
 /// Storage/compute precision of a serving deployment's forward pass
 /// (re-export of [`dmt_tensor::Precision`]; see [`ServeConfig::precision`]).
@@ -148,20 +168,12 @@ impl Default for BatchConfig {
     }
 }
 
-impl BatchConfig {
-    /// The batcher policy slice of this config.
-    #[must_use]
-    pub fn batcher(&self) -> BatcherConfig {
-        BatcherConfig::new(self.max_batch, self.max_delay_us)
-    }
-}
-
 /// Fault-tolerance policy of a serving deployment: replication, retries,
 /// health conviction, probing and the degraded-answer fallback.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Cross-host replicas kept of every embedding shard (0 disables
-    /// replication and failover; baseline serving only).
+    /// replication and failover; baseline snapshots only).
     pub replicas: usize,
     /// Deterministic fault schedule injected into every rank's collectives
     /// ([`FaultProfile::none`] injects nothing).
@@ -219,7 +231,7 @@ pub struct SloConfig {
     /// behavior) while still tracking occupancy.
     pub shed: bool,
     /// Depth, in batches, of the bounded rate-matching queue between the
-    /// lookup stage pool and the dense stage pool of a [`StagedEngine`].
+    /// lookup stage and a pooled dense stage ([`StagePools`]).
     pub stage_queue: usize,
 }
 
@@ -351,14 +363,24 @@ pub enum ServeError {
         /// The refused request's priority class.
         priority: Priority,
     },
+    /// Admitted requests whose batch a stage failed — their terminal outcome,
+    /// surfaced by [`Pipeline::drain`] once every completion harvested with it
+    /// has been delivered.
+    Failed {
+        /// Sequence numbers of the requests that will never complete.
+        seqs: Vec<u64>,
+        /// The error closest to the failure's root cause.
+        cause: Box<ServeError>,
+    },
 }
 
 impl ServeError {
-    /// Whether this error is a secondary "world aborted" cascade rather than a
-    /// root cause.
-    #[must_use]
-    pub fn is_abort_cascade(&self) -> bool {
-        matches!(self, ServeError::Comm(CommError::Aborted))
+    /// The error itself, or the cause a [`ServeError::Failed`] wraps.
+    fn root(&self) -> &ServeError {
+        match self {
+            ServeError::Failed { cause, .. } => cause.root(),
+            other => other,
+        }
     }
 
     /// Whether this error is a *fault* — a dead, stalled or unreachable rank —
@@ -368,20 +390,11 @@ impl ServeError {
     #[must_use]
     pub fn is_fault(&self) -> bool {
         matches!(
-            self,
+            self.root(),
             ServeError::Comm(CommError::RankDown { .. })
                 | ServeError::Comm(CommError::Timeout { .. })
                 | ServeError::Unavailable { .. }
         )
-    }
-
-    /// Whether this error is transient — retrying the same operation can
-    /// succeed (passthrough of [`CommError::is_transient`]). Shed requests are
-    /// *not* transient at the engine's timescale: the caller should back off,
-    /// not re-offer immediately.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ServeError::Comm(e) if e.is_transient())
     }
 
     /// Whether this request was refused by admission control rather than
@@ -406,6 +419,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Shed { reason, priority } => {
                 write!(f, "request shed ({priority} priority): {reason}")
+            }
+            ServeError::Failed { seqs, cause } => {
+                write!(f, "{} admitted requests failed: {cause}", seqs.len())
             }
         }
     }
@@ -452,8 +468,6 @@ mod tests {
             message: "boom".into(),
         };
         assert!(e.to_string().contains('3') && e.to_string().contains("boom"));
-        assert!(ServeError::Comm(CommError::Aborted).is_abort_cascade());
-        assert!(!ServeError::Comm(CommError::EmptyWorld).is_abort_cascade());
     }
 
     #[test]
@@ -477,21 +491,8 @@ mod tests {
         };
         assert!(e.is_shed());
         assert!(!e.is_fault());
-        assert!(!e.is_transient());
         assert!(e.to_string().contains("low"));
         assert!(!ServeError::Unavailable { rows: 1 }.is_shed());
-    }
-
-    #[test]
-    fn transient_mirrors_comm_error() {
-        let timeout = CommError::Timeout {
-            op: dmt_comm::CommOp::AllToAll,
-            waited_ms: 5,
-            missing: vec![1],
-        };
-        assert!(ServeError::Comm(timeout).is_transient());
-        assert!(!ServeError::Comm(CommError::Aborted).is_transient());
-        assert!(!ServeError::Config { reason: "x".into() }.is_transient());
     }
 
     #[test]

@@ -214,6 +214,17 @@ impl ReplicatedAnswerer {
         touched
     }
 
+    /// The held shard covering encoded `key`, if any: the primary, or the
+    /// replica of the key's nominal owner.
+    fn shard_covering(&self, key: u64) -> Option<&ShardedLookup> {
+        let owner = self.owner_of_key(key)?;
+        if owner == self.me {
+            return Some(&self.primary);
+        }
+        let held = self.replicas.iter().find(|(source, _)| *source == owner);
+        held.map(|(_, shard)| shard)
+    }
+
     /// Answers incoming request keys with raw rows in request order, serving
     /// each key from whichever held shard (primary or replica) covers it.
     ///
@@ -226,57 +237,28 @@ impl ReplicatedAnswerer {
     /// Returns [`ServeError`] only on internal inconsistency (a key that maps to
     /// a held shard the shard then rejects) — a protocol bug, not a fault.
     pub fn answer(&self, incoming: &[Vec<u64>]) -> Result<Vec<Vec<f32>>, ServeError> {
-        let dim = self.primary.dim();
+        if self.replicas.is_empty() {
+            // Nothing but the primary is held, and requesters only ever route
+            // a bundle to a holder of its owner's shard.
+            return Ok(self.primary.answer(incoming)?);
+        }
         let mut replies = Vec::with_capacity(incoming.len());
-        'source: for keys in incoming {
-            // Partition the source's keys by covering shard, preserving order
-            // within each partition (keys stay feature-grouped, which is what
-            // `answer` batches on).
-            let mut parts: Vec<(usize, Vec<u64>)> = Vec::new();
-            let mut part_of = Vec::with_capacity(keys.len());
-            for &key in keys {
-                let Some(owner) = self.owner_of_key(key) else {
-                    replies.push(Vec::new());
-                    continue 'source;
-                };
-                let lookup_at = if owner == self.me {
-                    Some(usize::MAX)
-                } else {
-                    self.replicas
-                        .iter()
-                        .position(|(source, _)| *source == owner)
-                };
-                let Some(slot) = lookup_at else {
-                    replies.push(Vec::new());
-                    continue 'source;
-                };
-                let part = match parts.iter().position(|(s, _)| *s == slot) {
-                    Some(p) => p,
-                    None => {
-                        parts.push((slot, Vec::new()));
-                        parts.len() - 1
-                    }
-                };
-                parts[part].1.push(key);
-                part_of.push(part);
-            }
-            // One batched answer per covering shard, then interleave back into
-            // request order.
-            let mut buffers = Vec::with_capacity(parts.len());
-            for (slot, part_keys) in &parts {
-                let lookup = if *slot == usize::MAX {
-                    &self.primary
-                } else {
-                    &self.replicas[*slot].1
-                };
-                let mut answered = lookup.answer(std::slice::from_ref(part_keys))?;
-                buffers.push((answered.pop().unwrap_or_default(), 0usize));
-            }
-            let mut reply = Vec::with_capacity(keys.len() * dim);
-            for &part in &part_of {
-                let (buffer, cursor) = &mut buffers[part];
-                reply.extend_from_slice(&buffer[*cursor..*cursor + dim]);
-                *cursor += dim;
+        for keys in incoming {
+            let shards: Option<Vec<&ShardedLookup>> =
+                keys.iter().map(|&key| self.shard_covering(key)).collect();
+            let Some(shards) = shards else {
+                replies.push(Vec::new());
+                continue;
+            };
+            // Keys arrive sorted, so each shard's keys form runs; one batched
+            // answer per run lands the rows in request order.
+            let mut reply = Vec::with_capacity(keys.len() * self.primary.dim());
+            let mut start = 0;
+            for run in shards.chunk_by(|a, b| std::ptr::eq(*a, *b)) {
+                let end = start + run.len();
+                let mut rows = run[0].answer(&[keys[start..end].to_vec()])?;
+                reply.append(&mut rows.pop().unwrap_or_default());
+                start = end;
             }
             replies.push(reply);
         }

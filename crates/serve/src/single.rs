@@ -1,11 +1,12 @@
-//! Single-rank, allocation-free serving.
+//! [`SingleRankServer`]: the pipeline's two stages on a world of one rank,
+//! called inline.
 //!
-//! [`SingleRankServer`] collapses the baseline deployment onto one rank: with
-//! `world == 1` every embedding row is local, so the route → answer key
-//! exchange degenerates to the identity and the whole query path becomes
-//! *pool → dense forward* over rank-local state. That removes the collective
-//! layer entirely — and with it every per-batch wire buffer — which is what
-//! makes a hard zero-allocation guarantee possible:
+//! With `world == 1` every embedding row is local, so routing is the identity
+//! and the lookup stage pools straight out of the rank's shard; there is no
+//! peer to exchange with, so there is no comm link, no worker thread and no
+//! front either — the caller's thread runs *lookup → dense* over rank-local
+//! state ([`crate::model`]). That is what makes a hard zero-allocation
+//! guarantee possible:
 //!
 //! > After a warm-up batch of each shape, [`SingleRankServer::serve_into`]
 //! > performs **zero heap allocations** per call (asserted by the
@@ -13,33 +14,22 @@
 //!
 //! Every buffer of the forward pass — the pooled feature block, the dense
 //! input, each MLP/interaction intermediate and the quantized-GEMM scratch —
-//! lives in the server and is reshaped in place per batch. Predictions are
-//! bit-identical to the multi-rank [`crate::ServingEngine`] at the same
-//! precision: the pooling accumulates rows in the same bag order the routed
-//! protocol does, and the dense stack runs the same kernels through its
-//! allocation-free inference entry points.
+//! lives in the rank's state and is reshaped in place per batch. Predictions
+//! are bit-identical to a multi-rank deployment at the same precision: the
+//! pooling accumulates rows in the same bag order the routed fetch does, and
+//! the dense stage is the same code.
 
-use crate::ServeError;
+use crate::model::{load_rank, RankModel};
+use crate::{BatchConfig, ServeConfig, ServeError};
 use dmt_data::Query;
-use dmt_metrics::{trace, Counter, Registry};
-use dmt_tensor::{Precision, Tensor};
-use dmt_trainer::distributed::model::{load_params, DenseScratch, DenseStack, ShardedLookup};
+use dmt_metrics::trace;
+use dmt_tensor::Precision;
+use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::{ExecutionMode, ModelSnapshot};
 
 /// A baseline snapshot served from a single rank with reusable buffers.
 pub struct SingleRankServer {
-    /// All tables as shard 0 of a 1-way partition: every row is local.
-    lookup: ShardedLookup,
-    dense: DenseStack,
-    num_dense: usize,
-    row_buf: Vec<f32>,
-    feature_block: Tensor,
-    dense_input: Tensor,
-    scratch: DenseScratch,
-    /// Cached registry handles: resolved once at load so the hot path only
-    /// touches atomics (the zero-allocation guarantee covers them).
-    served_queries: std::sync::Arc<Counter>,
-    served_batches: std::sync::Arc<Counter>,
+    rank: RankModel,
 }
 
 impl SingleRankServer {
@@ -50,7 +40,7 @@ impl SingleRankServer {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for a DMT-mode snapshot (tower outputs
-    /// need the peer exchange of the multi-rank engine) or an inconsistent
+    /// need the peer exchange of a multi-rank deployment) or an inconsistent
     /// snapshot.
     pub fn from_snapshot(
         snapshot: &ModelSnapshot,
@@ -63,54 +53,30 @@ impl SingleRankServer {
                     .into(),
             });
         }
-        let (unit_width, num_units) = crate::engine::dense_geometry(snapshot)?;
-        let mut dense = DenseStack::new(
-            snapshot.seed,
-            &snapshot.schema,
-            snapshot.arch,
-            &snapshot.hyper,
-            unit_width,
-            num_units,
-        );
-        load_params(&mut dense, &snapshot.dense_params)?;
-        dense.quantize_weights(precision);
-        let lookup = ShardedLookup::from_tables_quantized(
-            (0..snapshot.schema.num_sparse()).collect(),
-            &snapshot.tables,
-            1,
-            0,
-            precision,
-        )?;
+        // No peer will ever ask this rank for a row, so nothing is cached.
+        let cluster = ClusterTopology::new(HardwareGeneration::A100, 1, 1)
+            .expect("one host of one rank is a cluster");
+        let config = ServeConfig::new(cluster)
+            .with_precision(precision)
+            .with_batch(BatchConfig {
+                cache_rows: 0,
+                ..BatchConfig::default()
+            });
         Ok(Self {
-            lookup,
-            dense,
-            num_dense: snapshot.schema.num_dense,
-            row_buf: Vec::new(),
-            feature_block: Tensor::default(),
-            dense_input: Tensor::default(),
-            scratch: DenseScratch::default(),
-            served_queries: Registry::global().counter("single.queries"),
-            served_batches: Registry::global().counter("single.batches"),
+            rank: load_rank(snapshot, &config.cluster, 0, &config, true)?,
         })
-    }
-
-    /// Storage precision the tables were loaded at.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        self.lookup.precision()
     }
 
     /// Bytes resident in the embedding tables at the loaded precision.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.lookup.resident_bytes()
+        self.rank.shards().resident_bytes()
     }
 
     /// Serves one micro-batch, writing the per-query click probabilities into
     /// `predictions` (cleared first). After a warm-up call of the same batch
     /// shape, this performs zero heap allocations: pooling, dense input
-    /// assembly and every dense-stack intermediate reuse the server's
-    /// buffers.
+    /// assembly and every dense-stack intermediate reuse the rank's buffers.
     ///
     /// # Errors
     ///
@@ -121,44 +87,11 @@ impl SingleRankServer {
         queries: &[Query],
         predictions: &mut Vec<f32>,
     ) -> Result<(), ServeError> {
-        let batch = queries.len();
         // One relaxed atomic load when tracing is off (no allocation, no clock
         // read — the name closure never runs), so the zero-alloc guarantee and
         // the disabled-mode ns/request both hold with this compiled in.
-        let _span = trace::span(trace::cat::SERVE, || format!("serve {batch}"));
-        self.served_queries.add(batch as u64);
-        self.served_batches.inc();
-        self.lookup.pool_local_into(
-            batch,
-            |f, s| queries[s].sparse[f].as_slice(),
-            &mut self.row_buf,
-            &mut self.feature_block,
-        )?;
-        self.dense_input.reset_to_shape(&[batch, self.num_dense]);
-        for (row, q) in self
-            .dense_input
-            .data_mut()
-            .chunks_exact_mut(self.num_dense)
-            .zip(queries)
-        {
-            if q.dense.len() != self.num_dense {
-                return Err(ServeError::Config {
-                    reason: format!(
-                        "query has {} dense features, snapshot expects {}",
-                        q.dense.len(),
-                        self.num_dense
-                    ),
-                });
-            }
-            row.copy_from_slice(&q.dense);
-        }
-        self.dense.forward_infer(
-            &self.dense_input,
-            &self.feature_block,
-            predictions,
-            &mut self.scratch,
-        )?;
-        Ok(())
+        let _span = trace::span(trace::cat::SERVE, || format!("serve {}", queries.len()));
+        self.rank.serve_local(queries, predictions)
     }
 
     /// [`SingleRankServer::serve_into`] returning a fresh prediction vector —
@@ -180,7 +113,6 @@ mod tests {
     use crate::{ServeConfig, ServingEngine};
     use dmt_data::ZipfRequestStream;
     use dmt_models::ModelArch;
-    use dmt_topology::{ClusterTopology, HardwareGeneration};
     use dmt_trainer::distributed::{run_with_snapshot, DistributedConfig};
 
     fn baseline_snapshot() -> ModelSnapshot {
@@ -218,7 +150,6 @@ mod tests {
             .resident_bytes();
         for precision in [Precision::Fp16, Precision::Int8] {
             let mut server = SingleRankServer::from_snapshot(&snapshot, precision).unwrap();
-            assert_eq!(server.precision(), precision);
             assert!(server.resident_bytes() < f32_bytes);
             let mut stream = ZipfRequestStream::new(snapshot.schema.clone(), 3, 1.1);
             let preds = server.serve(&stream.next_queries(4)).unwrap();

@@ -82,9 +82,12 @@ use dmt_topology::ProcessGroup;
 use measure::{aggregate, RankOutcome};
 
 /// Communicator handles one rank carries into its thread.
-pub(crate) struct RankComms {
+pub struct RankComms {
+    /// The world of every rank.
     pub global: SharedMemoryBackend,
+    /// The world of this rank's host.
     pub intra: SharedMemoryBackend,
+    /// The world of the same-slot ranks across hosts.
     pub peer: SharedMemoryBackend,
 }
 
@@ -122,10 +125,16 @@ pub fn run_with_snapshot(
     Ok((run, snapshot.expect("snapshot requested")))
 }
 
-/// Builds the per-rank communicator bundles for `config.cluster`.
-fn build_comms(config: &DistributedConfig) -> Vec<RankComms> {
-    let cluster = &config.cluster;
-    let fabric = config.fabric;
+/// Builds the per-rank communicator bundles for `cluster`. Trace lanes are
+/// named `{lane_prefix}rank{r} {world}` and numbered from `first_lane`, so
+/// deployments sharing a process (the serving stages reuse this) keep apart.
+#[must_use]
+pub fn build_comms(
+    cluster: &dmt_topology::ClusterTopology,
+    fabric: dmt_comm::FabricProfile,
+    lane_prefix: &str,
+    first_lane: u64,
+) -> Vec<RankComms> {
     let global = SharedMemoryComm::for_group(cluster, &ProcessGroup::global(cluster), fabric);
     let mut intra: Vec<Option<SharedMemoryBackend>> =
         (0..cluster.world_size()).map(|_| None).collect();
@@ -167,12 +176,12 @@ fn build_comms(config: &DistributedConfig) -> Vec<RankComms> {
                 dmt_comm::TraceTarget {
                     track: trace::Track {
                         pid: trace::deployment::COMM,
-                        tid: (rank as u64) * 4 + slot,
+                        tid: first_lane + (rank as u64) * 4 + slot,
                     },
                     rank: rank as u64,
                     scope,
                 },
-                &format!("rank{rank} {lane}"),
+                &format!("{lane_prefix}rank{rank} {lane}"),
             );
         }
     }
@@ -202,15 +211,17 @@ fn run_mode_inner(
         // Validate the partition up front so every rank either runs or none does.
         let _ = naive_partition(config.schema.num_sparse(), config.num_towers())?;
     }
-    let comms = build_comms(config);
+    let comms = build_comms(&config.cluster, config.fabric, "", 0);
     let world = comms.len();
     let mut outcomes: Vec<Option<RankResult>> = (0..world).map(|_| None).collect();
+    let trace_scope = trace::current_scope();
     std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(world);
         for (rank, comm) in comms.into_iter().enumerate() {
             let config = config.clone();
             joins.push(scope.spawn(move || {
                 let mut comm = comm;
+                trace::enter_scope(trace_scope);
                 // Name this rank's timeline lane and remember it in TLS so the
                 // executor's iteration/node spans land on it (cheap no-op setup
                 // when tracing never turns on).

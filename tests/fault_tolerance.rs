@@ -10,7 +10,10 @@ use dmt_comm::{FaultKind, FaultProfile};
 use dmt_data::{Query, ZipfRequestStream};
 use dmt_models::ModelArch;
 use dmt_nn::EmbeddingTable;
-use dmt_serve::{DegradedPolicy, ResilienceConfig, ServeConfig, ServingEngine};
+use dmt_serve::{
+    BatchConfig, DegradedPolicy, Pipeline, Request, ResilienceConfig, ServeConfig, ServeError,
+    ServingEngine, StagePools,
+};
 use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::model::{load_params, DenseStack};
@@ -112,6 +115,76 @@ fn killed_rank_fails_over_bit_identically() {
     );
     assert!(stats.replica_bytes > 0, "replication capacity is accounted");
     assert_eq!(stats.degraded_answers, 0, "nothing was zero-filled");
+}
+
+/// Failover composes with a pooled dense stage and the asynchronous front:
+/// the batch in flight when the rank dies ends as a seq-tagged failure, later
+/// batches complete bit-identically, every offered request is accounted for,
+/// and shutdown stays bounded.
+#[test]
+fn pooled_replicated_deployment_conserves_requests_under_a_rank_death() {
+    let snapshot = baseline_snapshot();
+    let config = ServeConfig::new(cluster_2x4())
+        .with_batch(BatchConfig {
+            max_batch: 4,
+            max_delay_us: 1_000_000,
+            ..BatchConfig::default()
+        })
+        .with_resilience(ResilienceConfig {
+            replicas: 1,
+            faults: FaultProfile::new(11).with_event(3, 0, FaultKind::Down),
+            op_timeout: Some(Duration::from_millis(250)),
+            down_after: 1,
+            ..ResilienceConfig::default()
+        });
+    let mut engine = Pipeline::start(&snapshot, StagePools::new(8, 2), &config).unwrap();
+    let mut completed = Vec::new();
+    let mut failed: Vec<u64> = Vec::new();
+    let mut offered = Vec::new();
+    // Three batches of four 8-query requests, each run to its terminal
+    // outcome before the next is offered.
+    for round in 0..3u64 {
+        for i in 0..4 {
+            let batch = queries(&snapshot, 10 * round + i, 8);
+            let seq = engine.offer(Request::new(batch.clone())).unwrap();
+            offered.push((seq, batch));
+        }
+        while completed.len() + failed.len() < offered.len() {
+            engine.wait(Duration::from_millis(50));
+            match engine.drain() {
+                Ok(done) => completed.extend(done),
+                Err(ServeError::Failed { seqs, cause }) => {
+                    assert!(cause.is_fault(), "rank death surfaced as {cause}");
+                    failed.extend(seqs);
+                }
+                Err(other) => panic!("unexpected pipeline error: {other}"),
+            }
+        }
+    }
+    assert_eq!(failed, vec![0, 1, 2, 3], "the first batch died with rank 3");
+    assert_eq!(engine.dead_ranks(), vec![3]);
+    for done in &completed {
+        let (_, batch) = &offered[done.seq as usize];
+        assert_bit_identical(
+            &done.preds,
+            &reference_predictions(&snapshot, batch),
+            "survivors",
+        );
+    }
+    let start = Instant::now();
+    let (rest, stats) = engine.shutdown().unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
+    assert!(rest.is_empty());
+    assert_eq!(
+        stats.admitted(),
+        completed.len() as u64 + stats.shed() + stats.failed
+    );
+    assert_eq!((stats.admitted(), stats.failed, stats.shed()), (12, 4, 0));
+    assert!(stats.index_bytes > 0 && stats.xfer_bytes > 0);
 }
 
 /// With replication disabled the same death must surface as a clean fault error

@@ -10,7 +10,8 @@ use dmt_data::{Query, ZipfRequestStream};
 use dmt_models::ModelArch;
 use dmt_nn::EmbeddingTable;
 use dmt_serve::{
-    serve_stream, BatchConfig, BatcherConfig, ServeConfig, ServingEngine, StreamConfig,
+    serve_stream, BatchConfig, BatcherConfig, ComputePrecision, Pipeline, Request, ServeConfig,
+    ServingEngine, StagePools, StreamConfig,
 };
 use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
@@ -102,39 +103,92 @@ fn reference_predictions(snapshot: &ModelSnapshot, queries: &[Query]) -> Vec<f32
     dense.forward(&dense_input, &feature_block).unwrap()
 }
 
+/// Serves `batch` as one request: through the blocking colocated engine, or
+/// offered to a pipeline with a pooled dense stage.
+enum Deployment {
+    Colocated(ServingEngine),
+    Pooled(Pipeline),
+}
+
+impl Deployment {
+    fn serve(&mut self, batch: Vec<Query>) -> Vec<f32> {
+        match self {
+            Deployment::Colocated(engine) => engine.submit(batch).unwrap(),
+            Deployment::Pooled(engine) => {
+                engine.offer(Request::new(batch)).unwrap();
+                engine.flush().unwrap();
+                loop {
+                    engine.wait(std::time::Duration::from_millis(10));
+                    if let Some(done) = engine.drain().unwrap().pop() {
+                        return done.preds;
+                    }
+                }
+            }
+        }
+    }
+
+    fn cache_hits(&self) -> u64 {
+        match self {
+            Deployment::Colocated(engine) => engine.stats().cache.hits,
+            Deployment::Pooled(engine) => engine.serve_stats().cache.hits,
+        }
+    }
+}
+
 #[test]
 fn served_predictions_are_bit_identical_to_the_training_model() {
     // Batch and per-rank sub-batch sizes are multiples of 4 so every sample
     // takes the same GEMM microkernel path in the served (chunked) and the
     // reference (whole-batch) forward — the condition under which float
-    // summation orders coincide exactly.
+    // summation orders coincide exactly. Every feature composes with every
+    // other: both deployments, dense colocated or pooled (4 lookup ranks over
+    // both hosts, 2 dense ranks), cache on or off, every precision.
     for mode in [ExecutionMode::Baseline, ExecutionMode::Dmt] {
         let snapshot = snapshot(mode, ModelArch::Dlrm);
         let batch = queries(&snapshot, 42, 32); // 32 / 8 ranks = 4 per rank
         let reference = reference_predictions(&snapshot, &batch);
-        for cache_rows in [0usize, 4096] {
-            let config = ServeConfig::new(cluster_2x4()).with_batch(BatchConfig {
-                cache_rows,
-                ..BatchConfig::default()
-            });
-            let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
-            let served = engine.submit(batch.clone()).unwrap();
+        for (pooled, cache_rows, precision) in [
+            (false, 0usize, ComputePrecision::F32),
+            (false, 4096, ComputePrecision::F32),
+            (true, 0, ComputePrecision::F32),
+            (true, 4096, ComputePrecision::F32),
+            (false, 4096, ComputePrecision::Int8),
+            (true, 0, ComputePrecision::Int8),
+            (false, 0, ComputePrecision::Fp16),
+            (true, 4096, ComputePrecision::Fp16),
+        ] {
+            let what = format!("{mode:?} pooled={pooled} cache={cache_rows} {precision}");
+            let config = ServeConfig::new(cluster_2x4())
+                .with_precision(precision)
+                .with_batch(BatchConfig {
+                    cache_rows,
+                    ..BatchConfig::default()
+                });
+            let mut engine = if pooled {
+                Deployment::Pooled(
+                    Pipeline::start(&snapshot, StagePools::new(4, 2), &config).unwrap(),
+                )
+            } else {
+                Deployment::Colocated(ServingEngine::start(&snapshot, &config).unwrap())
+            };
+            let served = engine.serve(batch.clone());
             assert_eq!(served.len(), reference.len());
             for (i, (s, r)) in served.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    r.to_bits(),
-                    "{mode:?} cache={cache_rows}: query {i}: served {s} != reference {r}"
-                );
+                if precision.is_f32() {
+                    assert_eq!(
+                        s.to_bits(),
+                        r.to_bits(),
+                        "{what}: query {i}: served {s} != reference {r}"
+                    );
+                } else {
+                    assert!((s - r).abs() <= 0.01, "{what}: query {i}: {s} vs {r}");
+                }
             }
             // Serving again out of a warm cache must not change a single bit.
-            let warm = engine.submit(batch.clone()).unwrap();
-            assert_eq!(warm, served, "{mode:?}: warm-cache predictions drifted");
+            let warm = engine.serve(batch.clone());
+            assert_eq!(warm, served, "{what}: warm-cache predictions drifted");
             if cache_rows > 0 {
-                assert!(
-                    engine.stats().cache.hits > 0,
-                    "{mode:?}: warm pass should hit the cache"
-                );
+                assert!(engine.cache_hits() > 0, "{what}: warm pass should hit");
             }
         }
     }

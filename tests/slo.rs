@@ -8,8 +8,8 @@ use dmt_data::{Query, ZipfRequestStream};
 use dmt_models::ModelArch;
 use dmt_nn::EmbeddingTable;
 use dmt_serve::{
-    run_load, ArrivalProcess, BatchConfig, LoadConfig, Priority, Request, ServeConfig, SloConfig,
-    StagePools, StagedEngine,
+    run_load, ArrivalProcess, BatchConfig, LoadConfig, Pipeline, Priority, Request, ServeConfig,
+    ServeError, ServingEngine, ShedReason, SloConfig, StagePools, StagedEngine, NO_DEADLINE,
 };
 use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
@@ -26,6 +26,15 @@ const XFER_BYTES_PER_S: u64 = 4_000_000;
 const MAX_BATCH: usize = 8;
 /// The p99 sojourn SLO of the overload test, microseconds.
 const SLO_US: u64 = 50_000;
+
+/// The overload test asserts wall-clock latency, and every test here spins up
+/// eight-thread clusters: run one at a time, so the sibling tests of this
+/// binary are not the load that blows the latency bound.
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn cluster_2x4() -> ClusterTopology {
     ClusterTopology::new(HardwareGeneration::A100, 2, 4).unwrap()
@@ -84,6 +93,7 @@ fn staged_config(slo: SloConfig) -> ServeConfig {
 /// deployment answers bit-identically to the training-side model.
 #[test]
 fn staged_engine_is_bit_identical_to_the_reference() {
+    let _turn = one_at_a_time();
     let snapshot = baseline_snapshot();
     for (lookup, dense) in [(2, 1), (4, 2), (1, 3)] {
         let config = staged_config(SloConfig::default());
@@ -115,9 +125,22 @@ fn staged_engine_is_bit_identical_to_the_reference() {
     }
 }
 
+/// Offers `queries` as one request and waits for its predictions.
+fn serve_one(engine: &mut StagedEngine, queries: Vec<Query>) -> Vec<f32> {
+    engine.offer(Request::new(queries)).unwrap();
+    engine.flush().unwrap();
+    loop {
+        engine.wait(std::time::Duration::from_millis(10));
+        if let Some(done) = engine.drain().unwrap().pop() {
+            return done.preds;
+        }
+    }
+}
+
 /// Configurations the staged engine cannot honor fail fast at start.
 #[test]
 fn staged_engine_rejects_unservable_configs() {
+    let _turn = one_at_a_time();
     let snapshot = baseline_snapshot();
     let config = staged_config(SloConfig::default());
     let Err(err) = StagedEngine::start(&snapshot, StagePools::new(0, 1), &config) else {
@@ -125,12 +148,151 @@ fn staged_engine_rejects_unservable_configs() {
     };
     assert!(err.to_string().contains("pool"), "got {err}");
 
+    // A DMT snapshot is served: the lookup stage spans its two towers' hosts,
+    // and the pooled dense stage answers bit-identically to the colocated one.
     let dmt_cfg = DistributedConfig::quick(cluster_2x4(), ModelArch::Dlrm).with_iterations(1);
     let (_, dmt_snap) = run_with_snapshot(&dmt_cfg, ExecutionMode::Dmt).unwrap();
-    let Err(err) = StagedEngine::start(&dmt_snap, StagePools::new(2, 1), &config) else {
-        panic!("a DMT snapshot must be rejected");
+    let queries = ZipfRequestStream::new(dmt_snap.schema.clone(), 5, 1.1).next_queries(32);
+    let mut colocated = ServingEngine::start(&dmt_snap, &config).unwrap();
+    let expected = colocated.submit(queries.clone()).unwrap();
+    let mut pooled = StagedEngine::start(&dmt_snap, StagePools::new(2, 1), &config).unwrap();
+    let served = serve_one(&mut pooled, queries);
+    assert_eq!(served.len(), expected.len());
+    for (s, e) in served.iter().zip(&expected) {
+        assert_eq!(s.to_bits(), e.to_bits(), "pooled DMT {s} != colocated {e}");
+    }
+
+    // Absurd or unservable inputs are typed errors from the one `start`,
+    // whatever the placement — never a panic, never silently adjusted.
+    type Edit = fn(&mut ServeConfig);
+    let pools = |l, d| Some(StagePools::new(l, d));
+    let cases: [(&str, &ModelSnapshot, Option<StagePools>, Edit); 11] = [
+        ("zero max_batch", &snapshot, None, |c| c.batch.max_batch = 0),
+        ("zero max_batch, pooled", &snapshot, pools(2, 1), |c| {
+            c.batch.max_batch = 0;
+        }),
+        ("zero stage queue", &snapshot, pools(2, 1), |c| {
+            c.slo.stage_queue = 0;
+        }),
+        ("zero queue bound", &snapshot, None, |c| {
+            c.slo.queue_bound = 0
+        }),
+        ("empty dense pool", &snapshot, pools(2, 0), |_| {}),
+        ("replicas fill the cluster", &snapshot, None, |c| {
+            c.resilience.replicas = 8;
+        }),
+        (
+            "replicas fill the lookup pool",
+            &snapshot,
+            pools(2, 1),
+            |c| {
+                c.resilience.replicas = 2;
+            },
+        ),
+        ("towers on too few hosts", &dmt_snap, None, |c| {
+            c.cluster = ClusterTopology::new(HardwareGeneration::A100, 1, 4).unwrap();
+        }),
+        ("towers on an uneven pool", &dmt_snap, pools(3, 1), |_| {}),
+        ("replicated towers", &dmt_snap, None, |c| {
+            c.resilience.replicas = 1;
+        }),
+        ("replicated towers, pooled", &dmt_snap, pools(4, 2), |c| {
+            c.resilience.replicas = 1;
+        }),
+    ];
+    for (what, snap, pools, edit) in cases {
+        let mut config = staged_config(SloConfig::default());
+        edit(&mut config);
+        match Pipeline::start(snap, pools, &config) {
+            Err(ServeError::Config { .. }) => {}
+            Err(other) => panic!("{what}: expected a Config error, got {other}"),
+            Ok(_) => panic!("{what}: must be rejected"),
+        }
+    }
+}
+
+/// Admission composes with every deployment: watermark and deadline shedding
+/// in front of a *colocated DMT* pipeline. Occupancy is only released when
+/// the front absorbs completions, so offering without draining walks the
+/// priority watermarks deterministically.
+#[test]
+fn admission_sheds_in_front_of_a_colocated_dmt_deployment() {
+    let _turn = one_at_a_time();
+    let dmt_cfg = DistributedConfig::quick(cluster_2x4(), ModelArch::Dlrm).with_iterations(1);
+    let (_, snapshot) = run_with_snapshot(&dmt_cfg, ExecutionMode::Dmt).unwrap();
+    let config = ServeConfig::new(cluster_2x4())
+        .with_batch(BatchConfig {
+            max_batch: 4,
+            max_delay_us: 1_000_000,
+            ..BatchConfig::default()
+        })
+        .with_slo(SloConfig {
+            queue_bound: 32,
+            service_estimate_us: 1_000,
+            shed: true,
+            ..SloConfig::default()
+        });
+    let mut engine = Pipeline::start(&snapshot, None, &config).unwrap();
+    let mut stream = ZipfRequestStream::new(snapshot.schema.clone(), 21, 1.1);
+    let mut offer = |engine: &mut Pipeline, priority: Priority, deadline_us: u64| {
+        let request = Request::new(stream.next_queries(8))
+            .with_priority(priority)
+            .with_deadline_us(deadline_us);
+        (request.queries.clone(), engine.offer(request))
     };
-    assert!(err.to_string().contains("baseline"), "got {err}");
+    let shed_reason = |outcome: Result<u64, ServeError>| match outcome {
+        Err(ServeError::Shed { reason, .. }) => reason,
+        other => panic!("expected a shed, got {other:?}"),
+    };
+
+    // A budget below the service estimate is refused whatever the class.
+    let too_soon = engine.now_us() + 10;
+    let (_, infeasible) = offer(&mut engine, Priority::High, too_soon);
+    assert!(matches!(
+        shed_reason(infeasible),
+        ShedReason::DeadlineInfeasible { .. }
+    ));
+    // 8-query requests against a 32-query bound: Low fills to 50%, Standard
+    // to 75%, High to 100% — each class is refused exactly at its watermark.
+    let mut admitted = Vec::new();
+    for (class, fits, watermark) in [
+        (Priority::Low, 2, 16),
+        (Priority::Standard, 1, 24),
+        (Priority::High, 1, 32),
+    ] {
+        for _ in 0..fits {
+            let (queries, outcome) = offer(&mut engine, class, NO_DEADLINE);
+            admitted.push((outcome.unwrap(), queries));
+        }
+        let (_, refused) = offer(&mut engine, class, NO_DEADLINE);
+        assert_eq!(
+            shed_reason(refused),
+            ShedReason::QueueFull {
+                occupancy: watermark,
+                bound: watermark
+            }
+        );
+    }
+
+    // The four admitted requests closed one batch by size: 32 queries, four
+    // per rank, answered bit-identically to the blocking colocated engine.
+    let (mut done, stats) = engine.shutdown().unwrap();
+    done.sort_by_key(|c| c.seq);
+    let mut reference = ServingEngine::start(&snapshot, &ServeConfig::new(cluster_2x4())).unwrap();
+    let all: Vec<Query> = admitted.iter().flat_map(|(_, q)| q.clone()).collect();
+    let expected = reference.submit(all).unwrap();
+    let served: Vec<f32> = done.iter().flat_map(|c| c.preds.clone()).collect();
+    assert_eq!(
+        done.iter().map(|c| c.seq).collect::<Vec<_>>(),
+        admitted.iter().map(|(seq, _)| *seq).collect::<Vec<_>>()
+    );
+    for (s, e) in served.iter().zip(&expected) {
+        assert_eq!(s.to_bits(), e.to_bits());
+    }
+    assert_eq!(stats.admitted_by_class, [2, 1, 1]);
+    assert_eq!(stats.shed_by_class, [1, 1, 2]);
+    assert_eq!((stats.queries, stats.failed, stats.size_closes), (32, 0, 1));
+    assert_eq!(stats.max_occupancy, 32);
 }
 
 /// The headline guarantee: at roughly twice the no-shedding saturation rate,
@@ -139,6 +301,7 @@ fn staged_engine_rejects_unservable_configs() {
 /// while the same engine without shedding lets queueing delay blow through it.
 #[test]
 fn admitted_p99_meets_the_slo_at_twice_saturation() {
+    let _turn = one_at_a_time();
     let snapshot = baseline_snapshot();
     let pools = StagePools::new(2, 1).with_xfer_bytes_per_s(XFER_BYTES_PER_S);
     let mut stream = ZipfRequestStream::new(snapshot.schema.clone(), 7, 1.1);

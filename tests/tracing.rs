@@ -27,8 +27,10 @@ use dmt_trainer::distributed::{
 use serde::json::Value;
 use std::sync::Mutex;
 
-/// The recorder is process-global, so tracing tests take this lock, drain any
-/// leftovers, record, and disable again before releasing.
+/// One capture at a time: tracing tests take this lock, drain any leftovers,
+/// record, and disable again before releasing. What the capture holds is
+/// bounded by the recorder's scopes, not by this lock — sibling tests train
+/// and serve outside it, on threads of their own scopes.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn record<R>(work: impl FnOnce() -> R) -> (R, Vec<trace::TraceEvent>) {
@@ -55,6 +57,51 @@ fn round_trip_through_disk(events: &[trace::TraceEvent]) -> Vec<trace::ParsedEve
     let json = std::fs::read_to_string(&path).expect("trace.json reads back");
     let _ = std::fs::remove_file(&path);
     trace::parse_chrome_trace(&json).expect("trace.json parses")
+}
+
+/// A capture holds the enabling thread's scope and nothing else: workers that
+/// inherited the scope are in it even when they were spawned before tracing
+/// was switched on, threads of other scopes are not.
+#[test]
+fn captures_are_scoped_to_the_enabling_thread_and_its_workers() {
+    use std::sync::mpsc::channel;
+    let instant = |name: &str| {
+        trace::emit(trace::TraceEvent::instant(
+            trace::current_track(),
+            trace::cat::SERVE,
+            name.to_string(),
+            trace::clock_s(),
+        ));
+    };
+    let scope = trace::current_scope();
+    // Both threads exist before the capture starts and emit only once told to.
+    let (go_worker, worker_turn) = channel::<()>();
+    let worker = std::thread::spawn(move || {
+        trace::enter_scope(scope);
+        worker_turn.recv().unwrap();
+        instant("early worker");
+    });
+    let (go_stranger, stranger_turn) = channel::<()>();
+    let stranger = std::thread::spawn(move || {
+        stranger_turn.recv().unwrap();
+        instant("stranger");
+    });
+    let ((), events) = record(|| {
+        instant("root");
+        go_worker.send(()).unwrap();
+        go_stranger.send(()).unwrap();
+        worker.join().unwrap();
+        stranger.join().unwrap();
+        std::thread::spawn(move || {
+            trace::enter_scope(scope);
+            instant("late worker");
+        })
+        .join()
+        .unwrap();
+    });
+    let mut names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["early worker", "late worker", "root"]);
 }
 
 /// The tentpole cross-check: trace-recomputed overlap matches the live
