@@ -7,8 +7,11 @@
 //!   out-of-cache embedding table — the memory-bandwidth case quantized
 //!   storage exists for. Resident bytes per precision are reported and the
 //!   int8 table must be at least 2× smaller than f32.
-//! * **GEMM** (`quant_gemm`): the serving tower shape through the f32 kernel,
-//!   the runtime-dispatched int8 kernel and the fp16-storage kernel.
+//! * **GEMM** (`quant_gemm`): the tower shape and the serving over-arch's
+//!   widest layer through f32 (the faster of the dot-product and fused-bias
+//!   kernels, so int8 is held against the strongest f32 contender), the
+//!   runtime-dispatched int8 kernel and the fp16-storage kernel. The int8
+//!   kernel must beat f32 at both shapes.
 //! * **Serving** (`serving_quant`): the full DMT serving path — quantized
 //!   shards, quantized hot-row cache, quantized dense/tower weights — under
 //!   the same paced fabric as `bench_serving`, so the gated timing is stable
@@ -22,7 +25,8 @@
 //!
 //! Results go to `BENCH_quant.json` (committed baseline, eighth `--pair` of
 //! the CI bench-regression gate). Run with
-//! `cargo run --release -p dmt-bench --bin bench_quant` (add `--quick` in CI).
+//! `cargo run --release -p dmt-bench --bin bench_quant` (add `--quick` in CI;
+//! `--tiers` prints the int8 / f32 kernel tiers of this machine and exits).
 
 use dmt_comm::FabricProfile;
 use dmt_data::{Query, ZipfRequestStream};
@@ -33,9 +37,11 @@ use dmt_serve::{
     serve_stream, BatchConfig, BatcherConfig, ComputePrecision, ServeConfig, ServeReport,
     ServingEngine, StreamConfig,
 };
-use dmt_tensor::kernels::gemm_a_bt;
-use dmt_tensor::qgemm::int8_simd_active;
-use dmt_tensor::{gemm_a_bt_f16, gemm_a_bt_q8, F16BtMatrix, Precision, QuantizedBtMatrix};
+use dmt_tensor::kernels::{gemm_a_bt, gemm_fused_bias};
+use dmt_tensor::qgemm::{int8_simd_active, int8_tier_name};
+use dmt_tensor::{
+    f32_tier_name, gemm_a_bt_f16, gemm_a_bt_q8, F16BtMatrix, Precision, QuantizedBtMatrix,
+};
 use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::{
     run_with_snapshot, DistributedConfig, ExecutionMode, ModelSnapshot,
@@ -96,6 +102,8 @@ struct SimdNote {
     op: String,
     shape: String,
     int8_simd_active: bool,
+    /// `"avx512-vnni"`, `"avx2"` or `"scalar"`.
+    int8_tier: String,
 }
 
 /// Embedding dimension of the lookup microbench.
@@ -105,8 +113,9 @@ const LOOKUP_DIM: usize = 64;
 const LOOKUP_ROWS: usize = 200_000;
 /// Rows gathered per lookup call (a serving batch's worth).
 const LOOKUP_BATCH: usize = 512;
-/// Tower-shaped GEMM of the serving forward: [batch, in] × [in, out].
-const GEMM_SHAPE: (usize, usize, usize) = (64, 256, 128);
+/// GEMMs of the serving forward, [batch, in] × [in, out]: the tower shape
+/// and the widest layer of the single-rank server's over-arch.
+const GEMM_SHAPES: [(usize, usize, usize); 2] = [(64, 256, 128), (64, 383, 128)];
 /// Fabric slowdown of the gated serving rows (same as `bench_serving`).
 const FABRIC_SLOWDOWN: f64 = 4_000.0;
 /// Admission batch size of the serving rows.
@@ -179,7 +188,14 @@ fn main() -> ExitCode {
     let serve_requests = if quick { 512 } else { 2_048 };
 
     dmt_bench::header("Quantized compute: storage, kernels, serving (see BENCH_quant.json)");
-    println!("int8 SIMD path active: {}", int8_simd_active());
+    println!(
+        "kernel tiers: int8 {}, f32 {}",
+        int8_tier_name(),
+        f32_tier_name()
+    );
+    if std::env::args().any(|a| a == "--tiers") {
+        return ExitCode::SUCCESS;
+    }
 
     let mut failed = false;
     let mut check = |label: &str, ok: bool| {
@@ -253,61 +269,72 @@ fn main() -> ExitCode {
         rows.push(pretty(&row));
     }
 
-    // ---- GEMM: the serving tower shape through each kernel. ----------------
-    let (m, k, n) = GEMM_SHAPE;
-    let mut rng = StdRng::seed_from_u64(12);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    // Row-major B^T for the f32 kernel; the quantized kernels pack B once, as
-    // the serving engine does at load.
-    let mut bt = vec![0.0f32; n * k];
-    for j in 0..n {
-        for p in 0..k {
-            bt[j * k + p] = b[p * n + j];
+    // ---- GEMM: the tower and serving shapes through each kernel. -----------
+    let mut int8_gemm_beats_f32 = true;
+    for (m, k, n) in GEMM_SHAPES {
+        let mut rng = StdRng::seed_from_u64(12);
+        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        // Row-major B^T for the f32 dot kernel; the quantized kernels pack B
+        // once, as the serving engine does at load.
+        let mut bt = vec![0.0f32; n * k];
+        for j in 0..n {
+            for p in 0..k {
+                bt[j * k + p] = b[p * n + j];
+            }
         }
-    }
-    let q8 = QuantizedBtMatrix::from_col_major(&b, k, n);
-    let f16 = F16BtMatrix::from_col_major(&b, k, n);
-    let mut c = vec![0.0f32; m * n];
-    let f32_gemm_bytes = (n * k * 4) as u64;
-    let f32_gemm_ns = time_ns_per_unit(3, gemm_iters, || {
-        for _ in 0..gemm_iters {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_a_bt(&a, &bt, &mut c, m, k, n);
+        let q8 = QuantizedBtMatrix::from_col_major(&b, k, n);
+        let f16 = F16BtMatrix::from_col_major(&b, k, n);
+        let mut c = vec![0.0f32; m * n];
+        let zero_bias = vec![0.0f32; n];
+        let f32_gemm_bytes = (n * k * 4) as u64;
+        let f32_dot_ns = time_ns_per_unit(3, gemm_iters, || {
+            for _ in 0..gemm_iters {
+                c.iter_mut().for_each(|v| *v = 0.0);
+                gemm_a_bt(&a, &bt, &mut c, m, k, n);
+            }
+        });
+        // The kernel `Linear`'s f32 forward actually runs.
+        let f32_fused_ns = time_ns_per_unit(3, gemm_iters, || {
+            for _ in 0..gemm_iters {
+                gemm_fused_bias(&a, &b, &zero_bias, &mut c, m, k, n, false);
+            }
+        });
+        let f32_gemm_ns = f32_dot_ns.min(f32_fused_ns);
+        let int8_ns = time_ns_per_unit(3, gemm_iters, || {
+            for _ in 0..gemm_iters {
+                gemm_a_bt_q8(&a, &q8, &mut c, m, k);
+            }
+        });
+        let fp16_ns = time_ns_per_unit(3, gemm_iters, || {
+            for _ in 0..gemm_iters {
+                gemm_a_bt_f16(&a, &f16, &mut c, m, k);
+            }
+        });
+        int8_gemm_beats_f32 &= int8_ns < f32_gemm_ns;
+        for (precision, ns, bytes) in [
+            (Precision::F32, f32_gemm_ns, f32_gemm_bytes),
+            (Precision::Fp16, fp16_ns, f16.resident_bytes()),
+            (Precision::Int8, int8_ns, q8.resident_bytes()),
+        ] {
+            let row = QuantRow {
+                op: "quant_gemm".into(),
+                shape: format!("{m}x{k}x{n} {precision}"),
+                ns_per_iter: ns,
+                resident_bytes: bytes,
+                speedup_vs_f32: f32_gemm_ns / ns,
+                iters: gemm_iters,
+            };
+            println!(
+                "{:<16} {:>28} {:>12.1} {:>14.3} {:>9.2}x",
+                row.op,
+                row.shape,
+                row.ns_per_iter,
+                bytes as f64 / (1 << 20) as f64,
+                row.speedup_vs_f32
+            );
+            rows.push(pretty(&row));
         }
-    });
-    let int8_ns = time_ns_per_unit(3, gemm_iters, || {
-        for _ in 0..gemm_iters {
-            gemm_a_bt_q8(&a, &q8, &mut c, m, k);
-        }
-    });
-    let fp16_ns = time_ns_per_unit(3, gemm_iters, || {
-        for _ in 0..gemm_iters {
-            gemm_a_bt_f16(&a, &f16, &mut c, m, k);
-        }
-    });
-    for (precision, ns, bytes) in [
-        (Precision::F32, f32_gemm_ns, f32_gemm_bytes),
-        (Precision::Fp16, fp16_ns, f16.resident_bytes()),
-        (Precision::Int8, int8_ns, q8.resident_bytes()),
-    ] {
-        let row = QuantRow {
-            op: "quant_gemm".into(),
-            shape: format!("{m}x{k}x{n} {precision}"),
-            ns_per_iter: ns,
-            resident_bytes: bytes,
-            speedup_vs_f32: f32_gemm_ns / ns,
-            iters: gemm_iters,
-        };
-        println!(
-            "{:<16} {:>28} {:>12.1} {:>14.3} {:>9.2}x",
-            row.op,
-            row.shape,
-            row.ns_per_iter,
-            bytes as f64 / (1 << 20) as f64,
-            row.speedup_vs_f32
-        );
-        rows.push(pretty(&row));
     }
 
     // ---- Serving: the fully quantized forward pass. ------------------------
@@ -388,6 +415,7 @@ fn main() -> ExitCode {
         op: "quant_note".into(),
         shape: "simd".into(),
         int8_simd_active: int8_simd_active(),
+        int8_tier: int8_tier_name().into(),
     };
     rows.push(pretty(&note));
 
@@ -416,6 +444,10 @@ fn main() -> ExitCode {
     check(
         "fp16 random gathers stay within 3x of f32 despite the decode",
         fp16_lookup.1 <= f32_lookup_ns * 3.0,
+    );
+    check(
+        "int8 GEMM is faster than f32 at the tower and serving shapes",
+        int8_gemm_beats_f32,
     );
     let f32_serving = &serving_rows[0];
     for row in &serving_rows[1..] {

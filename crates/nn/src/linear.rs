@@ -3,8 +3,8 @@
 use crate::param::{HasParameters, Parameter};
 use dmt_tensor::quant::Precision;
 use dmt_tensor::{
-    gemm_a_bt_f16, gemm_a_bt_f16_with, gemm_a_bt_q8, gemm_a_bt_q8_with, xavier_uniform,
-    F16BtMatrix, F16GemmScratch, QGemmScratch, QuantizedBtMatrix, Tensor, TensorError,
+    gemm_a_bt_f16_with, gemm_a_bt_q8_with, xavier_uniform, F16BtMatrix, F16GemmScratch,
+    QGemmScratch, QuantizedBtMatrix, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -109,7 +109,7 @@ impl Linear {
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
         let out = match &self.quantized {
             None => input.matmul_bias(&self.weight.value, &self.bias.value)?,
-            Some(q) => self.forward_quantized(input, q)?,
+            Some(_) => self.forward_quantized(input)?,
         };
         self.cached_input = Some(input.clone());
         Ok(out)
@@ -170,28 +170,12 @@ impl Linear {
         }
     }
 
-    /// Quantized forward: bias broadcast into the output, then the packed
-    /// reduced-precision GEMM accumulates on top (same fused-bias contract as
-    /// [`Tensor::matmul_bias`]).
-    fn forward_quantized(&self, input: &Tensor, q: &QuantWeight) -> Result<Tensor, TensorError> {
-        if input.rank() != 2 || input.shape()[1] != self.in_features {
-            return Err(TensorError::ShapeMismatch {
-                op: "linear_forward_quantized",
-                lhs: input.shape().to_vec(),
-                rhs: vec![self.in_features, self.out_features],
-            });
-        }
-        let batch = input.shape()[0];
-        let (m, k, n) = (batch, self.in_features, self.out_features);
-        let mut data = Vec::with_capacity(m * n);
-        for _ in 0..m {
-            data.extend_from_slice(self.bias.value.data());
-        }
-        match q {
-            QuantWeight::Int8(w) => gemm_a_bt_q8(input.data(), w, &mut data, m, k),
-            QuantWeight::Fp16(w) => gemm_a_bt_f16(input.data(), w, &mut data, m, k),
-        }
-        Tensor::from_vec(vec![m, n], data)
+    /// Allocating twin of the quantized [`Linear::forward_infer_into`] arm (no
+    /// ReLU), so bias broadcast + packed GEMM exist once.
+    fn forward_quantized(&self, input: &Tensor) -> Result<Tensor, TensorError> {
+        let mut out = Tensor::default();
+        self.forward_infer_into(input, false, &mut out, &mut LinearScratch::default())?;
+        Ok(out)
     }
 
     /// Selects the forward-pass weight precision: packs the f32 weight into an

@@ -140,6 +140,16 @@ pub fn f16_bits_to_f32(half: u16) -> f32 {
     f32::from_bits(sign | body)
 }
 
+/// Largest finite magnitude among `values` (`0.0` when there is none): NaN
+/// and ±inf never set an int8 scale.
+#[must_use]
+pub fn finite_max_abs(values: impl IntoIterator<Item = f32>) -> f32 {
+    values
+        .into_iter()
+        .filter(|v| v.is_finite())
+        .fold(0.0f32, |acc, v| acc.max(v.abs()))
+}
+
 /// Symmetric int8 scale for a row whose largest finite magnitude is `max_abs`
 /// (`max_abs / 127`, or `1.0` for an all-zero row so dequantization is exact).
 #[must_use]
@@ -166,12 +176,7 @@ pub fn quantize_i8(value: f32, scale: f32) -> i8 {
 /// Quantizes `row` into `out` with a fresh symmetric scale, returning the
 /// scale. `out` is overwritten and resized to `row.len()`.
 pub fn quantize_row_i8(row: &[f32], out: &mut Vec<i8>) -> f32 {
-    let max_abs = row
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .fold(0.0f32, |acc, v| acc.max(v.abs()));
-    let scale = int8_scale(max_abs);
+    let scale = int8_scale(finite_max_abs(row.iter().copied()));
     out.clear();
     out.extend(row.iter().map(|&v| quantize_i8(v, scale)));
     scale
