@@ -1,7 +1,8 @@
 //! Compute-kernel throughput tracker.
 //!
 //! Measures the tensor kernel family (naive vs. blocked-serial vs. parallel GEMM, the
-//! fused linear products, and embedding pooling), prints a table, and writes
+//! fused linear products, the pairwise-interaction kernel against its scalar oracle,
+//! and embedding pooling), prints a table, and writes
 //! `BENCH_kernels.json` (op, shape, ns/iter, GFLOP/s) into the working directory so
 //! the perf trajectory is comparable across PRs.
 //!
@@ -9,7 +10,7 @@
 //! a CI-friendly shorter measurement).
 
 use dmt_nn::EmbeddingTable;
-use dmt_tensor::{kernels, Tensor};
+use dmt_tensor::{kernels, pairwise, PairwiseScratch, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -58,7 +59,7 @@ fn main() {
     dmt_bench::header("Compute-kernel throughput (see BENCH_kernels.json)");
     println!("f32 SIMD tier: {}", dmt_tensor::f32_tier_name());
     println!(
-        "{:<22} {:>16} {:>14} {:>10}",
+        "{:<27} {:>16} {:>14} {:>10}",
         "op", "shape", "ns/iter", "GFLOP/s"
     );
 
@@ -69,7 +70,7 @@ fn main() {
                   ns: f64,
                   gflops: f64,
                   iters: u64| {
-        println!("{op:<22} {shape:>16} {ns:>14.0} {gflops:>10.2}");
+        println!("{op:<27} {shape:>16} {ns:>14.0} {gflops:>10.2}");
         let _ = flops;
         results.push(KernelResult {
             op: op.to_string(),
@@ -235,6 +236,43 @@ fn main() {
         iters,
     );
 
+    // Pairwise interaction (DotInteraction's kernel) against its scalar oracle at the
+    // serving batch, the training batch and DMT's 3-unit geometry (whose forward takes
+    // the oracle path on every tier: its twin must tie).
+    for &(batch, f, d) in &[(64usize, 27usize, 32usize), (256, 27, 32), (64, 3, 16)] {
+        let pairs = f * (f - 1) / 2;
+        let x = random_vec(&mut rng, batch * f * d);
+        let gout = random_vec(&mut rng, batch * pairs);
+        let mut out = vec![0.0f32; batch * pairs];
+        let mut grad = vec![0.0f32; batch * f * d];
+        let mut scratch = PairwiseScratch::default();
+        // One multiply-add per pair element forward, two backward.
+        let fwd_flops = 2.0 * (batch * pairs * d) as f64;
+        let mut row = |op: &str, flops: f64, body: &mut dyn FnMut()| {
+            let (ns, gf, iters) = measure(target_ns, flops, body);
+            let shape = format!("{batch}x{f}x{d}");
+            record(&mut results, op, shape, flops, ns, gf, iters);
+        };
+        row("dot_interaction_fwd", fwd_flops, &mut || {
+            pairwise::pairwise_dots(&x, f, d, &mut out, &mut scratch);
+            std::hint::black_box(&out);
+        });
+        row("dot_interaction_fwd_scalar", fwd_flops, &mut || {
+            pairwise::pairwise_dots_scalar(&x, f, d, &mut out);
+            std::hint::black_box(&out);
+        });
+        row("dot_interaction_bwd", 2.0 * fwd_flops, &mut || {
+            grad.fill(0.0);
+            pairwise::pairwise_dots_backward(&x, &gout, f, d, &mut grad);
+            std::hint::black_box(&grad);
+        });
+        row("dot_interaction_bwd_scalar", 2.0 * fwd_flops, &mut || {
+            grad.fill(0.0);
+            pairwise::pairwise_dots_backward_scalar(&x, &gout, f, d, &mut grad);
+            std::hint::black_box(&grad);
+        });
+    }
+
     // Embedding pooling: [rows, dim] table, `pooling` lookups per sample.
     let (rows, dim, pool, ebatch) = (100_000usize, 64usize, 16usize, 2048usize);
     let mut table = EmbeddingTable::new(&mut rng, rows, dim);
@@ -292,6 +330,36 @@ fn main() {
             serial.gflops,
             dmt_tensor::f32_tier_name()
         );
+    }
+
+    // Interaction kernel vs its oracle: at least 2x at the flat 27x32 geometry when a
+    // SIMD tier is dispatched, and never a loss at DMT's 3x16 (0.8 absorbs timer noise
+    // on a ~1 us row).
+    let speedup = |op: &str, shape: &str| {
+        let ns = |op: &str| {
+            let row = results.iter().find(|r| r.op == op && r.shape == shape);
+            row.expect("interaction row measured").ns_per_iter
+        };
+        ns(&format!("{op}_scalar")) / ns(op)
+    };
+    for op in ["dot_interaction_fwd", "dot_interaction_bwd"] {
+        let (serve, train, dmt) = (
+            speedup(op, "64x27x32"),
+            speedup(op, "256x27x32"),
+            speedup(op, "64x3x16"),
+        );
+        println!(
+            "{op} vs scalar oracle: {serve:.2}x at 64x27x32, {train:.2}x at 256x27x32, \
+             {dmt:.2}x at 64x3x16 (tier {})",
+            dmt_tensor::f32_tier_name()
+        );
+        assert!(dmt >= 0.8, "{op} is slower than its oracle at 64x3x16");
+        if dmt_tensor::f32_tier() != dmt_tensor::SimdTier::Scalar {
+            assert!(
+                serve >= 2.0 && train >= 2.0,
+                "{op} is under 2x its oracle at 27x32"
+            );
+        }
     }
 
     let json = serde_json::to_string_pretty(&results).expect("results serialize");

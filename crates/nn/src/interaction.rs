@@ -6,16 +6,14 @@
 //! pairwise interaction is parameter-free, which is why (as the paper notes in §5.2.2)
 //! DLRM tower modules change the parameter count less than DCN's.
 
-use dmt_tensor::{Tensor, TensorError};
-use rayon::prelude::*;
+use dmt_tensor::{pairwise, PairwiseScratch, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
-/// Minimum per-batch interaction work (`batch × pairs × dim`) at which the forward
-/// and backward passes fan samples out across threads (the vendored rayon spawns OS
-/// threads per call, so the bar is around a millisecond of serial work).
-const PARALLEL_INTERACTION_CUTOFF: usize = 1 << 22;
-
 /// Pairwise dot-product interaction over `num_features` vectors of `dim` each.
+///
+/// The arithmetic lives in [`dmt_tensor::pairwise`] (one runtime-dispatched
+/// kernel, bit-identical on every SIMD tier); this type owns the geometry, the
+/// shape checks and the input cache the backward pass needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DotInteraction {
     num_features: usize,
@@ -62,68 +60,37 @@ impl DotInteraction {
     ///
     /// `input` is `[batch, num_features * dim]`, the per-sample concatenation of the
     /// feature vectors; the output is `[batch, F*(F-1)/2]` of pairwise dot products in
-    /// row-major `(i, j), i < j` order.
+    /// row-major `(i, j), i < j` order. The input is kept for
+    /// [`DotInteraction::backward`], reusing the previous step's buffer.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if the input width is not `num_features * dim`.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let expected = self.num_features * self.dim;
-        if input.rank() != 2 || input.shape()[1] != expected {
-            return Err(TensorError::ShapeMismatch {
-                op: "dot_interaction",
-                lhs: input.shape().to_vec(),
-                rhs: vec![input.shape().first().copied().unwrap_or(0), expected],
-            });
+        let mut out = Tensor::default();
+        self.forward_into(input, &mut out, &mut PairwiseScratch::default())?;
+        match &mut self.cached_input {
+            Some(cached) => cached.clone_from(input),
+            None => self.cached_input = Some(input.clone()),
         }
-        let batch = input.shape()[0];
-        let f = self.num_features;
-        let d = self.dim;
-        let pairs = self.output_dim();
-        let mut out = Tensor::zeros(&[batch, pairs]);
-        if pairs == 0 {
-            self.cached_input = Some(input.clone());
-            return Ok(out);
-        }
-        let data = input.data();
-        // Each sample computes the upper triangle of its feature Gram matrix straight
-        // into its (disjoint) output row.
-        let sample_pairs = |out_row: &mut [f32], row: &[f32]| {
-            let mut k = 0;
-            for i in 0..f {
-                let ei = &row[i * d..(i + 1) * d];
-                for j in (i + 1)..f {
-                    let ej = &row[j * d..(j + 1) * d];
-                    out_row[k] = ei.iter().zip(ej).map(|(a, b)| a * b).sum();
-                    k += 1;
-                }
-            }
-        };
-        if batch * pairs * d >= PARALLEL_INTERACTION_CUTOFF && rayon::current_num_threads() > 1 {
-            out.data_mut()
-                .par_chunks_mut(pairs)
-                .enumerate()
-                .for_each(|(b, out_row)| sample_pairs(out_row, &data[b * f * d..(b + 1) * f * d]));
-        } else {
-            for (b, out_row) in out.data_mut().chunks_exact_mut(pairs).enumerate() {
-                sample_pairs(out_row, &data[b * f * d..(b + 1) * f * d]);
-            }
-        }
-        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
     /// Inference-only forward pass into a caller-owned output buffer.
     ///
-    /// Computes the same pairwise dot products as [`DotInteraction::forward`]
-    /// (identical per-pair summation order, so the results are bit-identical)
-    /// but caches nothing and performs no heap allocation once `out` has
-    /// reached the batch's `[batch, pairs]` capacity.
+    /// The same kernel call as [`DotInteraction::forward`] (so the results are
+    /// bit-identical), but caches nothing and performs no heap allocation once
+    /// `out` and `scratch` have reached the batch's working-set size.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if the input width is not `num_features * dim`.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+    pub fn forward_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        scratch: &mut PairwiseScratch,
+    ) -> Result<(), TensorError> {
         let expected = self.num_features * self.dim;
         if input.rank() != 2 || input.shape()[1] != expected {
             return Err(TensorError::ShapeMismatch {
@@ -132,37 +99,14 @@ impl DotInteraction {
                 rhs: vec![input.shape().first().copied().unwrap_or(0), expected],
             });
         }
-        let batch = input.shape()[0];
-        let f = self.num_features;
-        let d = self.dim;
-        let pairs = self.output_dim();
-        out.reset_to_shape(&[batch, pairs]);
-        if pairs == 0 {
-            return Ok(());
-        }
-        let data = input.data();
-        // Same upper-triangle Gram loop as `forward`, minus the input cache.
-        let sample_pairs = |out_row: &mut [f32], row: &[f32]| {
-            let mut k = 0;
-            for i in 0..f {
-                let ei = &row[i * d..(i + 1) * d];
-                for j in (i + 1)..f {
-                    let ej = &row[j * d..(j + 1) * d];
-                    out_row[k] = ei.iter().zip(ej).map(|(a, b)| a * b).sum();
-                    k += 1;
-                }
-            }
-        };
-        if batch * pairs * d >= PARALLEL_INTERACTION_CUTOFF && rayon::current_num_threads() > 1 {
-            out.data_mut()
-                .par_chunks_mut(pairs)
-                .enumerate()
-                .for_each(|(b, out_row)| sample_pairs(out_row, &data[b * f * d..(b + 1) * f * d]));
-        } else {
-            for (b, out_row) in out.data_mut().chunks_exact_mut(pairs).enumerate() {
-                sample_pairs(out_row, &data[b * f * d..(b + 1) * f * d]);
-            }
-        }
+        out.reset_to_shape(&[input.shape()[0], self.output_dim()]);
+        pairwise::pairwise_dots(
+            input.data(),
+            self.num_features,
+            self.dim,
+            out.data_mut(),
+            scratch,
+        );
         Ok(())
     }
 
@@ -180,61 +124,22 @@ impl DotInteraction {
             .cached_input
             .as_ref()
             .expect("DotInteraction::backward called before forward");
-        if grad_output.rank() != 2 || grad_output.shape()[1] != self.output_dim() {
+        let expected = [input.shape()[0], self.output_dim()];
+        if grad_output.shape() != expected {
             return Err(TensorError::ShapeMismatch {
                 op: "dot_interaction_backward",
                 lhs: grad_output.shape().to_vec(),
-                rhs: vec![input.shape()[0], self.output_dim()],
+                rhs: expected.to_vec(),
             });
         }
-        let batch = input.shape()[0];
-        let f = self.num_features;
-        let d = self.dim;
-        let pairs = self.output_dim();
         let mut grad_in = Tensor::zeros(input.shape());
-        if pairs == 0 || f * d == 0 {
-            return Ok(grad_in);
-        }
-        let data = input.data();
-        let grads = grad_output.data();
-        // Accumulate each sample's pair gradients straight into its (zero-initialized,
-        // disjoint) input-gradient row — no per-sample scratch buffer.
-        let sample_backward = |grad_row: &mut [f32], row: &[f32], gout: &[f32]| {
-            let mut k = 0;
-            for i in 0..f {
-                for j in (i + 1)..f {
-                    let g = gout[k];
-                    if g != 0.0 {
-                        for t in 0..d {
-                            grad_row[i * d + t] += g * row[j * d + t];
-                            grad_row[j * d + t] += g * row[i * d + t];
-                        }
-                    }
-                    k += 1;
-                }
-            }
-        };
-        if batch * pairs * d >= PARALLEL_INTERACTION_CUTOFF && rayon::current_num_threads() > 1 {
-            grad_in
-                .data_mut()
-                .par_chunks_mut(f * d)
-                .enumerate()
-                .for_each(|(b, grad_row)| {
-                    sample_backward(
-                        grad_row,
-                        &data[b * f * d..(b + 1) * f * d],
-                        &grads[b * pairs..(b + 1) * pairs],
-                    );
-                });
-        } else {
-            for (b, grad_row) in grad_in.data_mut().chunks_exact_mut(f * d).enumerate() {
-                sample_backward(
-                    grad_row,
-                    &data[b * f * d..(b + 1) * f * d],
-                    &grads[b * pairs..(b + 1) * pairs],
-                );
-            }
-        }
+        pairwise::pairwise_dots_backward(
+            input.data(),
+            grad_output.data(),
+            self.num_features,
+            self.dim,
+            grad_in.data_mut(),
+        );
         Ok(grad_in)
     }
 }
@@ -306,8 +211,9 @@ mod tests {
         .unwrap();
         let y = inter.forward(&x).unwrap();
         let mut out = Tensor::default();
+        let mut scratch = PairwiseScratch::default();
         for _ in 0..2 {
-            inter.forward_into(&x, &mut out).unwrap();
+            inter.forward_into(&x, &mut out, &mut scratch).unwrap();
             assert_eq!(out.shape(), y.shape());
             for (a, b) in out.data().iter().zip(y.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());

@@ -26,12 +26,14 @@
 
 pub mod init;
 pub mod kernels;
+pub mod pairwise;
 pub mod qgemm;
 pub mod quant;
 pub mod simd;
 pub mod tensor;
 
 pub use init::{kaiming_uniform, xavier_uniform};
+pub use pairwise::PairwiseScratch;
 pub use qgemm::{
     gemm_a_bt_f16, gemm_a_bt_f16_with, gemm_a_bt_q8, gemm_a_bt_q8_with, F16BtMatrix,
     F16GemmScratch, QGemmScratch, QuantizedBtMatrix,

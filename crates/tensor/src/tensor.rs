@@ -76,10 +76,26 @@ impl std::error::Error for TensorError {}
 type MatDims = (usize, usize);
 
 /// A dense, contiguous, row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+/// `clone_from` reuses the destination's buffers, so a layer that keeps its
+/// input for the backward pass copies into last step's allocation.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.shape.clone_from(&source.shape);
+        self.data.clone_from(&source.data);
+    }
 }
 
 /// The default tensor is the empty `[0]` vector — the natural seed for

@@ -18,7 +18,7 @@ use dmt_nn::{
     BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, Mlp, MlpScratch, Parameter,
     QuantizedShardedTable, ShardedEmbeddingTable,
 };
-use dmt_tensor::{Precision, Tensor, TensorError};
+use dmt_tensor::{PairwiseScratch, Precision, Tensor, TensorError};
 
 /// Encodes a (feature, row) pair into the u64 key the index exchanges carry.
 #[must_use]
@@ -658,6 +658,7 @@ pub struct DenseScratch {
     dense_repr: Tensor,
     units: Tensor,
     interaction: Tensor,
+    interaction_panel: PairwiseScratch,
     over_input: Tensor,
     logits: Tensor,
     bottom: MlpScratch,
@@ -873,7 +874,11 @@ impl DenseStack {
                     .dot
                     .as_ref()
                     .expect("DLRM stacks own a dot interaction");
-                dot.forward_into(&scratch.units, &mut scratch.interaction)?;
+                dot.forward_into(
+                    &scratch.units,
+                    &mut scratch.interaction,
+                    &mut scratch.interaction_panel,
+                )?;
                 Tensor::concat_cols_into(
                     &[&scratch.dense_repr, &scratch.interaction],
                     &mut scratch.over_input,
