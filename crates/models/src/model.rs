@@ -672,6 +672,44 @@ mod tests {
         assert!(late < early, "loss {early} -> {late}");
     }
 
+    /// Loss bits of three `train_step`s for each dense path this model trains:
+    /// DLRM and DCN baselines, and DMT with DLRM and DCN tower modules.
+    #[test]
+    fn train_step_losses_match_the_recorded_bits() {
+        let models = [
+            (
+                baseline(ModelArch::Dlrm),
+                [
+                    0x3fe7acc5720f34edu64,
+                    0x3fe58a3b1a347282,
+                    0x3fe3af0510dfe98c,
+                ],
+            ),
+            (
+                baseline(ModelArch::Dcn),
+                [0x3fe77153f1e06c66, 0x3fe58df125fea260, 0x3fe39b9f7fb5140e],
+            ),
+            (
+                dmt_model(ModelArch::Dlrm, TowerModuleKind::DlrmLinear, 4),
+                [0x3fe5aec6f13d5bc6, 0x3fe58164a580e0f9, 0x3fe380dc437bcc9d],
+            ),
+            (
+                dmt_model(ModelArch::Dcn, TowerModuleKind::DcnCross, 4),
+                [0x3fe632637d6f1f72, 0x3fe6c348a72d328d, 0x3fe36d0522cf75ec],
+            ),
+        ];
+        for (i, (mut model, golden)) in models.into_iter().enumerate() {
+            let mut data = SyntheticClickDataset::new(schema(), 6);
+            let bits: Vec<u64> = (0..3)
+                .map(|_| {
+                    let batch = data.next_batch(64);
+                    model.train_step(&batch, 1e-2).unwrap().loss.to_bits()
+                })
+                .collect();
+            assert_eq!(bits, golden, "model {i} loss drifted");
+        }
+    }
+
     #[test]
     fn trained_model_beats_random_auc() {
         let mut model = baseline(ModelArch::Dlrm);

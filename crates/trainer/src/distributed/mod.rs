@@ -428,6 +428,22 @@ mod tests {
         }
     }
 
+    /// Loss bits of the DCN dense stack (the `CrossNet` backward inside
+    /// `DenseStack`), which the DLRM golden fixture above never reaches.
+    #[test]
+    fn dcn_sync_losses_match_the_recorded_bits() {
+        let cfg = quick(ModelArch::Dcn).with_iterations(3);
+        let baseline: [u64; 3] = [0x3fe6cc4cc32ab1d6, 0x3fe4a93e76db21a8, 0x3fe549dd5c1693d8];
+        let dmt: [u64; 3] = [0x3fe6b3cb35e0151d, 0x3fe4e9fa589ff084, 0x3fe488a1f234eb16];
+        for (run, golden) in [
+            (run_baseline(&cfg).unwrap(), baseline),
+            (run_dmt(&cfg).unwrap(), dmt),
+        ] {
+            let bits: Vec<u64> = run.losses.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(bits, golden, "{:?} DCN loss drifted", run.mode);
+        }
+    }
+
     #[test]
     fn pipelined_schedule_trains_and_learns() {
         let cfg = quick(ModelArch::Dlrm)
