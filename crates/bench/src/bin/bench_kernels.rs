@@ -263,7 +263,7 @@ fn main() {
         });
         row("dot_interaction_bwd", 2.0 * fwd_flops, &mut || {
             grad.fill(0.0);
-            pairwise::pairwise_dots_backward(&x, &gout, f, d, &mut grad);
+            pairwise::pairwise_dots_backward(&x, &gout, f, d, &mut grad, &mut scratch);
             std::hint::black_box(&grad);
         });
         row("dot_interaction_bwd_scalar", 2.0 * fwd_flops, &mut || {
@@ -309,25 +309,30 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    // Gated GFLOP/s floor: with a SIMD tier active, the 512^3 serial GEMM must
-    // clear 2x the pre-SIMD 54 GFLOP/s baseline. Only enforced when the FMA
-    // kernels are actually dispatched — the scalar fallback host is exempt.
-    let serial = results
-        .iter()
-        .find(|r| r.op == "gemm_blocked_serial" && r.shape == "512x512x512")
-        .expect("serial 512 measured");
-    const SIMD_GFLOPS_FLOOR: f64 = 108.0;
+    // Gated ratio: with a SIMD tier active, the 512^3 serial GEMM must run at
+    // least 1.8x the portable scalar tier measured back to back in the same
+    // loop — "SIMD is dispatched and tiled" without an absolute GFLOP/s floor
+    // that a noisy neighbour on a shared host breaks. The scalar fallback
+    // host is exempt.
+    let at_512 = |op: &str| {
+        let row = results
+            .iter()
+            .find(|r| r.op == op && r.shape == "512x512x512");
+        row.expect("512 GEMM rows measured").gflops
+    };
+    let (serial, scalar) = (at_512("gemm_blocked_serial"), at_512("gemm_scalar_tier"));
+    const SIMD_OVER_SCALAR_FLOOR: f64 = 1.8;
     if dmt_tensor::f32_tier() != dmt_tensor::SimdTier::Scalar {
         assert!(
-            serial.gflops >= SIMD_GFLOPS_FLOOR,
-            "512^3 serial GEMM at {:.1} GFLOP/s is below the {SIMD_GFLOPS_FLOOR} GFLOP/s \
-             floor for SIMD tier {}",
-            serial.gflops,
+            serial >= SIMD_OVER_SCALAR_FLOOR * scalar,
+            "512^3 serial GEMM at {serial:.1} GFLOP/s is under {SIMD_OVER_SCALAR_FLOOR}x the \
+             scalar tier's {scalar:.1} GFLOP/s (SIMD tier {})",
             dmt_tensor::f32_tier_name()
         );
         println!(
-            "512^3 serial GEMM {:.1} GFLOP/s >= {SIMD_GFLOPS_FLOOR} floor (tier {})",
-            serial.gflops,
+            "512^3 serial GEMM {serial:.1} GFLOP/s = {:.2}x scalar tier {scalar:.1} GFLOP/s \
+             >= {SIMD_OVER_SCALAR_FLOOR}x (tier {})",
+            serial / scalar,
             dmt_tensor::f32_tier_name()
         );
     }

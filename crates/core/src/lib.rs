@@ -46,4 +46,4 @@ pub use config::{DmtConfig, TowerModuleKind};
 pub use error::DmtError;
 pub use partition::{naive_partition, PartitionStrategy, TowerPartition, TowerPartitioner};
 pub use sptt::{SpttCommVolumes, SpttPlan};
-pub use tower::{DcnTowerModule, DlrmTowerModule, TowerModule};
+pub use tower::{DcnTowerModule, DcnTowerScratch, DlrmTowerModule, DlrmTowerScratch, TowerModule};

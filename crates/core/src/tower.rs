@@ -16,7 +16,7 @@
 
 use crate::error::DmtError;
 use dmt_nn::param::HasParameters;
-use dmt_nn::{CrossNet, Linear, Parameter};
+use dmt_nn::{CrossNet, CrossNetScratch, Linear, LinearScratch, Parameter};
 use dmt_tensor::{Tensor, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -24,8 +24,15 @@ use serde::{Deserialize, Serialize};
 /// Common interface of tower-module architectures.
 ///
 /// Input is always the flattened `[batch, num_features * embedding_dim]` tower
-/// embedding block; output is `[batch, output_dim()]`.
+/// embedding block; output is `[batch, output_dim()]`. Modules hold parameters
+/// only: a forward's activation record lives in a caller-owned
+/// [`TowerModule::Scratch`], so several micro-batches can be in flight at once,
+/// each backward reading its own forward's record.
 pub trait TowerModule: HasParameters {
+    /// What [`TowerModule::forward_into`] leaves for the matching
+    /// [`TowerModule::backward_into`], plus reusable work buffers.
+    type Scratch: Default;
+
     /// Number of features feeding the tower.
     fn num_features(&self) -> usize;
 
@@ -35,20 +42,46 @@ pub trait TowerModule: HasParameters {
     /// Width of the compressed tower output.
     fn output_dim(&self) -> usize;
 
-    /// Forward pass over the flattened tower embeddings.
+    /// Forward pass over the flattened tower embeddings into `out`, leaving
+    /// the activation record in `scratch`. No allocation once `scratch` and
+    /// `out` have grown to the batch shape.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if the input width is not
     /// `num_features() * embedding_dim()`.
-    fn forward(&mut self, embeddings: &Tensor) -> Result<Tensor, TensorError>;
+    fn forward_into(
+        &self,
+        embeddings: &Tensor,
+        out: &mut Tensor,
+        scratch: &mut Self::Scratch,
+    ) -> Result<(), TensorError>;
 
-    /// Backward pass; returns the gradient with respect to the flattened embeddings.
+    /// Backward pass over the record a [`TowerModule::forward_into`] of
+    /// `embeddings` left in `scratch`: accumulates parameter gradients and
+    /// writes the gradient with respect to `embeddings` into `grad_input`.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] on shape mismatch.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError>;
+    fn backward_into(
+        &mut self,
+        embeddings: &Tensor,
+        scratch: &mut Self::Scratch,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) -> Result<(), TensorError>;
+
+    /// Allocating forward, for one-off callers.
+    ///
+    /// # Errors
+    ///
+    /// As [`TowerModule::forward_into`].
+    fn forward(&mut self, embeddings: &Tensor) -> Result<Tensor, TensorError> {
+        let mut out = Tensor::default();
+        self.forward_into(embeddings, &mut out, &mut Self::Scratch::default())?;
+        Ok(out)
+    }
 
     /// Forward FLOPs per sample.
     fn flops_per_sample(&self) -> u64;
@@ -77,7 +110,18 @@ pub struct DlrmTowerModule {
     c: usize,
     p: usize,
     d: usize,
-    cached_batch: usize,
+}
+
+/// Activation record and work buffers of one [`DlrmTowerModule`] forward.
+#[derive(Debug, Default)]
+pub struct DlrmTowerScratch {
+    /// The embeddings viewed as `[B·F, N]`: the per-feature branch's input.
+    per_feature_input: Tensor,
+    flat_out: Tensor,
+    per_feature_out: Tensor,
+    grad_piece: Tensor,
+    grad_branch: Tensor,
+    linear: LinearScratch,
 }
 
 impl DlrmTowerModule {
@@ -116,14 +160,7 @@ impl DlrmTowerModule {
             c,
             p,
             d,
-            cached_batch: 0,
         })
-    }
-
-    /// The `(c, p, D)` ensemble parameters.
-    #[must_use]
-    pub fn ensemble_params(&self) -> (usize, usize, usize) {
-        (self.c, self.p, self.d)
     }
 
     /// Switches both ensemble branches' forward passes to the given storage
@@ -135,6 +172,11 @@ impl DlrmTowerModule {
         if let Some(l) = &mut self.per_feature_linear {
             l.quantize_weights(precision);
         }
+    }
+
+    /// Output widths of the flat and the per-feature branch (0 when absent).
+    fn branch_widths(&self) -> (usize, usize) {
+        (self.p * self.d, self.num_features * self.c * self.d)
     }
 }
 
@@ -150,6 +192,8 @@ impl HasParameters for DlrmTowerModule {
 }
 
 impl TowerModule for DlrmTowerModule {
+    type Scratch = DlrmTowerScratch;
+
     fn num_features(&self) -> usize {
         self.num_features
     }
@@ -162,58 +206,66 @@ impl TowerModule for DlrmTowerModule {
         self.d * (self.c * self.num_features + self.p)
     }
 
-    fn forward(&mut self, embeddings: &Tensor) -> Result<Tensor, TensorError> {
-        let width = self.num_features * self.embedding_dim;
-        if embeddings.rank() != 2 || embeddings.shape()[1] != width {
-            return Err(TensorError::ShapeMismatch {
-                op: "dlrm_tower_forward",
-                lhs: embeddings.shape().to_vec(),
-                rhs: vec![embeddings.shape().first().copied().unwrap_or(0), width],
-            });
+    fn forward_into(
+        &self,
+        embeddings: &Tensor,
+        out: &mut Tensor,
+        scratch: &mut DlrmTowerScratch,
+    ) -> Result<(), TensorError> {
+        let (s, batch) = (scratch, embeddings.shape().first().copied().unwrap_or(0));
+        if let Some(flat) = &self.flat_linear {
+            flat.forward_into(embeddings, false, &mut s.flat_out, &mut s.linear)?;
         }
-        let batch = embeddings.shape()[0];
-        self.cached_batch = batch;
-        let mut outputs: Vec<Tensor> = Vec::new();
-        if let Some(flat) = &mut self.flat_linear {
-            outputs.push(flat.forward(embeddings)?);
+        if let Some(per_feature) = &self.per_feature_linear {
+            // View [B, F*N] as [B*F, N]; the projection [B*F, c*D] is
+            // [B, F*c*D] row-major.
+            let input = &mut s.per_feature_input;
+            input.clone_from(embeddings);
+            input.reshape_in_place(&[batch * self.num_features, self.embedding_dim])?;
+            per_feature.forward_into(input, false, &mut s.per_feature_out, &mut s.linear)?;
         }
-        if let Some(per_feature) = &mut self.per_feature_linear {
-            // View [B, F*N] as [B*F, N], project to [B*F, c*D], view back to
-            // [B, F*c*D].
-            let reshaped = embeddings.reshape(&[batch * self.num_features, self.embedding_dim])?;
-            let projected = per_feature.forward(&reshaped)?;
-            outputs.push(projected.reshape(&[batch, self.num_features * self.c * self.d])?);
+        // cat(flat, per-feature) along the columns.
+        let (wf, wp) = self.branch_widths();
+        out.reset_to_shape(&[batch, wf + wp]);
+        for (r, row) in out.data_mut().chunks_exact_mut(wf + wp).enumerate() {
+            row[..wf].copy_from_slice(&s.flat_out.data()[r * wf..(r + 1) * wf]);
+            row[wf..].copy_from_slice(&s.per_feature_out.data()[r * wp..(r + 1) * wp]);
         }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        Tensor::concat_cols(&refs)
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let batch = self.cached_batch;
-        let mut widths = Vec::new();
-        if self.flat_linear.is_some() {
-            widths.push(self.p * self.d);
+    fn backward_into(
+        &mut self,
+        embeddings: &Tensor,
+        scratch: &mut DlrmTowerScratch,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let (s, batch) = (scratch, embeddings.shape().first().copied().unwrap_or(0));
+        let (wf, wp) = self.branch_widths();
+        if grad_output.shape() != [batch, wf + wp] {
+            return Err(TensorError::ShapeMismatch {
+                op: "dlrm_tower_backward",
+                lhs: grad_output.shape().to_vec(),
+                rhs: vec![batch, wf + wp],
+            });
         }
-        if self.per_feature_linear.is_some() {
-            widths.push(self.num_features * self.c * self.d);
-        }
-        let pieces = grad_output.split_cols(&widths)?;
-        let mut grad_in = Tensor::zeros(&[batch, self.num_features * self.embedding_dim]);
-        let mut piece_iter = pieces.into_iter();
-        if let Some(flat) = &mut self.flat_linear {
-            let piece = piece_iter.next().expect("width list matches pieces");
-            grad_in.axpy(1.0, &flat.backward(&piece)?)?;
+        let (piece, branch) = (&mut s.grad_piece, &mut s.grad_branch);
+        match &mut self.flat_linear {
+            Some(flat) => {
+                grad_output.cols_into(0, wf, piece)?;
+                flat.backward_into(embeddings, piece, grad_input, &mut s.linear)?;
+            }
+            None => grad_input.reset_to_shape(embeddings.shape()),
         }
         if let Some(per_feature) = &mut self.per_feature_linear {
-            let piece = piece_iter.next().expect("width list matches pieces");
-            let reshaped = piece.reshape(&[batch * self.num_features, self.c * self.d])?;
-            let grad = per_feature.backward(&reshaped)?;
-            grad_in.axpy(
-                1.0,
-                &grad.reshape(&[batch, self.num_features * self.embedding_dim])?,
-            )?;
+            grad_output.cols_into(wf, wp, piece)?;
+            piece.reshape_in_place(&[batch * self.num_features, self.c * self.d])?;
+            per_feature.backward_into(&s.per_feature_input, piece, branch, &mut s.linear)?;
+            branch.reshape_in_place(embeddings.shape())?;
+            grad_input.axpy(1.0, branch)?;
         }
-        Ok(grad_in)
+        Ok(())
     }
 
     fn flops_per_sample(&self) -> u64 {
@@ -237,6 +289,15 @@ pub struct DcnTowerModule {
     num_features: usize,
     embedding_dim: usize,
     d: usize,
+}
+
+/// Activation record and work buffers of one [`DcnTowerModule`] forward.
+#[derive(Debug, Default)]
+pub struct DcnTowerScratch {
+    crossed: Tensor,
+    grad_crossed: Tensor,
+    cross: CrossNetScratch,
+    linear: LinearScratch,
 }
 
 impl DcnTowerModule {
@@ -286,6 +347,8 @@ impl HasParameters for DcnTowerModule {
 }
 
 impl TowerModule for DcnTowerModule {
+    type Scratch = DcnTowerScratch;
+
     fn num_features(&self) -> usize {
         self.num_features
     }
@@ -298,14 +361,31 @@ impl TowerModule for DcnTowerModule {
         self.num_features * self.d
     }
 
-    fn forward(&mut self, embeddings: &Tensor) -> Result<Tensor, TensorError> {
-        let crossed = self.crossnet.forward(embeddings)?;
-        self.projection.forward(&crossed)
+    fn forward_into(
+        &self,
+        embeddings: &Tensor,
+        out: &mut Tensor,
+        scratch: &mut DcnTowerScratch,
+    ) -> Result<(), TensorError> {
+        self.crossnet
+            .forward_into(embeddings, &mut scratch.crossed, &mut scratch.cross)?;
+        self.projection
+            .forward_into(&scratch.crossed, false, out, &mut scratch.linear)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let grad_crossed = self.projection.backward(grad_output)?;
-        self.crossnet.backward(&grad_crossed)
+    fn backward_into(
+        &mut self,
+        embeddings: &Tensor,
+        scratch: &mut DcnTowerScratch,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let s = scratch;
+        let grad_crossed = &mut s.grad_crossed;
+        self.projection
+            .backward_into(&s.crossed, grad_output, grad_crossed, &mut s.linear)?;
+        self.crossnet
+            .backward_into(embeddings, &mut s.cross, grad_crossed, grad_input)
     }
 
     fn flops_per_sample(&self) -> u64 {
@@ -334,13 +414,22 @@ mod tests {
         assert_eq!(tm.output_dim(), 32 * (2 * 3 + 1));
     }
 
+    /// One forward + backward through the record-keeping API.
+    fn forward_backward<M: TowerModule>(tm: &mut M, x: &Tensor) -> (Tensor, Tensor) {
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        let mut scratch = M::Scratch::default();
+        tm.forward_into(x, &mut y, &mut scratch).unwrap();
+        tm.backward_into(x, &mut scratch, &Tensor::ones(y.shape()), &mut dx)
+            .unwrap();
+        (y, dx)
+    }
+
     #[test]
     fn dlrm_tower_forward_backward_shapes() {
         let mut tm = DlrmTowerModule::new(&mut rng(), 3, 8, 1, 1, 4).unwrap();
         let x = Tensor::ones(&[5, 24]);
-        let y = tm.forward(&x).unwrap();
+        let (y, dx) = forward_backward(&mut tm, &x);
         assert_eq!(y.shape(), &[5, tm.output_dim()]);
-        let dx = tm.backward(&Tensor::ones(y.shape())).unwrap();
         assert_eq!(dx.shape(), x.shape());
         assert!(tm.forward(&Tensor::ones(&[5, 23])).is_err());
     }
@@ -350,8 +439,7 @@ mod tests {
         let x =
             Tensor::from_vec(vec![2, 6], (0..12).map(|i| i as f32 * 0.05 - 0.3).collect()).unwrap();
         let mut tm = DlrmTowerModule::new(&mut rng(), 3, 2, 1, 1, 2).unwrap();
-        let y = tm.forward(&x).unwrap();
-        let dx = tm.backward(&Tensor::ones(y.shape())).unwrap();
+        let (_, dx) = forward_backward(&mut tm, &x);
         let eps = 1e-3f32;
         for &(r, c) in &[(0usize, 0usize), (1, 5)] {
             let mut plus = x.clone();
@@ -393,9 +481,8 @@ mod tests {
         assert_eq!(tm.output_dim(), 32);
         assert!((tm.compression_ratio() - 2.0).abs() < 1e-9);
         let x = Tensor::ones(&[3, 64]);
-        let y = tm.forward(&x).unwrap();
+        let (y, dx) = forward_backward(&mut tm, &x);
         assert_eq!(y.shape(), &[3, 32]);
-        let dx = tm.backward(&Tensor::ones(y.shape())).unwrap();
         assert_eq!(dx.shape(), x.shape());
         assert!(tm.flops_per_sample() > 0);
     }

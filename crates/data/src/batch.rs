@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// The sparse layout is feature-major (`sparse[f][b]` is the index bag of sample `b`
 /// for sparse feature `f`) because that is the layout embedding lookup consumes: each
 /// table processes the whole batch for its own feature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Batch {
     /// The schema the batch was drawn from.
     pub schema: DatasetSchema,

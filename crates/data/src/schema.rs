@@ -29,7 +29,7 @@ impl FeatureBlock {
 
 /// Shape of a click-log dataset: dense feature count plus per-sparse-feature
 /// cardinality, block assignment and pooling factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DatasetSchema {
     /// Number of dense (continuous) features.
     pub num_dense: usize,

@@ -4,12 +4,13 @@ use crate::hyper::{ModelArch, ModelHyperparams};
 use dmt_core::tower::{DcnTowerModule, DlrmTowerModule, TowerModule};
 use dmt_core::{DmtConfig, DmtError, TowerModuleKind, TowerPartition};
 use dmt_data::{Batch, DatasetSchema};
+use dmt_nn::activation::scalar_sigmoid;
 use dmt_nn::param::HasParameters;
 use dmt_nn::{
-    AdamOptimizer, BceWithLogitsLoss, CrossNet, DotInteraction, EmbeddingTable, Mlp, Optimizer,
-    Parameter,
+    AdamOptimizer, BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, EmbeddingTable,
+    Mlp, MlpScratch, Optimizer, Parameter,
 };
-use dmt_tensor::{Tensor, TensorError};
+use dmt_tensor::{PairwiseScratch, Tensor, TensorError};
 use rand::Rng;
 use std::fmt;
 
@@ -60,74 +61,112 @@ pub struct TrainStepStats {
     pub predictions: Vec<f32>,
 }
 
-/// One tower's dense module in a DMT model. The module variants are boxed so the
-/// pass-through variant stays pointer-sized.
-enum TowerUnit {
-    /// SPTT-only: embeddings pass through unchanged.
-    PassThrough {
-        num_features: usize,
-    },
-    Dlrm(Box<DlrmTowerModule>),
-    Dcn(Box<DcnTowerModule>),
+/// One tower's dense module in a DMT model, with its last forward's record.
+trait TowerUnit {
+    fn output_dim(&self) -> usize;
+    fn flops_per_sample(&self) -> u64;
+    fn forward(&mut self, input: &Tensor, out: &mut Tensor) -> Result<(), TensorError>;
+    fn backward(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor) -> Result<(), TensorError>;
+    fn visit(&mut self, visitor: &mut dyn FnMut(&mut Parameter));
 }
 
-impl TowerUnit {
-    fn output_width(&self, embedding_dim: usize) -> usize {
-        match self {
-            TowerUnit::PassThrough { num_features } => num_features * embedding_dim,
-            TowerUnit::Dlrm(m) => m.output_dim(),
-            TowerUnit::Dcn(m) => m.output_dim(),
-        }
-    }
+/// A tower module and the record of its last forward.
+struct Tower<M: TowerModule> {
+    module: M,
+    scratch: M::Scratch,
+}
 
-    /// Number of interaction units (vectors of the interaction unit width) produced.
-    fn num_units(&self, c: usize, p: usize) -> usize {
-        match self {
-            TowerUnit::PassThrough { num_features } => *num_features,
-            TowerUnit::Dlrm(m) => c * m.num_features() + p,
-            TowerUnit::Dcn(m) => m.num_features(),
-        }
+impl<M: TowerModule> Tower<M> {
+    fn boxed(module: M) -> Box<dyn TowerUnit>
+    where
+        M: 'static,
+    {
+        Box::new(Self {
+            module,
+            scratch: M::Scratch::default(),
+        })
     }
+}
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        match self {
-            TowerUnit::PassThrough { .. } => Ok(input.clone()),
-            TowerUnit::Dlrm(m) => m.forward(input),
-            TowerUnit::Dcn(m) => m.forward(input),
-        }
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Result<Tensor, TensorError> {
-        match self {
-            TowerUnit::PassThrough { .. } => Ok(grad.clone()),
-            TowerUnit::Dlrm(m) => m.backward(grad),
-            TowerUnit::Dcn(m) => m.backward(grad),
-        }
+impl<M: TowerModule> TowerUnit for Tower<M> {
+    fn output_dim(&self) -> usize {
+        self.module.output_dim()
     }
 
     fn flops_per_sample(&self) -> u64 {
-        match self {
-            TowerUnit::PassThrough { .. } => 0,
-            TowerUnit::Dlrm(m) => m.flops_per_sample(),
-            TowerUnit::Dcn(m) => m.flops_per_sample(),
-        }
+        self.module.flops_per_sample()
+    }
+
+    fn forward(&mut self, input: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+        self.module.forward_into(input, out, &mut self.scratch)
+    }
+
+    fn backward(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor) -> Result<(), TensorError> {
+        self.module.backward_into(x, &mut self.scratch, dy, dx)
     }
 
     fn visit(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        match self {
-            TowerUnit::PassThrough { .. } => {}
-            TowerUnit::Dlrm(m) => m.visit_parameters(visitor),
-            TowerUnit::Dcn(m) => m.visit_parameters(visitor),
-        }
+        self.module.visit_parameters(visitor);
     }
 }
 
-/// The tower stage of a DMT model: a feature partition plus one module per tower.
+/// SPTT-only: embeddings of the given total width pass through unchanged.
+struct PassThrough(usize);
+
+impl TowerUnit for PassThrough {
+    fn output_dim(&self) -> usize {
+        self.0
+    }
+
+    fn flops_per_sample(&self) -> u64 {
+        0
+    }
+
+    fn forward(&mut self, input: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+        out.clone_from(input);
+        Ok(())
+    }
+
+    fn backward(&mut self, _: &Tensor, dy: &Tensor, dx: &mut Tensor) -> Result<(), TensorError> {
+        dx.clone_from(dy);
+        Ok(())
+    }
+
+    fn visit(&mut self, _: &mut dyn FnMut(&mut Parameter)) {}
+}
+
+/// The tower stage of a DMT model: a feature partition plus one module per
+/// tower, and each tower's last input (its backward's record) and output.
 struct TowerStage {
     partition: TowerPartition,
-    modules: Vec<TowerUnit>,
-    ensemble_c: usize,
-    ensemble_p: usize,
+    modules: Vec<Box<dyn TowerUnit>>,
+    inputs: Vec<Tensor>,
+    outputs: Vec<Tensor>,
+}
+
+/// The feature interaction between the bottom MLP and the over-arch.
+enum Interaction {
+    /// DLRM: pairwise dots of the units, concatenated after the dense unit.
+    Dot(DotInteraction),
+    /// DCN: a CrossNet over the concatenated units.
+    Cross(CrossNet),
+}
+
+/// What the last forward left for the backward pass.
+#[derive(Default)]
+struct Activations {
+    dense_input: Tensor,
+    dense_repr: Tensor,
+    bottom: MlpScratch,
+    embs: Vec<Tensor>,
+    feature_block: Tensor,
+    units: Tensor,
+    interaction: Tensor,
+    panel: PairwiseScratch,
+    over_input: Tensor,
+    logits: Tensor,
+    over: MlpScratch,
+    cross: CrossNetScratch,
 }
 
 /// A trainable recommendation model: embedding tables, bottom MLP, (optional) tower
@@ -136,23 +175,17 @@ struct TowerStage {
 /// Construct with [`RecommendationModel::baseline`] for the single-tower baseline or
 /// [`RecommendationModel::dmt`] for a Disaggregated Multi-Tower variant.
 pub struct RecommendationModel {
-    arch: ModelArch,
     hyper: ModelHyperparams,
     schema: DatasetSchema,
     tables: Vec<EmbeddingTable>,
     bottom_mlp: Mlp,
     towers: Option<TowerStage>,
-    dot: Option<DotInteraction>,
-    crossnet: Option<CrossNet>,
+    interaction: Interaction,
     over_mlp: Mlp,
-    loss: BceWithLogitsLoss,
     adam: AdamOptimizer,
     /// Interaction unit width (N for baselines, D for tower-module models).
     unit_width: usize,
-    /// Number of unit-width vectors entering the interaction (including the dense one).
-    num_units: usize,
-    /// Cached per-tower output widths for the backward split.
-    tower_output_widths: Vec<usize>,
+    acts: Activations,
 }
 
 impl RecommendationModel {
@@ -217,64 +250,49 @@ impl RecommendationModel {
             .map(|&cardinality| EmbeddingTable::new(rng, cardinality, n))
             .collect();
 
-        // Tower stage and interaction geometry.
-        let (towers, unit_width, num_feature_units, tower_output_widths) = match dmt {
-            None => (None, n, schema.num_sparse(), Vec::new()),
+        // Tower stage and interaction geometry: every tower output is a whole
+        // number of interaction units.
+        let (towers, unit_width) = match dmt {
+            None => (None, n),
             Some((partition, config)) => {
+                let (c, p, d) = (
+                    config.ensemble_c,
+                    config.ensemble_p,
+                    config.tower_output_dim,
+                );
                 let mut modules = Vec::with_capacity(partition.num_towers());
-                let mut input_widths = Vec::with_capacity(partition.num_towers());
-                let mut output_widths = Vec::with_capacity(partition.num_towers());
-                let mut units = 0usize;
-                let unit_width = match config.tower_module {
-                    TowerModuleKind::PassThrough => n,
-                    _ => config.tower_output_dim,
-                };
                 for group in partition.groups() {
                     let f_t = group.len();
-                    input_widths.push(f_t * n);
-                    let module = match config.tower_module {
-                        TowerModuleKind::PassThrough => {
-                            TowerUnit::PassThrough { num_features: f_t }
-                        }
+                    modules.push(match config.tower_module {
+                        TowerModuleKind::PassThrough => Box::new(PassThrough(f_t * n)),
                         TowerModuleKind::DlrmLinear => {
-                            TowerUnit::Dlrm(Box::new(DlrmTowerModule::new(
-                                rng,
-                                f_t,
-                                n,
-                                config.ensemble_c,
-                                config.ensemble_p,
-                                config.tower_output_dim,
-                            )?))
+                            Tower::boxed(DlrmTowerModule::new(rng, f_t, n, c, p, d)?)
                         }
-                        TowerModuleKind::DcnCross => TowerUnit::Dcn(Box::new(DcnTowerModule::new(
-                            rng,
-                            f_t,
-                            n,
-                            config.tower_cross_layers,
-                            config.tower_output_dim,
-                        )?)),
-                    };
-                    units += module.num_units(config.ensemble_c, config.ensemble_p);
-                    output_widths.push(module.output_width(n));
-                    modules.push(module);
+                        TowerModuleKind::DcnCross => {
+                            let layers = config.tower_cross_layers;
+                            Tower::boxed(DcnTowerModule::new(rng, f_t, n, layers, d)?)
+                        }
+                    });
                 }
-                let _ = input_widths;
-                (
-                    Some(TowerStage {
-                        partition,
-                        modules,
-                        ensemble_c: config.ensemble_c,
-                        ensemble_p: config.ensemble_p,
-                    }),
-                    unit_width,
-                    units,
-                    output_widths,
-                )
+                let unit_width = match config.tower_module {
+                    TowerModuleKind::PassThrough => n,
+                    _ => d,
+                };
+                let stage = TowerStage {
+                    inputs: vec![Tensor::default(); modules.len()],
+                    outputs: vec![Tensor::default(); modules.len()],
+                    partition,
+                    modules,
+                };
+                (Some(stage), unit_width)
             }
         };
-
-        let num_units = num_feature_units + 1; // +1 for the dense representation.
-        let interaction_width = unit_width * num_units;
+        let feature_units = towers
+            .as_ref()
+            .map_or(schema.num_sparse(), |t: &TowerStage| {
+                t.modules.iter().map(|m| m.output_dim() / unit_width).sum()
+            });
+        let num_units = feature_units + 1; // +1 for the dense representation.
 
         // Bottom MLP: dense features -> unit width.
         let mut bottom_sizes = vec![schema.num_dense];
@@ -283,15 +301,16 @@ impl RecommendationModel {
         let bottom_mlp = Mlp::new(rng, &bottom_sizes);
 
         // Interaction + over-arch input width.
-        let (dot, crossnet, over_input) = match arch {
+        let (interaction, over_input) = match arch {
             ModelArch::Dlrm => {
                 let dot = DotInteraction::new(num_units, unit_width);
                 let over_input = unit_width + dot.output_dim();
-                (Some(dot), None, over_input)
+                (Interaction::Dot(dot), over_input)
             }
             ModelArch::Dcn => {
-                let crossnet = CrossNet::new(rng, interaction_width, hyper.cross_layers.max(1));
-                (None, Some(crossnet), interaction_width)
+                let width = unit_width * num_units;
+                let cross = CrossNet::new(rng, width, hyper.cross_layers.max(1));
+                (Interaction::Cross(cross), width)
             }
         };
         let mut over_sizes = vec![over_input];
@@ -300,27 +319,26 @@ impl RecommendationModel {
         let over_mlp = Mlp::new(rng, &over_sizes);
 
         Ok(Self {
-            arch,
             hyper: hyper.clone(),
             schema: schema.clone(),
             tables,
             bottom_mlp,
             towers,
-            dot,
-            crossnet,
+            interaction,
             over_mlp,
-            loss: BceWithLogitsLoss::new(),
             adam: AdamOptimizer::new(1e-3),
             unit_width,
-            num_units,
-            tower_output_widths,
+            acts: Activations::default(),
         })
     }
 
     /// The model's interaction architecture.
     #[must_use]
     pub fn arch(&self) -> ModelArch {
-        self.arch
+        match self.interaction {
+            Interaction::Dot(_) => ModelArch::Dlrm,
+            Interaction::Cross(_) => ModelArch::Dcn,
+        }
     }
 
     /// Whether this is a DMT (multi-tower) variant.
@@ -358,15 +376,13 @@ impl RecommendationModel {
             .iter()
             .map(|&p| 2 * p as u64 * n)
             .sum();
-        let towers: u64 = self.towers.as_ref().map_or(0, |t| {
-            t.modules.iter().map(TowerUnit::flops_per_sample).sum()
-        });
-        let interaction = match self.arch {
-            ModelArch::Dlrm => self
-                .dot
-                .as_ref()
-                .map_or(0, DotInteraction::flops_per_sample),
-            ModelArch::Dcn => self.crossnet.as_ref().map_or(0, CrossNet::flops_per_sample),
+        let towers: u64 = self
+            .towers
+            .as_ref()
+            .map_or(0, |t| t.modules.iter().map(|m| m.flops_per_sample()).sum());
+        let interaction = match &self.interaction {
+            Interaction::Dot(dot) => dot.flops_per_sample(),
+            Interaction::Cross(cross) => cross.flops_per_sample(),
         };
         self.bottom_mlp.flops_per_sample()
             + lookup
@@ -376,6 +392,7 @@ impl RecommendationModel {
     }
 
     /// Runs the forward pass and returns the logits tensor (shape `[batch, 1]`).
+    /// Its activations stay in the model for the backward pass.
     ///
     /// # Errors
     ///
@@ -390,49 +407,48 @@ impl RecommendationModel {
                 ),
             });
         }
-        let b = batch.len();
-        // Dense path.
-        let dense_input = Tensor::from_vec(vec![b, self.schema.num_dense], batch.dense_flat())?;
-        let dense_repr = self.bottom_mlp.forward(&dense_input)?;
+        let a = &mut self.acts;
+        let dense_shape = vec![batch.len(), self.schema.num_dense];
+        a.dense_input = Tensor::from_vec(dense_shape, batch.dense_flat())?;
+        self.bottom_mlp
+            .forward_into(&a.dense_input, &mut a.dense_repr, &mut a.bottom)?;
 
         // Embedding lookups, one tensor per feature.
-        let mut feature_embs = Vec::with_capacity(self.tables.len());
+        a.embs.clear();
         for (table, bags) in self.tables.iter_mut().zip(&batch.sparse) {
-            feature_embs.push(table.forward(bags)?);
+            a.embs.push(table.forward(bags)?);
         }
 
         // Tower stage (or identity for the baseline).
-        let feature_block = if let Some(stage) = &mut self.towers {
-            let mut tower_outputs = Vec::with_capacity(stage.modules.len());
-            for (group, module) in stage.partition.groups().iter().zip(&mut stage.modules) {
-                let members: Vec<&Tensor> = group.iter().map(|&f| &feature_embs[f]).collect();
-                let tower_input = Tensor::concat_cols(&members)?;
-                tower_outputs.push(module.forward(&tower_input)?);
+        let features: Vec<&Tensor> = match &mut self.towers {
+            Some(stage) => {
+                let groups = stage.partition.groups().iter().zip(&mut stage.modules);
+                let io = stage.inputs.iter_mut().zip(&mut stage.outputs);
+                for ((group, module), (input, output)) in groups.zip(io) {
+                    let members: Vec<&Tensor> = group.iter().map(|&f| &a.embs[f]).collect();
+                    Tensor::concat_cols_into(&members, input)?;
+                    module.forward(input, output)?;
+                }
+                stage.outputs.iter().collect()
             }
-            let refs: Vec<&Tensor> = tower_outputs.iter().collect();
-            Tensor::concat_cols(&refs)?
-        } else {
-            let refs: Vec<&Tensor> = feature_embs.iter().collect();
-            Tensor::concat_cols(&refs)?
+            None => a.embs.iter().collect(),
         };
+        Tensor::concat_cols_into(&features, &mut a.feature_block)?;
 
         // Interaction over [dense_repr | feature_block].
-        let units = Tensor::concat_cols(&[&dense_repr, &feature_block])?;
-        let over_input = match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_mut()
-                    .expect("DLRM models own a dot interaction");
-                let pairs = dot.forward(&units)?;
-                Tensor::concat_cols(&[&dense_repr, &pairs])?
+        Tensor::concat_cols_into(&[&a.dense_repr, &a.feature_block], &mut a.units)?;
+        match &self.interaction {
+            Interaction::Dot(dot) => {
+                dot.forward_into(&a.units, &mut a.interaction, &mut a.panel)?;
+                Tensor::concat_cols_into(&[&a.dense_repr, &a.interaction], &mut a.over_input)?;
             }
-            ModelArch::Dcn => {
-                let crossnet = self.crossnet.as_mut().expect("DCN models own a CrossNet");
-                crossnet.forward(&units)?
+            Interaction::Cross(cross) => {
+                cross.forward_into(&a.units, &mut a.over_input, &mut a.cross)?
             }
-        };
-        Ok(self.over_mlp.forward(&over_input)?)
+        }
+        self.over_mlp
+            .forward_into(&a.over_input, &mut a.logits, &mut a.over)?;
+        Ok(a.logits.clone())
     }
 
     /// Runs forward + backward + optimizer updates for one batch and returns the loss
@@ -451,9 +467,10 @@ impl RecommendationModel {
     ) -> Result<TrainStepStats, ModelError> {
         self.zero_grad();
         let logits = self.forward(batch)?;
-        let (loss, predictions, grad_logits) =
-            self.loss.forward_backward(&logits, &batch.labels)?;
-        self.backward(&grad_logits, batch.len())?;
+        let mut grad_logits = Tensor::default();
+        let loss =
+            BceWithLogitsLoss.forward_backward_into(&logits, &batch.labels, &mut grad_logits)?;
+        self.backward(&grad_logits)?;
 
         // Dense update (Adam is `Copy`, so temporarily move it out to satisfy the
         // borrow checker).
@@ -465,6 +482,7 @@ impl RecommendationModel {
         for table in &mut self.tables {
             table.apply_rowwise_adagrad(learning_rate, 1e-8);
         }
+        let predictions = logits.data().iter().map(|&z| scalar_sigmoid(z)).collect();
         Ok(TrainStepStats { loss, predictions })
     }
 
@@ -475,11 +493,7 @@ impl RecommendationModel {
     /// Returns [`ModelError`] if the batch does not match the schema.
     pub fn predict(&mut self, batch: &Batch) -> Result<Vec<f32>, ModelError> {
         let logits = self.forward(batch)?;
-        Ok(logits
-            .data()
-            .iter()
-            .map(|&z| dmt_nn::activation::scalar_sigmoid(z))
-            .collect())
+        Ok(logits.data().iter().map(|&z| scalar_sigmoid(z)).collect())
     }
 
     /// Mean rows of each embedding table — the feature-affinity probe the Tower
@@ -496,68 +510,64 @@ impl RecommendationModel {
             .collect()
     }
 
-    fn backward(&mut self, grad_logits: &Tensor, batch: usize) -> Result<(), ModelError> {
-        let grad_over_input = self.over_mlp.backward(grad_logits)?;
-
-        // Undo the interaction stage.
-        let (grad_dense_direct, grad_units) = match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_mut()
-                    .expect("DLRM models own a dot interaction");
-                let pieces = grad_over_input.split_cols(&[self.unit_width, dot.output_dim()])?;
-                let grad_pairs = &pieces[1];
-                let grad_units = dot.backward(grad_pairs)?;
-                (Some(pieces[0].clone()), grad_units)
+    /// Backward pass over the last forward's activations.
+    fn backward(&mut self, grad_logits: &Tensor) -> Result<(), ModelError> {
+        let (a, w) = (&mut self.acts, self.unit_width);
+        let (mut grad_over, mut grad_units) = (Tensor::default(), Tensor::default());
+        let (mut grad_dense, mut piece) = (Tensor::default(), Tensor::default());
+        self.over_mlp
+            .backward_into(&a.over_input, &mut a.over, grad_logits, &mut grad_over)?;
+        match &mut self.interaction {
+            Interaction::Dot(dot) => {
+                grad_over.cols_into(w, dot.output_dim(), &mut piece)?;
+                dot.backward_into(&a.units, &piece, &mut grad_units, &mut a.panel)?;
+                grad_units.cols_into(0, w, &mut grad_dense)?;
+                // The over-arch also read `dense_repr` directly.
+                grad_over.cols_into(0, w, &mut piece)?;
+                grad_dense.axpy(1.0, &piece)?;
             }
-            ModelArch::Dcn => {
-                let crossnet = self.crossnet.as_mut().expect("DCN models own a CrossNet");
-                (None, crossnet.backward(&grad_over_input)?)
+            Interaction::Cross(cross) => {
+                cross.backward_into(&a.units, &mut a.cross, &grad_over, &mut grad_units)?;
+                grad_units.cols_into(0, w, &mut grad_dense)?;
             }
-        };
-
-        // Split the units gradient into the dense part and the feature block.
-        let feature_block_width = self.unit_width * (self.num_units - 1);
-        let pieces = grad_units.split_cols(&[self.unit_width, feature_block_width])?;
-        let mut grad_dense_repr = pieces[0].clone();
-        if let Some(direct) = grad_dense_direct {
-            grad_dense_repr.axpy(1.0, &direct)?;
         }
-        let grad_feature_block = &pieces[1];
+        self.bottom_mlp
+            .backward_into(&a.dense_input, &mut a.bottom, &grad_dense, &mut piece)?;
 
         // Undo the tower stage (or identity) to get per-feature embedding gradients.
         let n = self.hyper.embedding_dim;
-        let mut per_feature_grads: Vec<Option<Tensor>> = vec![None; self.tables.len()];
-        if let Some(stage) = &mut self.towers {
-            let tower_grads = grad_feature_block.split_cols(&self.tower_output_widths)?;
-            for ((group, module), tower_grad) in stage
-                .partition
-                .groups()
-                .iter()
-                .zip(&mut stage.modules)
-                .zip(tower_grads)
-            {
-                let grad_input = module.backward(&tower_grad)?;
-                let widths = vec![n; group.len()];
-                let feature_grads = grad_input.split_cols(&widths)?;
-                for (&f, g) in group.iter().zip(feature_grads) {
-                    per_feature_grads[f] = Some(g);
+        let mut widths = vec![w];
+        let feature_grads: Vec<Tensor> = match &mut self.towers {
+            Some(stage) => {
+                widths.extend(stage.modules.iter().map(|m| m.output_dim()));
+                let tower_grads = grad_units.split_cols(&widths)?.into_iter().skip(1);
+                let mut per_feature: Vec<Option<Tensor>> = vec![None; self.tables.len()];
+                let groups = stage.partition.groups().iter().zip(&stage.inputs);
+                for ((group, input), (module, grad)) in
+                    groups.zip(stage.modules.iter_mut().zip(tower_grads))
+                {
+                    module.backward(input, &grad, &mut piece)?;
+                    for (&f, g) in group.iter().zip(piece.split_cols(&vec![n; group.len()])?) {
+                        per_feature[f] = Some(g);
+                    }
                 }
+                let every = per_feature.into_iter();
+                every
+                    .map(|g| g.expect("every feature receives a gradient"))
+                    .collect()
             }
-            let _ = (stage.ensemble_c, stage.ensemble_p, batch);
-        } else {
-            let widths = vec![n; self.tables.len()];
-            let feature_grads = grad_feature_block.split_cols(&widths)?;
-            for (f, g) in feature_grads.into_iter().enumerate() {
-                per_feature_grads[f] = Some(g);
+            None => {
+                widths.extend(std::iter::repeat_n(n, self.tables.len()));
+                grad_units
+                    .split_cols(&widths)?
+                    .into_iter()
+                    .skip(1)
+                    .collect()
             }
-        }
-        for (table, grad) in self.tables.iter_mut().zip(per_feature_grads) {
-            let grad = grad.expect("every feature receives a gradient");
+        };
+        for (table, grad) in self.tables.iter_mut().zip(feature_grads) {
             table.backward(&grad)?;
         }
-        self.bottom_mlp.backward(&grad_dense_repr)?;
         Ok(())
     }
 
@@ -579,8 +589,8 @@ impl HasParameters for RecommendationModel {
                 module.visit(visitor);
             }
         }
-        if let Some(crossnet) = &mut self.crossnet {
-            crossnet.visit_parameters(visitor);
+        if let Interaction::Cross(cross) = &mut self.interaction {
+            cross.visit_parameters(visitor);
         }
         self.over_mlp.visit_parameters(visitor);
     }

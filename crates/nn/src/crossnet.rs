@@ -10,17 +10,19 @@ use dmt_tensor::{Tensor, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Reusable buffers for [`CrossNet::forward_infer_into`]: the per-layer
-/// projection `u_l`, two ping-pong tensors for `x_l`, and the shared
-/// quantized-kernel scratch. Capacity is retained between batches, so
-/// steady-state serving performs no heap allocation here.
+/// What a [`CrossNet::forward_into`] leaves behind for the matching
+/// [`CrossNet::backward_into`] — every layer's projection `u_l` and every
+/// intermediate `x_l` — plus the backward pass's gradient buffers and the
+/// shared kernel scratch. Capacity is retained between batches, so steady
+/// state allocates nothing.
 #[derive(Debug, Default)]
 pub struct CrossNetScratch {
-    proj: Tensor,
-    ping: Tensor,
-    pong: Tensor,
-    /// Quantized-GEMM scratch, shared across every cross layer.
-    pub linear: LinearScratch,
+    proj: Vec<Tensor>,
+    xs: Vec<Tensor>,
+    grad: Tensor,
+    grad_u: Tensor,
+    grad_via_w: Tensor,
+    linear: LinearScratch,
 }
 
 /// A stack of DCN-v2 cross layers over a `width`-dimensional input.
@@ -28,10 +30,6 @@ pub struct CrossNetScratch {
 pub struct CrossNet {
     layers: Vec<Linear>,
     width: usize,
-    /// Caches from the forward pass, used by backward: x_l per layer plus x_0.
-    cached_inputs: Vec<Tensor>,
-    /// Cached u_l = x_l W_l + b_l per layer.
-    cached_projections: Vec<Tensor>,
 }
 
 impl CrossNet {
@@ -46,12 +44,7 @@ impl CrossNet {
         let layers = (0..num_layers)
             .map(|_| Linear::new(rng, width, width))
             .collect();
-        Self {
-            layers,
-            width,
-            cached_inputs: Vec::new(),
-            cached_projections: Vec::new(),
-        }
+        Self { layers, width }
     }
 
     /// Input/output width of the cross stack.
@@ -74,92 +67,76 @@ impl CrossNet {
         self.layers.len() as u64 * (2 * w * w + 2 * w)
     }
 
-    /// Forward pass; caches intermediate activations for backward.
+    /// Forward pass into a caller-owned output: per layer, the projection
+    /// `u_l` ([`Linear::forward_into`]) and the fused `x0 ⊙ u_l + x_l`
+    /// ([`Tensor::mul_add_into`]). Every `u_l` and intermediate `x_l` stays in
+    /// `scratch` as the record [`CrossNet::backward_into`] reads. No allocation
+    /// once `scratch` and `out` have grown to the batch's working-set size.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if the input is not `[batch, width]`.
-    pub fn forward(&mut self, x0: &Tensor) -> Result<Tensor, TensorError> {
-        self.cached_inputs.clear();
-        self.cached_projections.clear();
-        let mut x = x0.clone();
-        for layer in &mut self.layers {
-            let u = layer.forward(&x)?;
-            // x_{l+1} = x0 ⊙ u + x_l, fused into one elementwise pass.
-            let next = x0.mul_add(&u, &x)?;
-            self.cached_inputs.push(x);
-            self.cached_projections.push(u);
-            x = next;
-        }
-        // Keep x0 around for the backward pass.
-        self.cached_inputs.push(x0.clone());
-        Ok(x)
-    }
-
-    /// Inference-only forward pass into a caller-owned output buffer.
-    ///
-    /// Runs the same per-layer kernels as [`CrossNet::forward`] — the linear
-    /// projection via [`Linear::forward_infer_into`] and the fused
-    /// `x0 ⊙ u + x_l` via [`Tensor::mul_add_into`], both bit-identical to
-    /// their allocating counterparts — but caches nothing and performs no
-    /// heap allocation once `scratch` and `out` have grown to the batch's
-    /// working-set size.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if the input is not `[batch, width]`.
-    pub fn forward_infer_into(
+    pub fn forward_into(
         &self,
         x0: &Tensor,
         out: &mut Tensor,
         scratch: &mut CrossNetScratch,
     ) -> Result<(), TensorError> {
-        let CrossNetScratch {
-            proj,
-            ping,
-            pong,
-            linear,
-        } = scratch;
-        let (mut a, mut b): (&mut Tensor, &mut Tensor) = (ping, pong);
         let last = self.layers.len() - 1;
+        scratch.proj.resize_with(last + 1, Tensor::default);
+        scratch.xs.resize_with(last, Tensor::default);
         for (i, layer) in self.layers.iter().enumerate() {
-            let src: &Tensor = if i == 0 { x0 } else { &*a };
-            layer.forward_infer_into(src, false, proj, linear)?;
-            let dst: &mut Tensor = if i == last { &mut *out } else { &mut *b };
-            x0.mul_add_into(proj, src, dst)?;
-            std::mem::swap(&mut a, &mut b);
+            let (done, rest) = scratch.xs.split_at_mut(i);
+            let x = done.last().unwrap_or(x0);
+            let u = &mut scratch.proj[i];
+            layer.forward_into(x, false, u, &mut scratch.linear)?;
+            x0.mul_add_into(u, x, rest.first_mut().unwrap_or(&mut *out))?;
         }
         Ok(())
     }
 
-    /// Backward pass; returns the gradient with respect to `x0`.
+    /// Backward pass over the record of the last [`CrossNet::forward_into`]
+    /// of `x0` into `scratch`: accumulates every layer's parameter gradients
+    /// and writes the gradient with respect to `x0` into `grad_x0`.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatch.
+    /// Returns a [`TensorError`] if `grad_output` is not shaped like `x0`.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`CrossNet::forward`].
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        assert!(
-            !self.cached_projections.is_empty(),
-            "CrossNet::backward called before forward"
+    /// Panics if `scratch` holds no record of a forward over this CrossNet.
+    pub fn backward_into(
+        &mut self,
+        x0: &Tensor,
+        scratch: &mut CrossNetScratch,
+        grad_output: &Tensor,
+        grad_x0: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        assert_eq!(
+            scratch.proj.len(),
+            self.layers.len(),
+            "CrossNet::backward_into called before forward"
         );
-        let x0 = self.cached_inputs.pop().expect("x0 cached by forward");
-        let mut grad_x0 = Tensor::zeros(x0.shape());
-        let mut grad = grad_output.clone();
+        let s = scratch;
+        grad_x0.reset_to_shape(x0.shape());
+        s.grad.clone_from(grad_output);
         for l in (0..self.layers.len()).rev() {
-            let u = &self.cached_projections[l];
             // x_{l+1} = x0 ⊙ u_l + x_l
-            grad_x0.axpy(1.0, &grad.mul(u)?)?;
-            let grad_u = grad.mul(&x0)?;
-            let grad_xl_via_w = self.layers[l].backward(&grad_u)?;
-            grad = grad.add(&grad_xl_via_w)?;
+            let dx0 = grad_x0.data_mut().iter_mut().zip(s.grad.data());
+            for ((gx, &g), &u) in dx0.zip(s.proj[l].data()) {
+                *gx += g * u;
+            }
+            s.grad_u.clone_from(&s.grad);
+            for (gu, &x) in s.grad_u.data_mut().iter_mut().zip(x0.data()) {
+                *gu *= x;
+            }
+            let x_l = if l == 0 { x0 } else { &s.xs[l - 1] };
+            self.layers[l].backward_into(x_l, &s.grad_u, &mut s.grad_via_w, &mut s.linear)?;
+            s.grad.axpy(1.0, &s.grad_via_w)?;
         }
         // The remaining gradient flows into x_0 through the x_l chain.
-        grad_x0.axpy(1.0, &grad)?;
-        Ok(grad_x0)
+        grad_x0.axpy(1.0, &s.grad)
     }
 }
 
@@ -181,10 +158,22 @@ mod tests {
         CrossNet::new(&mut StdRng::seed_from_u64(11), width, depth)
     }
 
+    fn forward(c: &CrossNet, x: &Tensor, scratch: &mut CrossNetScratch) -> Tensor {
+        let mut y = Tensor::default();
+        c.forward_into(x, &mut y, scratch).unwrap();
+        y
+    }
+
+    fn backward(c: &mut CrossNet, x: &Tensor, scratch: &mut CrossNetScratch, g: &Tensor) -> Tensor {
+        let mut dx = Tensor::default();
+        c.backward_into(x, scratch, g, &mut dx).unwrap();
+        dx
+    }
+
     #[test]
     fn forward_preserves_width() {
-        let mut c = crossnet(6, 3);
-        let y = c.forward(&Tensor::ones(&[4, 6])).unwrap();
+        let c = crossnet(6, 3);
+        let y = forward(&c, &Tensor::ones(&[4, 6]), &mut CrossNetScratch::default());
         assert_eq!(y.shape(), &[4, 6]);
         assert_eq!(c.depth(), 3);
         assert_eq!(c.width(), 6);
@@ -194,18 +183,19 @@ mod tests {
     fn gradient_check() {
         let x = Tensor::from_vec(vec![2, 3], vec![0.2, -0.1, 0.3, -0.3, 0.4, 0.1]).unwrap();
         let mut c = crossnet(3, 2);
-        let y = c.forward(&x).unwrap();
-        let dx = c.backward(&Tensor::ones(y.shape())).unwrap();
+        let mut scratch = CrossNetScratch::default();
+        let y = forward(&c, &x, &mut scratch);
+        let dx = backward(&mut c, &x, &mut scratch, &Tensor::ones(y.shape()));
 
         let eps = 1e-3f32;
+        let sum_at =
+            |x: &Tensor| forward(&crossnet(3, 2), x, &mut CrossNetScratch::default()).sum();
         for &(r, col) in &[(0usize, 0usize), (1, 1), (0, 2)] {
             let mut x_plus = x.clone();
             x_plus.set(r, col, x.at(r, col) + eps);
             let mut x_minus = x.clone();
             x_minus.set(r, col, x.at(r, col) - eps);
-            let plus = crossnet(3, 2).forward(&x_plus).unwrap().sum();
-            let minus = crossnet(3, 2).forward(&x_minus).unwrap().sum();
-            let numeric = (plus - minus) / (2.0 * eps);
+            let numeric = (sum_at(&x_plus) - sum_at(&x_minus)) / (2.0 * eps);
             assert!(
                 (numeric - dx.at(r, col)).abs() < 2e-2,
                 "dx[{r},{col}] analytic {} vs numeric {numeric}",
@@ -217,16 +207,21 @@ mod tests {
     #[test]
     fn weight_gradients_are_nonzero_after_backward() {
         let mut c = crossnet(4, 2);
-        let y = c.forward(&Tensor::ones(&[2, 4])).unwrap();
-        c.backward(&Tensor::ones(y.shape())).unwrap();
+        let x = Tensor::ones(&[2, 4]);
+        let mut scratch = CrossNetScratch::default();
+        let y = forward(&c, &x, &mut scratch);
+        backward(&mut c, &x, &mut scratch, &Tensor::ones(y.shape()));
         let mut grad_norm = 0.0;
         c.visit_parameters(&mut |p| grad_norm += p.grad.norm());
         assert!(grad_norm > 0.0);
     }
 
+    /// The scratch-recording forward equals the plain layer-by-layer
+    /// composition `x0 ⊙ (x_l W + b) + x_l`, bit for bit, also when the
+    /// scratch was grown by a different batch first.
     #[test]
     fn forward_infer_into_is_bit_identical_to_forward() {
-        let mut c = crossnet(5, 3);
+        let c = crossnet(5, 3);
         let x = Tensor::from_vec(
             vec![4, 5],
             (0..20)
@@ -234,11 +229,18 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y = c.forward(&x).unwrap();
-        let mut out = Tensor::default();
+        let mut y = x.clone();
+        for layer in &c.layers {
+            let mut u = Tensor::default();
+            layer
+                .forward_into(&y, false, &mut u, &mut LinearScratch::default())
+                .unwrap();
+            y = x.mul_add(&u, &y).unwrap();
+        }
         let mut scratch = CrossNetScratch::default();
+        forward(&c, &Tensor::ones(&[7, 5]), &mut scratch);
         for _ in 0..2 {
-            c.forward_infer_into(&x, &mut out, &mut scratch).unwrap();
+            let out = forward(&c, &x, &mut scratch);
             assert_eq!(out.shape(), y.shape());
             for (a, b) in out.data().iter().zip(y.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());

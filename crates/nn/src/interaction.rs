@@ -12,24 +12,20 @@ use serde::{Deserialize, Serialize};
 /// Pairwise dot-product interaction over `num_features` vectors of `dim` each.
 ///
 /// The arithmetic lives in [`dmt_tensor::pairwise`] (one runtime-dispatched
-/// kernel, bit-identical on every SIMD tier); this type owns the geometry, the
-/// shape checks and the input cache the backward pass needs.
+/// kernel, bit-identical on every SIMD tier); this type owns the geometry and
+/// the shape checks. It holds no state: the backward pass reads the input the
+/// caller kept from the forward.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DotInteraction {
     num_features: usize,
     dim: usize,
-    cached_input: Option<Tensor>,
 }
 
 impl DotInteraction {
     /// Creates an interaction over `num_features` feature vectors of width `dim`.
     #[must_use]
     pub fn new(num_features: usize, dim: usize) -> Self {
-        Self {
-            num_features,
-            dim,
-            cached_input: None,
-        }
+        Self { num_features, dim }
     }
 
     /// Number of interacting feature vectors.
@@ -56,31 +52,12 @@ impl DotInteraction {
         2 * self.output_dim() as u64 * self.dim as u64
     }
 
-    /// Forward pass.
+    /// Forward pass into a caller-owned output buffer.
     ///
     /// `input` is `[batch, num_features * dim]`, the per-sample concatenation of the
     /// feature vectors; the output is `[batch, F*(F-1)/2]` of pairwise dot products in
-    /// row-major `(i, j), i < j` order. The input is kept for
-    /// [`DotInteraction::backward`], reusing the previous step's buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if the input width is not `num_features * dim`.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::default();
-        self.forward_into(input, &mut out, &mut PairwiseScratch::default())?;
-        match &mut self.cached_input {
-            Some(cached) => cached.clone_from(input),
-            None => self.cached_input = Some(input.clone()),
-        }
-        Ok(out)
-    }
-
-    /// Inference-only forward pass into a caller-owned output buffer.
-    ///
-    /// The same kernel call as [`DotInteraction::forward`] (so the results are
-    /// bit-identical), but caches nothing and performs no heap allocation once
-    /// `out` and `scratch` have reached the batch's working-set size.
+    /// row-major `(i, j), i < j` order. No heap allocation once `out` and
+    /// `scratch` have reached the batch's working-set size.
     ///
     /// # Errors
     ///
@@ -110,43 +87,52 @@ impl DotInteraction {
         Ok(())
     }
 
-    /// Backward pass; returns the gradient with respect to the flattened input.
+    /// Backward pass over the `input` a [`DotInteraction::forward_into`] call
+    /// read: writes the gradient with respect to it into `grad_input`.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] if `grad_output` has the wrong shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`DotInteraction::forward`].
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("DotInteraction::backward called before forward");
-        let expected = [input.shape()[0], self.output_dim()];
-        if grad_output.shape() != expected {
+    /// Returns a [`TensorError`] if `input` is not `[batch, num_features * dim]`
+    /// or `grad_output` is not `[batch, F*(F-1)/2]`.
+    pub fn backward_into(
+        &self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+        scratch: &mut PairwiseScratch,
+    ) -> Result<(), TensorError> {
+        let batch = input.shape().first().copied().unwrap_or(0);
+        if input.shape() != [batch, self.num_features * self.dim]
+            || grad_output.shape() != [batch, self.output_dim()]
+        {
             return Err(TensorError::ShapeMismatch {
                 op: "dot_interaction_backward",
                 lhs: grad_output.shape().to_vec(),
-                rhs: expected.to_vec(),
+                rhs: vec![batch, self.output_dim()],
             });
         }
-        let mut grad_in = Tensor::zeros(input.shape());
+        grad_input.reset_to_shape(input.shape());
         pairwise::pairwise_dots_backward(
             input.data(),
             grad_output.data(),
             self.num_features,
             self.dim,
-            grad_in.data_mut(),
+            grad_input.data_mut(),
+            scratch,
         );
-        Ok(grad_in)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn forward(inter: &DotInteraction, x: &Tensor) -> Result<Tensor, TensorError> {
+        let mut y = Tensor::default();
+        inter.forward_into(x, &mut y, &mut PairwiseScratch::default())?;
+        Ok(y)
+    }
 
     #[test]
     fn output_dim_is_pair_count() {
@@ -156,30 +142,38 @@ mod tests {
 
     #[test]
     fn forward_computes_pairwise_dots() {
-        let mut inter = DotInteraction::new(3, 2);
+        let inter = DotInteraction::new(3, 2);
         // Features per sample: e0 = (1,0), e1 = (0,1), e2 = (2,2).
         let x = Tensor::from_vec(vec![1, 6], vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0]).unwrap();
-        let y = inter.forward(&x).unwrap();
+        let y = forward(&inter, &x).unwrap();
         // Pairs in order (0,1), (0,2), (1,2).
         assert_eq!(y.data(), &[0.0, 2.0, 2.0]);
     }
 
     #[test]
     fn forward_rejects_bad_width() {
-        let mut inter = DotInteraction::new(3, 2);
-        assert!(inter.forward(&Tensor::ones(&[1, 5])).is_err());
+        let inter = DotInteraction::new(3, 2);
+        assert!(forward(&inter, &Tensor::ones(&[1, 5])).is_err());
     }
 
     #[test]
     fn gradient_check() {
-        let mut inter = DotInteraction::new(3, 2);
+        let inter = DotInteraction::new(3, 2);
         let x = Tensor::from_vec(
             vec![2, 6],
             (0..12).map(|i| (i as f32) * 0.1 - 0.5).collect(),
         )
         .unwrap();
-        let y = inter.forward(&x).unwrap();
-        let dx = inter.backward(&Tensor::ones(y.shape())).unwrap();
+        let y = forward(&inter, &x).unwrap();
+        let mut dx = Tensor::default();
+        inter
+            .backward_into(
+                &x,
+                &Tensor::ones(y.shape()),
+                &mut dx,
+                &mut PairwiseScratch::default(),
+            )
+            .unwrap();
 
         let eps = 1e-3f32;
         for &(r, c) in &[(0usize, 0usize), (1, 3), (0, 5)] {
@@ -187,9 +181,8 @@ mod tests {
             plus.set(r, c, x.at(r, c) + eps);
             let mut minus = x.clone();
             minus.set(r, c, x.at(r, c) - eps);
-            let mut i2 = DotInteraction::new(3, 2);
-            let f_plus = i2.forward(&plus).unwrap().sum();
-            let f_minus = i2.forward(&minus).unwrap().sum();
+            let f_plus = forward(&inter, &plus).unwrap().sum();
+            let f_minus = forward(&inter, &minus).unwrap().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             assert!(
                 (numeric - dx.at(r, c)).abs() < 1e-2,
@@ -199,9 +192,11 @@ mod tests {
         }
     }
 
+    /// `forward_into` equals the kernel's scalar oracle bit for bit, also
+    /// into buffers a different batch grew first.
     #[test]
     fn forward_into_is_bit_identical_to_forward() {
-        let mut inter = DotInteraction::new(4, 3);
+        let inter = DotInteraction::new(4, 3);
         let x = Tensor::from_vec(
             vec![3, 12],
             (0..36)
@@ -209,13 +204,17 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y = inter.forward(&x).unwrap();
+        let mut want = vec![0.0f32; 3 * inter.output_dim()];
+        pairwise::pairwise_dots_scalar(x.data(), 4, 3, &mut want);
         let mut out = Tensor::default();
         let mut scratch = PairwiseScratch::default();
+        inter
+            .forward_into(&Tensor::ones(&[5, 12]), &mut out, &mut scratch)
+            .unwrap();
         for _ in 0..2 {
             inter.forward_into(&x, &mut out, &mut scratch).unwrap();
-            assert_eq!(out.shape(), y.shape());
-            for (a, b) in out.data().iter().zip(y.data()) {
+            assert_eq!(out.shape(), &[3, inter.output_dim()]);
+            for (a, b) in out.data().iter().zip(&want) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

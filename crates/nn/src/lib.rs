@@ -1,11 +1,14 @@
 //! Neural-network layers, losses and optimizers for the DMT quality experiments.
 //!
-//! Every layer implements an explicit `forward` / `backward` pair instead of relying on
-//! a general autograd graph: the layer caches whatever activations its backward pass
-//! needs, accumulates parameter gradients into [`Parameter::grad`], and returns the
-//! gradient with respect to its input. This keeps the numerics small, auditable and
-//! easy to test against finite differences (see the gradient-check tests in each
-//! module).
+//! Every dense layer implements an explicit `forward_into` / `backward_into` pair
+//! instead of relying on a general autograd graph. Layers hold parameters only: a
+//! forward writes into caller-owned buffers, and what it leaves there — its input and
+//! the scratch it filled — is the activation record the matching backward reads. The
+//! backward accumulates parameter gradients into [`Parameter::grad`] and writes the
+//! gradient with respect to the input into a caller buffer. Training and serving
+//! therefore run one forward, and several forwards can be in flight at once, each
+//! with its own record. This keeps the numerics small, auditable and easy to test
+//! against finite differences (see the gradient-check tests in each module).
 //!
 //! The building blocks match what DLRM / DCN and the paper's tower modules need:
 //!
@@ -24,16 +27,20 @@
 //! # Example
 //!
 //! ```
-//! use dmt_nn::Linear;
+//! use dmt_nn::{Linear, LinearScratch};
 //! use dmt_tensor::Tensor;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut layer = Linear::new(&mut rng, 4, 2);
-//! let x = Tensor::ones(&[3, 4]);
-//! let y = layer.forward(&x)?;
+//! let (x, mut y, mut dx) = (Tensor::ones(&[3, 4]), Tensor::default(), Tensor::default());
+//! let mut scratch = LinearScratch::default();
+//! layer.forward_into(&x, false, &mut y, &mut scratch)?;
 //! assert_eq!(y.shape(), &[3, 2]);
+//! // The caller keeps `x`: it is the activation record the backward reads.
+//! layer.backward_into(&x, &Tensor::ones(&[3, 2]), &mut dx, &mut scratch)?;
+//! assert_eq!(dx.shape(), &[3, 4]);
 //! # Ok::<(), dmt_tensor::TensorError>(())
 //! ```
 

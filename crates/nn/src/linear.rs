@@ -9,17 +9,19 @@ use dmt_tensor::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Reusable buffers for the allocation-free inference forward
-/// ([`Linear::forward_infer_into`]): the quantized kernels' activation scratch.
-/// One instance can be shared across every layer of a model — each call resizes
-/// the buffers it touches, and capacity is retained between batches, so
-/// steady-state serving performs no heap allocation here.
+/// Reusable work buffers of [`Linear::forward_into`] and
+/// [`Linear::backward_into`]: the quantized kernels' activation scratch and
+/// the parameter-gradient staging tensors. One instance can be shared across
+/// every layer of a model — each call resizes the buffers it touches, and
+/// capacity is retained between batches, so steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct LinearScratch {
     /// Activation quantization scratch for the int8 GEMM.
     pub q8: QGemmScratch,
     /// Row-decode scratch for the fp16 GEMM.
     pub f16: F16GemmScratch,
+    grad_w: Tensor,
+    grad_b: Tensor,
 }
 
 /// Reduced-precision weight sidecar for the serving forward pass: the layer's
@@ -60,7 +62,6 @@ pub struct Linear {
     bias: Parameter,
     in_features: usize,
     out_features: usize,
-    cached_input: Option<Tensor>,
     /// Serving-only quantized weight sidecar; serializes as a precision
     /// marker only (snapshots carry f32 weights and re-quantize on load).
     quantized: Option<QuantWeight>,
@@ -75,7 +76,6 @@ impl Linear {
             bias: Parameter::new(Tensor::zeros(&[out_features])),
             in_features,
             out_features,
-            cached_input: None,
             quantized: None,
         }
     }
@@ -98,84 +98,53 @@ impl Linear {
         2 * self.in_features as u64 * self.out_features as u64
     }
 
-    /// Forward pass; caches the input for the backward pass.
+    /// Forward pass into a caller-owned output: `y = x W + b`, with `relu`
+    /// applying `max(y, 0)` in the GEMM writeback (f32 path) or in place after
+    /// the quantized GEMM. No allocation once the scratch and `out` capacities
+    /// have grown to the batch shape.
     ///
-    /// Runs the fused [`Tensor::matmul_bias`] kernel: the bias broadcast is folded
-    /// into the GEMM output initialization instead of a per-element fix-up pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if `input` is not `[batch, in_features]`.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let out = match &self.quantized {
-            None => input.matmul_bias(&self.weight.value, &self.bias.value)?,
-            Some(_) => self.forward_quantized(input)?,
-        };
-        self.cached_input = Some(input.clone());
-        Ok(out)
-    }
-
-    /// Inference forward into a caller-owned output — no input caching, no
-    /// allocation once the scratch and `out` capacities have grown to the batch
-    /// shape.
-    ///
-    /// With `relu`, the activation is fused into the GEMM writeback (f32 path)
-    /// or applied in place after the quantized GEMM. The fused epilogue maps
-    /// `NaN` and `-0.0` to `+0.0`, exactly like the separate
-    /// [`crate::activation::relu`] pass on every representable pre-activation
-    /// except the sign of zero (where the two compare equal anyway).
+    /// The fused epilogue maps `NaN` and `-0.0` to `+0.0`, so the saved output
+    /// alone gives the ReLU mask for the backward pass: `y > 0` iff the
+    /// pre-activation was `> 0`.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if `input` is not `[batch, in_features]`.
-    pub fn forward_infer_into(
+    pub fn forward_into(
         &self,
         input: &Tensor,
         relu: bool,
         out: &mut Tensor,
         scratch: &mut LinearScratch,
     ) -> Result<(), TensorError> {
-        match &self.quantized {
-            None => input.matmul_bias_act_into(&self.weight.value, &self.bias.value, relu, out),
-            Some(q) => {
-                if input.rank() != 2 || input.shape()[1] != self.in_features {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "linear_forward_quantized",
-                        lhs: input.shape().to_vec(),
-                        rhs: vec![self.in_features, self.out_features],
-                    });
-                }
-                let batch = input.shape()[0];
-                let (m, k, n) = (batch, self.in_features, self.out_features);
-                out.reset_to_shape(&[m, n]);
-                let data = out.data_mut();
-                for row in data.chunks_exact_mut(n) {
-                    row.copy_from_slice(self.bias.value.data());
-                }
-                match q {
-                    QuantWeight::Int8(w) => {
-                        gemm_a_bt_q8_with(input.data(), w, data, m, k, &mut scratch.q8);
-                    }
-                    QuantWeight::Fp16(w) => {
-                        gemm_a_bt_f16_with(input.data(), w, data, m, k, &mut scratch.f16);
-                    }
-                }
-                if relu {
-                    for v in data.iter_mut() {
-                        *v = if *v > 0.0 { *v } else { 0.0 };
-                    }
-                }
-                Ok(())
+        let Some(q) = &self.quantized else {
+            return input.matmul_bias_act_into(&self.weight.value, &self.bias.value, relu, out);
+        };
+        if input.rank() != 2 || input.shape()[1] != self.in_features {
+            return Err(TensorError::ShapeMismatch {
+                op: "linear_forward_quantized",
+                lhs: input.shape().to_vec(),
+                rhs: vec![self.in_features, self.out_features],
+            });
+        }
+        let (m, k, n) = (input.shape()[0], self.in_features, self.out_features);
+        out.reset_to_shape(&[m, n]);
+        let data = out.data_mut();
+        for row in data.chunks_exact_mut(n) {
+            row.copy_from_slice(self.bias.value.data());
+        }
+        match q {
+            QuantWeight::Int8(w) => gemm_a_bt_q8_with(input.data(), w, data, m, k, &mut scratch.q8),
+            QuantWeight::Fp16(w) => {
+                gemm_a_bt_f16_with(input.data(), w, data, m, k, &mut scratch.f16);
             }
         }
-    }
-
-    /// Allocating twin of the quantized [`Linear::forward_infer_into`] arm (no
-    /// ReLU), so bias broadcast + packed GEMM exist once.
-    fn forward_quantized(&self, input: &Tensor) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::default();
-        self.forward_infer_into(input, false, &mut out, &mut LinearScratch::default())?;
-        Ok(out)
+        if relu {
+            for v in data.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+        Ok(())
     }
 
     /// Selects the forward-pass weight precision: packs the f32 weight into an
@@ -209,46 +178,55 @@ impl Linear {
         }
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dx`.
+    /// Backward pass over the `input` a [`Linear::forward_into`] call read:
+    /// accumulates `dW`, `db` into the parameters and writes `dx` into
+    /// `grad_input`. A ReLU'd forward's mask is the caller's to apply to
+    /// `grad_output` first.
     ///
-    /// Both matrix products run on the fused transpose-free kernels
-    /// ([`Tensor::matmul_at_b`] for `dW = xᵀ·dy`, [`Tensor::matmul_a_bt`] for
-    /// `dx = dy·Wᵀ`), so no transposed copy of the input or the weights is allocated.
+    /// Both matrix products run on the transpose-free kernels (`dW = xᵀ·dy`,
+    /// `dx = dy·Wᵀ`). `dW` and `db` are formed in zeroed scratch and then
+    /// added to the gradients, so accumulation across micro-batches rounds
+    /// exactly like one `grad + (0 + xᵀdy)` per call.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] if `grad_output` has the wrong shape.
+    /// Returns a [`TensorError`] if `grad_output` is not `[batch, out_features]`.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Linear::forward`].
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward called before forward");
+    /// Panics if `input` is not a `[batch, in_features]` activation record,
+    /// i.e. no forward filled it.
+    pub fn backward_into(
+        &mut self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+        scratch: &mut LinearScratch,
+    ) -> Result<(), TensorError> {
+        assert!(
+            input.rank() == 2 && input.shape()[1] == self.in_features,
+            "Linear::backward_into called before forward: no [batch, {}] input record",
+            self.in_features
+        );
         let cols = self.out_features;
-        if grad_output.rank() != 2 || grad_output.shape()[1] != cols {
+        if grad_output.shape() != [input.shape()[0], cols] {
             return Err(TensorError::ShapeMismatch {
                 op: "linear_backward",
                 lhs: grad_output.shape().to_vec(),
                 rhs: vec![input.shape()[0], cols],
             });
         }
-        // dW = x^T dy, without materializing x^T.
-        let grad_w = input.matmul_at_b(grad_output)?;
-        self.weight.accumulate_grad(&grad_w);
+        input.matmul_at_b_into(grad_output, &mut scratch.grad_w)?;
+        self.weight.accumulate_grad(&scratch.grad_w);
         // db = column sums of dy, accumulated slice-wise over the batch rows.
-        let mut grad_b = vec![0.0f32; cols];
+        scratch.grad_b.reset_to_shape(&[cols]);
         for row in grad_output.data().chunks_exact(cols) {
-            for (gb, &g) in grad_b.iter_mut().zip(row) {
+            for (gb, &g) in scratch.grad_b.data_mut().iter_mut().zip(row) {
                 *gb += g;
             }
         }
-        self.bias
-            .accumulate_grad(&Tensor::from_vec(vec![cols], grad_b)?);
-        // dx = dy W^T, without materializing W^T.
-        grad_output.matmul_a_bt(&self.weight.value)
+        self.bias.accumulate_grad(&scratch.grad_b);
+        grad_output.matmul_a_bt_into(&self.weight.value, grad_input)
     }
 
     /// Immutable access to the weight matrix (e.g. for probing feature similarity).
@@ -275,13 +253,25 @@ mod tests {
         Linear::new(&mut StdRng::seed_from_u64(42), in_f, out_f)
     }
 
+    fn forward(l: &Linear, x: &Tensor) -> Result<Tensor, TensorError> {
+        let mut y = Tensor::default();
+        l.forward_into(x, false, &mut y, &mut LinearScratch::default())?;
+        Ok(y)
+    }
+
+    fn backward(l: &mut Linear, x: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
+        let mut dx = Tensor::default();
+        l.backward_into(x, grad, &mut dx, &mut LinearScratch::default())?;
+        Ok(dx)
+    }
+
     #[test]
     fn forward_shape_and_bias() {
         let mut l = layer(3, 2);
         // Zero weights isolate the bias path.
         l.weight.value = Tensor::zeros(&[3, 2]);
         l.bias.value = Tensor::from_vec(vec![2], vec![1.0, -1.0]).unwrap();
-        let y = l.forward(&Tensor::ones(&[4, 3])).unwrap();
+        let y = forward(&l, &Tensor::ones(&[4, 3])).unwrap();
         assert_eq!(y.shape(), &[4, 2]);
         assert_eq!(y.at(0, 0), 1.0);
         assert_eq!(y.at(3, 1), -1.0);
@@ -289,8 +279,8 @@ mod tests {
 
     #[test]
     fn forward_rejects_wrong_width() {
-        let mut l = layer(3, 2);
-        assert!(l.forward(&Tensor::ones(&[4, 5])).is_err());
+        let l = layer(3, 2);
+        assert!(forward(&l, &Tensor::ones(&[4, 5])).is_err());
     }
 
     #[test]
@@ -299,9 +289,8 @@ mod tests {
         let x =
             Tensor::from_vec(vec![2, 4], (0..8).map(|i| i as f32 * 0.1 - 0.4).collect()).unwrap();
         // Loss = sum(y).
-        let y = l.forward(&x).unwrap();
-        let grad_out = Tensor::ones(y.shape());
-        let dx = l.backward(&grad_out).unwrap();
+        let y = forward(&l, &x).unwrap();
+        let dx = backward(&mut l, &x, &Tensor::ones(y.shape())).unwrap();
 
         let eps = 1e-3f32;
         // Check dL/dx numerically for a few coordinates.
@@ -310,9 +299,9 @@ mod tests {
             x_plus.set(r, c, x.at(r, c) + eps);
             let mut x_minus = x.clone();
             x_minus.set(r, c, x.at(r, c) - eps);
-            let mut l2 = layer(4, 3);
-            let y_plus = l2.forward(&x_plus).unwrap().sum();
-            let y_minus = l2.forward(&x_minus).unwrap().sum();
+            let l2 = layer(4, 3);
+            let y_plus = forward(&l2, &x_plus).unwrap().sum();
+            let y_minus = forward(&l2, &x_minus).unwrap().sum();
             let numeric = (y_plus - y_minus) / (2.0 * eps);
             assert!(
                 (numeric - dx.at(r, c)).abs() < 1e-2,
@@ -329,8 +318,8 @@ mod tests {
         let mut l = layer(2, 2);
         let x = Tensor::ones(&[1, 2]);
         for _ in 0..2 {
-            let y = l.forward(&x).unwrap();
-            l.backward(&Tensor::ones(y.shape())).unwrap();
+            let y = forward(&l, &x).unwrap();
+            backward(&mut l, &x, &Tensor::ones(y.shape())).unwrap();
         }
         // dW for loss=sum(y) with x=1 is 1 per call, accumulated twice.
         assert!(l.weight.grad.data().iter().all(|&g| (g - 2.0).abs() < 1e-6));
@@ -345,11 +334,12 @@ mod tests {
         assert_eq!(l.flops_per_sample(), 70);
     }
 
+    /// A default (never filled) tensor is not an activation record.
     #[test]
     #[should_panic(expected = "before forward")]
     fn backward_before_forward_panics() {
         let mut l = layer(2, 2);
-        let _ = l.backward(&Tensor::ones(&[1, 2]));
+        let _ = backward(&mut l, &Tensor::default(), &Tensor::ones(&[1, 2]));
     }
 
     #[test]
@@ -360,11 +350,11 @@ mod tests {
             (0..72).map(|i| (i as f32 * 0.37).sin()).collect(),
         )
         .unwrap();
-        let reference = l.forward(&x).unwrap();
+        let reference = forward(&l, &x).unwrap();
         for (precision, tol) in [(Precision::Fp16, 2e-2f32), (Precision::Int8, 0.3)] {
             l.quantize_weights(precision);
             assert_eq!(l.weight_precision(), precision);
-            let y = l.forward(&x).unwrap();
+            let y = forward(&l, &x).unwrap();
             assert_eq!(y.shape(), reference.shape());
             for (a, b) in y.data().iter().zip(reference.data()) {
                 assert!((a - b).abs() <= tol, "{precision}: {a} vs {b}");
@@ -372,7 +362,7 @@ mod tests {
         }
         // Returning to f32 restores the exact fused kernel.
         l.quantize_weights(Precision::F32);
-        let back = l.forward(&x).unwrap();
+        let back = forward(&l, &x).unwrap();
         for (a, b) in back.data().iter().zip(reference.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -382,10 +372,11 @@ mod tests {
     fn quantized_forward_validates_shapes_and_keeps_backward_alive() {
         let mut l = layer(3, 2);
         l.quantize_weights(Precision::Int8);
-        assert!(l.forward(&Tensor::ones(&[4, 5])).is_err());
+        assert!(forward(&l, &Tensor::ones(&[4, 5])).is_err());
         // The f32 master weight still drives backward (training never
-        // quantizes, but the cached-input contract must hold regardless).
-        let y = l.forward(&Tensor::ones(&[1, 3])).unwrap();
-        assert!(l.backward(&Tensor::ones(y.shape())).is_ok());
+        // quantizes, but the activation-record contract must hold regardless).
+        let x = Tensor::ones(&[1, 3]);
+        let y = forward(&l, &x).unwrap();
+        assert!(backward(&mut l, &x, &Tensor::ones(y.shape())).is_ok());
     }
 }

@@ -1,22 +1,20 @@
 //! Multi-layer perceptron with ReLU activations.
 
-use crate::activation::{relu, relu_backward};
 use crate::linear::{Linear, LinearScratch};
 use crate::param::{HasParameters, Parameter};
 use dmt_tensor::{Tensor, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Reusable activation buffers for [`Mlp::forward_infer_into`]: two ping-pong
-/// tensors for the hidden activations plus the shared quantized-kernel scratch.
-/// Capacity is retained between batches, so steady-state serving performs no
-/// heap allocation here.
+/// What an [`Mlp::forward_into`] leaves behind for the matching
+/// [`Mlp::backward_into`] — every hidden layer's post-ReLU output — plus the
+/// backward pass's gradient buffers and the shared kernel scratch. Capacity
+/// is retained between batches, so steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct MlpScratch {
-    ping: Tensor,
-    pong: Tensor,
-    /// Quantized-GEMM scratch, shared across every layer.
-    pub linear: LinearScratch,
+    hidden: Vec<Tensor>,
+    grads: [Tensor; 2],
+    linear: LinearScratch,
 }
 
 /// A stack of [`Linear`] layers with ReLU between them.
@@ -26,8 +24,6 @@ pub struct MlpScratch {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// Pre-activation outputs cached per layer for the ReLU backward pass.
-    cached_pre_activations: Vec<Tensor>,
 }
 
 impl Mlp {
@@ -47,10 +43,7 @@ impl Mlp {
             .windows(2)
             .map(|pair| Linear::new(rng, pair[0], pair[1]))
             .collect();
-        Self {
-            layers,
-            cached_pre_activations: Vec::new(),
-        }
+        Self { layers }
     }
 
     /// Input width.
@@ -88,59 +81,35 @@ impl Mlp {
         }
     }
 
-    /// Forward pass with ReLU after every layer except the last.
+    /// Forward pass with ReLU after every layer except the last, into a
+    /// caller-owned output. The ReLU is fused into each hidden layer's GEMM
+    /// writeback, and each hidden output stays in `scratch` as the record
+    /// [`Mlp::backward_into`] reads. No allocation once `scratch` and `out`
+    /// have grown to the batch's working-set size.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if the input width does not match.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, TensorError> {
-        self.cached_pre_activations.clear();
-        let mut x = input.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let pre = layer.forward(&x)?;
-            if i < last {
-                x = relu(&pre);
-                // Move (not clone) the pre-activation into the backward cache.
-                self.cached_pre_activations.push(pre);
-            } else {
-                x = pre;
-            }
-        }
-        Ok(x)
-    }
-
-    /// Inference-only forward pass into a caller-owned output buffer.
-    ///
-    /// Numerically identical to [`Mlp::forward`] (same per-layer kernels, and
-    /// the fused ReLU agrees bit-for-bit with [`relu`] on every finite
-    /// pre-activation as well as NaN — see
-    /// [`Linear::forward_infer_into`]) but caches nothing and allocates
-    /// nothing once `scratch` and `out` have grown to the batch's working-set
-    /// size: hidden activations ping-pong between the two scratch tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if the input width does not match.
-    pub fn forward_infer_into(
+    pub fn forward_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
         scratch: &mut MlpScratch,
     ) -> Result<(), TensorError> {
-        let MlpScratch { ping, pong, linear } = scratch;
-        let (mut a, mut b): (&mut Tensor, &mut Tensor) = (ping, pong);
         let last = self.layers.len() - 1;
+        scratch.hidden.resize_with(last, Tensor::default);
         for (i, layer) in self.layers.iter().enumerate() {
-            let src: &Tensor = if i == 0 { input } else { &*a };
-            let dst: &mut Tensor = if i == last { &mut *out } else { &mut *b };
-            layer.forward_infer_into(src, i < last, dst, linear)?;
-            std::mem::swap(&mut a, &mut b);
+            let (done, rest) = scratch.hidden.split_at_mut(i);
+            let src = done.last().unwrap_or(input);
+            let dst = rest.first_mut().unwrap_or(&mut *out);
+            layer.forward_into(src, i < last, dst, &mut scratch.linear)?;
         }
         Ok(())
     }
 
-    /// Backward pass; returns the gradient with respect to the MLP input.
+    /// Backward pass over the record of the last [`Mlp::forward_into`] of
+    /// `input` into `scratch`: accumulates every layer's parameter gradients
+    /// and writes the gradient with respect to `input` into `grad_input`.
     ///
     /// # Errors
     ///
@@ -148,18 +117,44 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Mlp::forward`].
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, TensorError> {
+    /// Panics if `scratch` holds no record of a forward over this MLP.
+    pub fn backward_into(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut MlpScratch,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) -> Result<(), TensorError> {
         let last = self.layers.len() - 1;
-        let mut grad = grad_output.clone();
-        for i in (0..self.layers.len()).rev() {
-            if i < last {
-                let pre = &self.cached_pre_activations[i];
-                grad = relu_backward(pre, &grad);
-            }
-            grad = self.layers[i].backward(&grad)?;
+        assert_eq!(
+            scratch.hidden.len(),
+            last,
+            "Mlp::backward_into called before forward"
+        );
+        let MlpScratch {
+            hidden,
+            grads: [a, b],
+            linear,
+        } = scratch;
+        // `grad` holds the gradient flowing into layer `i`'s output; `next`
+        // receives layer `i`'s input gradient.
+        let (mut grad, mut next): (&mut Tensor, &mut Tensor) = (a, b);
+        for i in (0..=last).rev() {
+            let dy: &Tensor = if i == last {
+                grad_output
+            } else {
+                // ReLU backward from the saved post-activation.
+                for (g, &y) in grad.data_mut().iter_mut().zip(hidden[i].data()) {
+                    *g = if y > 0.0 { *g } else { 0.0 };
+                }
+                grad
+            };
+            let x = if i == 0 { input } else { &hidden[i - 1] };
+            let dx = if i == 0 { &mut *grad_input } else { &mut *next };
+            self.layers[i].backward_into(x, dy, dx, linear)?;
+            std::mem::swap(&mut grad, &mut next);
         }
-        Ok(grad)
+        Ok(())
     }
 }
 
@@ -181,13 +176,25 @@ mod tests {
         Mlp::new(&mut StdRng::seed_from_u64(3), sizes)
     }
 
+    fn forward(m: &Mlp, x: &Tensor, scratch: &mut MlpScratch) -> Tensor {
+        let mut y = Tensor::default();
+        m.forward_into(x, &mut y, scratch).unwrap();
+        y
+    }
+
+    fn backward(m: &mut Mlp, x: &Tensor, scratch: &mut MlpScratch, grad: &Tensor) -> Tensor {
+        let mut dx = Tensor::default();
+        m.backward_into(x, scratch, grad, &mut dx).unwrap();
+        dx
+    }
+
     #[test]
     fn forward_shapes() {
-        let mut m = mlp(&[8, 16, 4]);
+        let m = mlp(&[8, 16, 4]);
         assert_eq!(m.depth(), 2);
         assert_eq!(m.in_features(), 8);
         assert_eq!(m.out_features(), 4);
-        let y = m.forward(&Tensor::ones(&[5, 8])).unwrap();
+        let y = forward(&m, &Tensor::ones(&[5, 8]), &mut MlpScratch::default());
         assert_eq!(y.shape(), &[5, 4]);
     }
 
@@ -203,18 +210,18 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 3], vec![0.1, -0.2, 0.3, 0.5, -0.1, 0.2]).unwrap();
 
         let mut m = mlp(&sizes);
-        let y = m.forward(&x).unwrap();
-        let dx = m.backward(&Tensor::ones(y.shape())).unwrap();
+        let mut scratch = MlpScratch::default();
+        let y = forward(&m, &x, &mut scratch);
+        let dx = backward(&mut m, &x, &mut scratch, &Tensor::ones(y.shape()));
 
         let eps = 1e-3f32;
+        let sum_at = |x: &Tensor| forward(&mlp(&sizes), x, &mut MlpScratch::default()).sum();
         for &(r, c) in &[(0usize, 0usize), (1, 2)] {
             let mut x_plus = x.clone();
             x_plus.set(r, c, x.at(r, c) + eps);
             let mut x_minus = x.clone();
             x_minus.set(r, c, x.at(r, c) - eps);
-            let plus = mlp(&sizes).forward(&x_plus).unwrap().sum();
-            let minus = mlp(&sizes).forward(&x_minus).unwrap().sum();
-            let numeric = (plus - minus) / (2.0 * eps);
+            let numeric = (sum_at(&x_plus) - sum_at(&x_minus)) / (2.0 * eps);
             assert!(
                 (numeric - dx.at(r, c)).abs() < 2e-2,
                 "dx[{r},{c}] analytic {} vs numeric {numeric}",
@@ -229,10 +236,10 @@ mod tests {
         // Learn y = x0 + x1 with a tiny MLP and squared loss.
         let mut m = mlp(&[2, 8, 1]);
         let mut sgd = SgdOptimizer::new(0.05);
+        let mut scratch = MlpScratch::default();
         let x = Tensor::from_vec(vec![4, 2], vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]).unwrap();
         let target = [0.0f32, 1.0, 1.0, 2.0];
-        let loss_at = |m: &mut Mlp| -> f32 {
-            let y = m.forward(&x).unwrap();
+        let loss_of = |y: &Tensor| -> f32 {
             y.data()
                 .iter()
                 .zip(&target)
@@ -240,37 +247,54 @@ mod tests {
                 .sum::<f32>()
                 / 4.0
         };
-        let initial = loss_at(&mut m);
+        let initial = loss_of(&forward(&m, &x, &mut scratch));
         for _ in 0..200 {
             m.zero_grad();
-            let y = m.forward(&x).unwrap();
+            let y = forward(&m, &x, &mut scratch);
             let grad: Vec<f32> = y
                 .data()
                 .iter()
                 .zip(&target)
                 .map(|(p, t)| 2.0 * (p - t) / 4.0)
                 .collect();
-            m.backward(&Tensor::from_vec(vec![4, 1], grad).unwrap())
-                .unwrap();
+            backward(
+                &mut m,
+                &x,
+                &mut scratch,
+                &Tensor::from_vec(vec![4, 1], grad).unwrap(),
+            );
             sgd.step(&mut m);
         }
-        let trained = loss_at(&mut m);
+        let trained = loss_of(&forward(&m, &x, &mut scratch));
         assert!(trained < initial * 0.2, "loss {initial} -> {trained}");
     }
 
+    /// The fused-ReLU forward equals the layer-by-layer composition with a
+    /// separate [`crate::activation::relu`] pass, bit for bit, also when the
+    /// scratch was grown by a different batch first.
     #[test]
     fn forward_infer_into_is_bit_identical_to_forward() {
-        let mut m = mlp(&[6, 9, 7, 3]);
+        let m = mlp(&[6, 9, 7, 3]);
         let mut rng = StdRng::seed_from_u64(11);
         let data: Vec<f32> = (0..5 * 6).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let x = Tensor::from_vec(vec![5, 6], data).unwrap();
-        let y = m.forward(&x).unwrap();
+        let mut y = x.clone();
+        for (i, layer) in m.layers.iter().enumerate() {
+            let mut pre = Tensor::default();
+            layer
+                .forward_into(&y, false, &mut pre, &mut LinearScratch::default())
+                .unwrap();
+            y = if i + 1 < m.depth() {
+                crate::activation::relu(&pre)
+            } else {
+                pre
+            };
+        }
 
-        let mut out = Tensor::default();
         let mut scratch = MlpScratch::default();
-        // Run twice: the second pass must reuse the grown buffers and still match.
+        forward(&m, &Tensor::ones(&[9, 6]), &mut scratch);
         for _ in 0..2 {
-            m.forward_infer_into(&x, &mut out, &mut scratch).unwrap();
+            let out = forward(&m, &x, &mut scratch);
             assert_eq!(out.shape(), y.shape());
             for (a, b) in out.data().iter().zip(y.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());

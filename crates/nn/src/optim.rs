@@ -107,18 +107,21 @@ impl Optimizer for AdamOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::Linear;
+    use crate::linear::{Linear, LinearScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn quadratic_loss_step(layer: &mut Linear) -> f32 {
         // Minimize || y ||^2 for input of ones: drives weights and bias toward zero.
         layer.zero_grad();
-        let x = Tensor::ones(&[4, 3]);
-        let y = layer.forward(&x).unwrap();
+        let (x, mut y, mut dx) = (Tensor::ones(&[4, 3]), Tensor::default(), Tensor::default());
+        let mut scratch = LinearScratch::default();
+        layer.forward_into(&x, false, &mut y, &mut scratch).unwrap();
         let loss: f32 = y.data().iter().map(|v| v * v).sum();
         let grad = y.scale(2.0);
-        layer.backward(&grad).unwrap();
+        layer
+            .backward_into(&x, &grad, &mut dx, &mut scratch)
+            .unwrap();
         loss
     }
 

@@ -46,9 +46,9 @@ impl Parameter {
         self.value.is_empty()
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero, in place.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape());
+        self.grad.data_mut().fill(0.0);
     }
 
     /// Adds `grad` into the accumulated gradient.

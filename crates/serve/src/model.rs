@@ -29,7 +29,7 @@ use dmt_comm::{
     SharedMemoryBackend,
 };
 use dmt_core::tower::TowerModule;
-use dmt_core::DlrmTowerModule;
+use dmt_core::{DlrmTowerModule, DlrmTowerScratch};
 use dmt_data::Query;
 use dmt_tensor::{Precision, Tensor};
 use dmt_topology::{ClusterTopology, Rank};
@@ -123,10 +123,14 @@ impl DenseModel {
     }
 }
 
-/// A DMT rank's share of the tower layer: its host's tower module and the
-/// layout of the peer exchange around it.
+/// A DMT rank's share of the tower layer: its host's tower module, the
+/// buffers its forward reuses across batches, and the layout of the peer
+/// exchange around it.
 struct Tower {
     module: DlrmTowerModule,
+    input: Tensor,
+    output: Tensor,
+    scratch: DlrmTowerScratch,
     /// Sorted feature group of every tower (tower `t` lives on host `t`).
     groups: Vec<Vec<usize>>,
     /// Compressed output width of every tower.
@@ -191,6 +195,9 @@ pub(crate) fn load_rank(
             module.quantize_weights(config.precision);
             let tower = Tower {
                 module,
+                input: Tensor::default(),
+                output: Tensor::default(),
+                scratch: DlrmTowerScratch::default(),
                 widths: model::tower_widths(&groups, c, p, d),
                 host,
                 peer_ranks: (0..cluster.num_hosts())
@@ -370,17 +377,18 @@ impl RankModel {
         let tower_bags =
             model::decode_tower_streams(&incoming, tower.groups[tower.host].len(), &src_counts);
         // Step 2: intra-host sharded lookup.
-        let mut tower_input = Tensor::default();
         link.fetcher(&self.answerer, &mut self.cache, totals)
-            .pooled(&tower_bags, &mut tower_input)?;
+            .pooled(&tower_bags, &mut tower.input)?;
         // Step 3: tower forward over the combined tower batch, sliced back
         // per source host.
         let width = tower.widths[tower.host];
-        let out_sends: Vec<Vec<f32>> = if tower_input.shape()[0] == 0 {
+        let out_sends: Vec<Vec<f32>> = if tower.input.shape()[0] == 0 {
             vec![Vec::new(); src_counts.len()]
         } else {
-            let tower_out = tower.module.forward(&tower_input)?;
-            let mut rest = tower_out.data();
+            tower
+                .module
+                .forward_into(&tower.input, &mut tower.output, &mut tower.scratch)?;
+            let mut rest = tower.output.data();
             src_counts
                 .iter()
                 .map(|&b| {
@@ -485,14 +493,9 @@ impl Fetcher<'_> {
                 }
             }
         }
-        let lookup = self.answerer.primary();
-        if bags.first().is_none_or(|per_sample| per_sample.is_empty()) {
-            out.reset_to_shape(&[0, lookup.features().len() * lookup.dim()]);
-            return Ok(());
-        }
-        let embs = lookup.pool(&bags, &routing, &fetched)?;
-        let refs: Vec<&Tensor> = embs.iter().collect();
-        Tensor::concat_cols_into(&refs, out)?;
+        self.answerer
+            .primary()
+            .pool_into(&bags, &routing, &fetched, out)?;
         Ok(())
     }
 

@@ -76,8 +76,10 @@ fn samples_per_band(batch: usize, pairs: usize, d: usize) -> usize {
     batch.div_ceil(rayon::current_num_threads())
 }
 
-/// Reusable per-caller buffer for [`pairwise_dots`]: one sample's transposed
-/// panel. Capacity is retained, so steady-state calls do not allocate.
+/// Reusable per-caller buffer: one sample's transposed panel in
+/// [`pairwise_dots`], one sample's symmetric gradient matrix in
+/// [`pairwise_dots_backward`]. Capacity is retained, so steady-state calls do
+/// not allocate.
 #[derive(Debug, Default, Clone)]
 pub struct PairwiseScratch {
     panel: Vec<f32>,
@@ -205,6 +207,7 @@ pub fn pairwise_dots_backward(
     f: usize,
     d: usize,
     grad_in: &mut [f32],
+    scratch: &mut PairwiseScratch,
 ) {
     let (batch, pairs) = batch_of(x.len(), grad_out.len(), f, d);
     let band = samples_per_band(batch, pairs, d);
@@ -216,10 +219,18 @@ pub fn pairwise_dots_backward(
             .for_each(|(c, grad_band)| {
                 let x_band = &x[c * band * f * d..][..grad_band.len()];
                 let gout_band = &grad_out[c * band * pairs..][..grad_band.len() / (f * d) * pairs];
-                backward_on(f32_tier(), x_band, gout_band, f, d, grad_band);
+                backward_on(
+                    f32_tier(),
+                    x_band,
+                    gout_band,
+                    f,
+                    d,
+                    grad_band,
+                    &mut Vec::new(),
+                );
             });
     } else {
-        backward_on(f32_tier(), x, grad_out, f, d, grad_in);
+        backward_on(f32_tier(), x, grad_out, f, d, grad_in, &mut scratch.panel);
     }
 }
 
@@ -236,7 +247,15 @@ pub fn pairwise_dots_backward_scalar(
     d: usize,
     grad_in: &mut [f32],
 ) {
-    backward_on(SimdTier::Scalar, x, grad_out, f, d, grad_in);
+    backward_on(
+        SimdTier::Scalar,
+        x,
+        grad_out,
+        f,
+        d,
+        grad_in,
+        &mut Vec::new(),
+    );
 }
 
 fn backward_on(
@@ -246,6 +265,7 @@ fn backward_on(
     f: usize,
     d: usize,
     grad_in: &mut [f32],
+    g: &mut Vec<f32>,
 ) {
     let (batch, pairs) = batch_of(x.len(), grad_out.len(), f, d);
     assert_eq!(grad_in.len(), x.len(), "pairwise: gradient buffer length");
@@ -253,9 +273,9 @@ fn backward_on(
         // SAFETY: as in `forward_on` — the tier's features were detected, and
         // all three buffers hold `batch` whole samples.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if batch > 0 => unsafe { avx512::backward(x, grad_out, f, d, grad_in) },
+        SimdTier::Avx512 if batch > 0 => unsafe { avx512::backward(x, grad_out, f, d, grad_in, g) },
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 if batch > 0 => unsafe { avx2::backward(x, grad_out, f, d, grad_in) },
+        SimdTier::Avx2 if batch > 0 => unsafe { avx2::backward(x, grad_out, f, d, grad_in, g) },
         _ => {
             for b in 0..batch {
                 let row = &x[b * f * d..(b + 1) * f * d];
@@ -535,24 +555,26 @@ macro_rules! pairwise_isa {
                 f: usize,
                 d: usize,
                 grad_in: &mut [f32],
+                g: &mut Vec<f32>,
             ) {
                 let pairs = f * (f - 1) / 2;
                 // The zero diagonal turns the tiles' zero-skip into `m != i`.
-                let mut g = vec![0.0f32; f * f];
+                g.clear();
+                g.resize(f * f, 0.0);
                 for (b, gout) in grad_out.chunks_exact(pairs).enumerate() {
                     let row = &x[b * f * d..(b + 1) * f * d];
                     let grad_row = &mut grad_in[b * f * d..(b + 1) * f * d];
-                    spread_symmetric(gout, f, &mut g);
+                    spread_symmetric(gout, f, g);
                     let mut i0 = 0;
                     while i0 < f {
                         let rows = (f - i0).min(4);
                         for t0 in (0..d).step_by(LANES) {
                             let w = (d - t0).min(LANES);
                             match rows {
-                                4 => grad_tile::<4>(row, &g, grad_row, i0, t0, w, f, d),
-                                3 => grad_tile::<3>(row, &g, grad_row, i0, t0, w, f, d),
-                                2 => grad_tile::<2>(row, &g, grad_row, i0, t0, w, f, d),
-                                _ => grad_tile::<1>(row, &g, grad_row, i0, t0, w, f, d),
+                                4 => grad_tile::<4>(row, g, grad_row, i0, t0, w, f, d),
+                                3 => grad_tile::<3>(row, g, grad_row, i0, t0, w, f, d),
+                                2 => grad_tile::<2>(row, g, grad_row, i0, t0, w, f, d),
+                                _ => grad_tile::<1>(row, g, grad_row, i0, t0, w, f, d),
                             }
                         }
                         i0 += rows;
@@ -665,7 +687,8 @@ mod tests {
     }
 
     /// Runs forward and backward on every host tier against the scalar
-    /// oracle; `scratch` is shared across calls to catch stale panel padding.
+    /// oracle; `scratch` is shared across calls, and between the forward's
+    /// panel and the backward's gradient matrix, to catch stale contents.
     fn check_all_tiers(
         batch: usize,
         f: usize,
@@ -689,7 +712,7 @@ mod tests {
                 return Err(format!("forward {tier:?} at {batch}x{f}x{d}"));
             }
             let mut got_grad = vec![0.0f32; x.len()];
-            backward_on(tier, &x, &gout, f, d, &mut got_grad);
+            backward_on(tier, &x, &gout, f, d, &mut got_grad, &mut scratch.panel);
             if bits(&got_grad) != bits(&want_grad) {
                 return Err(format!("backward {tier:?} at {batch}x{f}x{d}"));
             }
@@ -776,7 +799,7 @@ mod tests {
             let gout = [zero, 2.0, 3.0];
             for tier in host_tiers() {
                 let mut grad = vec![0.0f32; f * d];
-                backward_on(tier, &x, &gout, f, d, &mut grad);
+                backward_on(tier, &x, &gout, f, d, &mut grad, &mut Vec::new());
                 assert!(grad[..d].iter().all(|v| *v == 2.0), "{tier:?} row 0");
                 assert!(grad[d..2 * d].iter().all(|v| *v == 3.0), "{tier:?} row 1");
                 assert!(grad[2 * d..].iter().all(|v| v.is_nan()), "{tier:?} row 2");
@@ -798,7 +821,7 @@ mod tests {
         pairwise_dots_scalar(&x, f, d, &mut want);
         assert_eq!(bits(&got), bits(&want));
         let (mut got, mut want) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
-        pairwise_dots_backward(&x, &gout, f, d, &mut got);
+        pairwise_dots_backward(&x, &gout, f, d, &mut got, &mut PairwiseScratch::default());
         pairwise_dots_backward_scalar(&x, &gout, f, d, &mut want);
         assert_eq!(bits(&got), bits(&want));
     }

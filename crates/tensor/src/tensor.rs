@@ -82,8 +82,8 @@ pub struct Tensor {
     data: Vec<f32>,
 }
 
-/// `clone_from` reuses the destination's buffers, so a layer that keeps its
-/// input for the backward pass copies into last step's allocation.
+/// `clone_from` reuses the destination's buffers, so a caller-owned buffer
+/// refilled every step copies into last step's allocation.
 impl Clone for Tensor {
     fn clone(&self) -> Self {
         Self {
@@ -212,6 +212,25 @@ impl Tensor {
     /// the number of elements.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self, TensorError> {
         Self::from_vec(shape.to_vec(), self.data.clone())
+    }
+
+    /// Gives the data a new shape with the same element count, in place (no
+    /// copy, and no allocation for shapes of rank ≤ the current rank).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeDataMismatch`] if the new shape does not
+    /// preserve the number of elements.
+    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<(), TensorError> {
+        if shape.iter().product::<usize>() != self.data.len() {
+            return Err(TensorError::ShapeDataMismatch {
+                shape: shape.to_vec(),
+                data_len: self.data.len(),
+            });
+        }
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        Ok(())
     }
 
     /// Element at a 2-D position. Only valid for rank-2 tensors.
@@ -509,6 +528,18 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] for non-matrices and
     /// [`TensorError::ShapeMismatch`] if the row counts disagree.
     pub fn matmul_at_b(&self, other: &Self) -> Result<Self, TensorError> {
+        let mut out = Self::default();
+        self.matmul_at_b_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::matmul_at_b`] into a caller-owned tensor, reshaped and
+    /// zero-filled first (allocation-free once its capacity has grown).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Tensor::matmul_at_b`].
+    pub fn matmul_at_b_into(&self, other: &Self, out: &mut Self) -> Result<(), TensorError> {
         let ((m, r), (m2, n)) = self.matmul_dims(other, "matmul_at_b")?;
         if m != m2 {
             return Err(TensorError::ShapeMismatch {
@@ -517,12 +548,9 @@ impl Tensor {
                 rhs: other.shape.clone(),
             });
         }
-        let mut out = vec![0.0f32; r * n];
-        kernels::gemm_at_b(&self.data, &other.data, &mut out, m, r, n);
-        Ok(Self {
-            shape: vec![r, n],
-            data: out,
-        })
+        out.reset_to_shape(&[r, n]);
+        kernels::gemm_at_b(&self.data, &other.data, &mut out.data, m, r, n);
+        Ok(())
     }
 
     /// Fused `self · otherᵀ` without materializing the transpose:
@@ -535,6 +563,18 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] for non-matrices and
     /// [`TensorError::ShapeMismatch`] if the shared inner widths disagree.
     pub fn matmul_a_bt(&self, other: &Self) -> Result<Self, TensorError> {
+        let mut out = Self::default();
+        self.matmul_a_bt_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::matmul_a_bt`] into a caller-owned tensor, reshaped and
+    /// zero-filled first (allocation-free once its capacity has grown).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Tensor::matmul_a_bt`].
+    pub fn matmul_a_bt_into(&self, other: &Self, out: &mut Self) -> Result<(), TensorError> {
         let ((m, k), (n, k2)) = self.matmul_dims(other, "matmul_a_bt")?;
         if k != k2 {
             return Err(TensorError::ShapeMismatch {
@@ -543,12 +583,9 @@ impl Tensor {
                 rhs: other.shape.clone(),
             });
         }
-        let mut out = vec![0.0f32; m * n];
-        kernels::gemm_a_bt(&self.data, &other.data, &mut out, m, k, n);
-        Ok(Self {
-            shape: vec![m, n],
-            data: out,
-        })
+        out.reset_to_shape(&[m, n]);
+        kernels::gemm_a_bt(&self.data, &other.data, &mut out.data, m, k, n);
+        Ok(())
     }
 
     /// Fused elementwise `self ⊙ a + b` in a single pass (no intermediate product
@@ -712,6 +749,38 @@ impl Tensor {
                 .zip(&b.data)
                 .map(|((&x, &y), &z)| x * y + z),
         );
+        Ok(())
+    }
+
+    /// Columns `start .. start + width` of a rank-2 tensor, copied into `out`
+    /// as `[rows, width]` — the allocation-free column-range read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for non-matrices and
+    /// [`TensorError::IndexOutOfBounds`] if the range exceeds the column count.
+    pub fn cols_into(&self, start: usize, width: usize, out: &mut Self) -> Result<(), TensorError> {
+        if self.rank() != 2 {
+            return Err(TensorError::RankMismatch {
+                op: "cols_into",
+                expected: 2,
+                actual: self.rank(),
+            });
+        }
+        let cols = self.shape[1];
+        if start + width > cols {
+            return Err(TensorError::IndexOutOfBounds {
+                op: "cols_into",
+                index: start + width,
+                bound: cols,
+            });
+        }
+        out.shape.clear();
+        out.shape.extend_from_slice(&[self.shape[0], width]);
+        out.data.clear();
+        for row in self.data.chunks_exact(cols.max(1)) {
+            out.data.extend_from_slice(&row[start..start + width]);
+        }
         Ok(())
     }
 

@@ -24,7 +24,7 @@ use super::export::RankExport;
 use super::graph::{decode_shards, encode_shards, IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
 use super::model::{
-    self, bags_for, flatten_grads, scale_grads, write_back_grads, DenseStack, LookupRouting,
+    self, bags_for, flatten_grads, write_back_grads, DenseScratch, DenseStack, LookupRouting,
     ShardedLookup,
 };
 use super::RankComms;
@@ -56,8 +56,8 @@ pub(crate) fn baseline_rank(
     Ok((outcome, export))
 }
 
-/// Rank-local state of the baseline lowering: globally sharded tables and the
-/// replicated dense stack.
+/// Rank-local state of the baseline lowering: globally sharded tables, the
+/// replicated dense stack and its activation buffers (reused every step).
 struct BaselineLowering {
     schedule: ScheduleMode,
     wire: WireFormat,
@@ -68,6 +68,7 @@ struct BaselineLowering {
     learning_rate: f32,
     lookup: ShardedLookup,
     dense: DenseStack,
+    dense_scratch: DenseScratch,
     adam: AdamOptimizer,
 }
 
@@ -102,6 +103,7 @@ impl BaselineLowering {
             learning_rate: config.learning_rate,
             lookup,
             dense,
+            dense_scratch: DenseScratch::default(),
             adam: AdamOptimizer::new(config.learning_rate),
         }
     }
@@ -111,6 +113,7 @@ impl BaselineLowering {
 /// staging fields (`replies`, `fetched`, `grad_bufs`, `incoming`) are how
 /// payloads cross node boundaries — and where the inserted `Quantize` /
 /// `Dequantize` nodes transcode them in place.
+#[derive(Default)]
 struct Mb {
     batch: Batch,
     routing: LookupRouting,
@@ -275,46 +278,41 @@ fn add_compute<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -
         },
         deps,
         move |ctx: &mut Ctx| {
-            let n = ctx.low.n;
             let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
             // Exact per-sample weighting: Batch::split gives the last micro-batch
             // the remainder, so each contributes by sample count, not 1/M;
             // grad_scale pre-compensates the final 1/M. Under sync (M = 1) both
             // factors are exactly 1.0 — the bit-identical reference path.
             let weight = ctx.mbs[b].batch.len() as f32 / ctx.low.local_batch as f32;
-            let grad_scale = weight / ctx.inv_m;
-            let (loss, predictions, mut grads) = {
-                let mb = &ctx.mbs[b];
-                let bags = bags_for(&mb.batch, &ctx.low.features);
-                let embs = ctx.low.lookup.pool(&bags, &mb.routing, &fetched)?;
-                let refs: Vec<&Tensor> = embs.iter().collect();
-                let feature_block = Tensor::concat_cols(&refs)?;
-                let dense_input = Tensor::from_vec(
-                    vec![mb.batch.len(), ctx.low.num_dense],
-                    mb.batch.dense_flat(),
-                )?;
-                let (loss, predictions, grad_block) = ctx.low.dense.forward_backward(
-                    &dense_input,
-                    &feature_block,
-                    &mb.batch.labels,
-                    grad_scale,
-                )?;
-                let grads = grad_block.split_cols(&vec![n; ctx.low.features.len()])?;
-                (loss, predictions, grads)
-            };
+            let low = &mut *ctx.low;
+            let mb = &ctx.mbs[b];
+            let bags = bags_for(&mb.batch, &low.features);
+            let mut feature_block = Tensor::default();
+            low.lookup
+                .pool_into(&bags, &mb.routing, &fetched, &mut feature_block)?;
+            let dense_input =
+                Tensor::from_vec(vec![mb.batch.len(), low.num_dense], mb.batch.dense_flat())?;
+            let mut predictions = Vec::new();
+            let loss = low.dense.forward_backward(
+                &dense_input,
+                &feature_block,
+                &mb.batch.labels,
+                weight / ctx.inv_m,
+                &mut predictions,
+                &mut low.dense_scratch,
+            )?;
+            // Micro-batch averaging for the sparse gradients (net weight per
+            // micro-batch: grad_scale / M = its sample share).
+            let grad_bufs = low.lookup.build_grad_bufs(
+                &bags,
+                &mb.routing,
+                low.dense_scratch.feature_grad(),
+                ctx.inv_m,
+            );
             ctx.loss_sum += loss * f64::from(weight);
             ctx.scores.extend_from_slice(&predictions);
-            ctx.labels.extend_from_slice(&ctx.mbs[b].batch.labels);
-            if ctx.mbs.len() > 1 {
-                // Micro-batch averaging for the sparse gradients (net weight per
-                // micro-batch: grad_scale / M = its sample share).
-                scale_grads(&mut grads, ctx.inv_m);
-            }
-            ctx.mbs[b].grad_bufs = {
-                let mb = &ctx.mbs[b];
-                let bags = bags_for(&mb.batch, &ctx.low.features);
-                ctx.low.lookup.build_grad_bufs(&bags, &mb.routing, &grads)
-            };
+            ctx.labels.extend_from_slice(&mb.batch.labels);
+            ctx.mbs[b].grad_bufs = grad_bufs;
             Ok(())
         },
     )
@@ -529,14 +527,7 @@ impl RankLowering for BaselineLowering {
                 .into_iter()
                 .map(|batch| Mb {
                     batch,
-                    routing: LookupRouting::default(),
-                    replies: Vec::new(),
-                    fetched: Vec::new(),
-                    grad_bufs: Vec::new(),
-                    incoming: Vec::new(),
-                    idx_op: None,
-                    rows_op: None,
-                    grads_op: None,
+                    ..Mb::default()
                 })
                 .collect(),
             allreduce: None,

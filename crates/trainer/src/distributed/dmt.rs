@@ -21,7 +21,7 @@ use super::export::RankExport;
 use super::graph::{decode_shards, encode_shards, IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
 use super::model::{
-    flatten_grads, flatten_params, scale_grads, write_back_grads, DenseStack, LookupRouting,
+    flatten_grads, flatten_params, write_back_grads, DenseScratch, DenseStack, LookupRouting,
     ShardedLookup,
 };
 use super::RankComms;
@@ -29,7 +29,7 @@ use dmt_comm::codec::WireFormat;
 use dmt_comm::{Backend, PendingOp};
 use dmt_commsim::SegmentKind;
 use dmt_core::tower::TowerModule;
-use dmt_core::DlrmTowerModule;
+use dmt_core::{DlrmTowerModule, DlrmTowerScratch};
 use dmt_data::Batch;
 use dmt_metrics::auc::roc_auc;
 use dmt_nn::param::HasParameters;
@@ -98,7 +98,8 @@ pub(crate) fn dmt_rank(
 }
 
 /// Rank-local state of the DMT lowering: the tower's sharded tables, the
-/// replicated tower module and the replicated dense stack.
+/// replicated tower module and the replicated dense stack, with their
+/// activation buffers (reused every iteration).
 struct DmtLowering {
     schedule: ScheduleMode,
     wire: WireFormat,
@@ -110,7 +111,16 @@ struct DmtLowering {
     learning_rate: f32,
     lookup: ShardedLookup,
     tower: DlrmTowerModule,
+    /// One tower activation record per micro-batch slot: under the pipelined
+    /// schedule every micro-batch's tower forward runs before the first
+    /// tower backward, and each backward must read its own forward's record.
+    tower_records: Vec<TowerRecord>,
+    /// The tower output (forward) and input gradient (backward), each used
+    /// only within one node.
+    tower_output: Tensor,
+    tower_grad: Tensor,
     dense: DenseStack,
+    dense_scratch: DenseScratch,
     adam_dense: AdamOptimizer,
     adam_tower: AdamOptimizer,
 }
@@ -165,16 +175,29 @@ impl DmtLowering {
             learning_rate: config.learning_rate,
             lookup,
             tower,
+            tower_records: Vec::new(),
+            tower_output: Tensor::default(),
+            tower_grad: Tensor::default(),
             dense,
+            dense_scratch: DenseScratch::default(),
             adam_dense: AdamOptimizer::new(config.learning_rate),
             adam_tower: AdamOptimizer::new(config.learning_rate),
         })
     }
 }
 
+/// One micro-batch's tower activations: the pooled tower input and the
+/// module's record.
+#[derive(Default)]
+struct TowerRecord {
+    input: Tensor,
+    scratch: DlrmTowerScratch,
+}
+
 /// Per-micro-batch DMT pipeline state. The staging fields are how payloads
 /// cross node boundaries — and where the inserted `Quantize` / `Dequantize`
 /// nodes transcode them in place.
+#[derive(Default)]
 struct Mb {
     batch: Batch,
     routing: LookupRouting,
@@ -193,30 +216,6 @@ struct Mb {
     peer_out_op: Option<PendingOp<Vec<Vec<f32>>>>,
     peer_grad_op: Option<PendingOp<Vec<Vec<f32>>>>,
     intra_grads_op: Option<PendingOp<Vec<Vec<f32>>>>,
-}
-
-impl Mb {
-    fn new(batch: Batch) -> Self {
-        Self {
-            batch,
-            routing: LookupRouting::default(),
-            tower_bags: Vec::new(),
-            replies: Vec::new(),
-            fetched: Vec::new(),
-            out_sends: Vec::new(),
-            out_recv: Vec::new(),
-            grad_sends: Vec::new(),
-            grad_recv: Vec::new(),
-            grad_bufs: Vec::new(),
-            incoming: Vec::new(),
-            peer_idx_op: None,
-            intra_idx_op: None,
-            intra_rows_op: None,
-            peer_out_op: None,
-            peer_grad_op: None,
-            intra_grads_op: None,
-        }
-    }
 }
 
 /// Everything one lowered DMT iteration mutates.
@@ -414,23 +413,22 @@ fn add_tower_fwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
         deps,
         move |ctx: &mut Ctx| {
             let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
-            let mb_len = ctx.mbs[b].batch.len();
-            let hosts = ctx.low.layout.hosts;
-            let w_mine = ctx.low.layout.tower_widths[ctx.low.layout.my_host];
-            let sends = {
-                let mb = &ctx.mbs[b];
-                let bags: Vec<&[Vec<usize>]> = mb.tower_bags.iter().map(Vec::as_slice).collect();
-                let embs = ctx.low.lookup.pool(&bags, &mb.routing, &fetched)?;
-                let refs: Vec<&Tensor> = embs.iter().collect();
-                let tower_input = Tensor::concat_cols(&refs)?;
-                let tower_out = ctx.low.tower.forward(&tower_input)?;
-                let out_data = tower_out.data();
-                (0..hosts)
-                    .map(|src| {
-                        out_data[src * mb_len * w_mine..(src + 1) * mb_len * w_mine].to_vec()
-                    })
-                    .collect::<Vec<Vec<f32>>>()
-            };
+            let low = &mut *ctx.low;
+            let mb = &ctx.mbs[b];
+            let record = &mut low.tower_records[b];
+            let bags: Vec<&[Vec<usize>]> = mb.tower_bags.iter().map(Vec::as_slice).collect();
+            low.lookup
+                .pool_into(&bags, &mb.routing, &fetched, &mut record.input)?;
+            let output = &mut low.tower_output;
+            low.tower
+                .forward_into(&record.input, output, &mut record.scratch)?;
+            // Sliced back per source host.
+            let w_mine = low.layout.tower_widths[low.layout.my_host];
+            let sends = output
+                .data()
+                .chunks_exact(mb.batch.len() * w_mine)
+                .map(<[f32]>::to_vec)
+                .collect();
             ctx.mbs[b].out_sends = sends;
             Ok(())
         },
@@ -522,17 +520,24 @@ fn add_dense<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
             // Exact per-sample weighting for unequal micro-batches (see the
             // baseline lowering); both factors are 1.0 under sync.
             let weight = mb_len as f32 / ctx.low.local_batch as f32;
-            let (loss, predictions, grad_block) = ctx.low.dense.forward_backward(
+            let low = &mut *ctx.low;
+            let mut predictions = Vec::new();
+            let loss = low.dense.forward_backward(
                 &dense_input,
                 &feature_block,
                 &ctx.mbs[b].batch.labels,
                 weight / ctx.inv_m,
+                &mut predictions,
+                &mut low.dense_scratch,
             )?;
             ctx.loss_sum += loss * f64::from(weight);
             ctx.scores.extend_from_slice(&predictions);
             ctx.labels.extend_from_slice(&ctx.mbs[b].batch.labels);
-            let grad_pieces = grad_block.split_cols(&ctx.low.layout.tower_widths)?;
-            ctx.mbs[b].grad_sends = grad_pieces.iter().map(|t| t.data().to_vec()).collect();
+            let grad_pieces = low
+                .dense_scratch
+                .feature_grad()
+                .split_cols(&low.layout.tower_widths)?;
+            ctx.mbs[b].grad_sends = grad_pieces.into_iter().map(Tensor::into_vec).collect();
             Ok(())
         },
     )
@@ -614,17 +619,17 @@ fn add_tower_bwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
                 grad_tower_out.extend(src);
             }
             let grad_tower_out = Tensor::from_vec(vec![hosts * mb_len, w_mine], grad_tower_out)?;
-            let grad_tower_input = ctx.low.tower.backward(&grad_tower_out)?;
-            let mut grads =
-                grad_tower_input.split_cols(&vec![ctx.low.n; ctx.low.layout.my_features.len()])?;
-            if ctx.mbs.len() > 1 {
-                scale_grads(&mut grads, ctx.inv_m);
-            }
-            ctx.mbs[b].grad_bufs = {
-                let mb = &ctx.mbs[b];
-                let bags: Vec<&[Vec<usize>]> = mb.tower_bags.iter().map(Vec::as_slice).collect();
-                ctx.low.lookup.build_grad_bufs(&bags, &mb.routing, &grads)
-            };
+            let low = &mut *ctx.low;
+            let record = &mut low.tower_records[b];
+            let grad = &mut low.tower_grad;
+            low.tower
+                .backward_into(&record.input, &mut record.scratch, &grad_tower_out, grad)?;
+            let mb = &ctx.mbs[b];
+            let bags: Vec<&[Vec<usize>]> = mb.tower_bags.iter().map(Vec::as_slice).collect();
+            let grad_bufs = low
+                .lookup
+                .build_grad_bufs(&bags, &mb.routing, grad, ctx.inv_m);
+            ctx.mbs[b].grad_bufs = grad_bufs;
             Ok(())
         },
     )
@@ -915,6 +920,7 @@ impl RankLowering for DmtLowering {
         HasParameters::zero_grad(&mut self.dense);
         HasParameters::zero_grad(&mut self.tower);
         let m = mbs.len();
+        self.tower_records.resize_with(m, TowerRecord::default);
         let wire = self.wire;
         let world = comm.global.world_size();
         let slots = self.slots;
@@ -923,7 +929,13 @@ impl RankLowering for DmtLowering {
             low: self,
             comm,
             waits,
-            mbs: mbs.into_iter().map(Mb::new).collect(),
+            mbs: mbs
+                .into_iter()
+                .map(|batch| Mb {
+                    batch,
+                    ..Mb::default()
+                })
+                .collect(),
             tower_ar: None,
             dense_ar: None,
             inv_m: 1.0 / m as f32,

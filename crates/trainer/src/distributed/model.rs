@@ -5,14 +5,16 @@
 //! The module is public because the *serving* engine (`dmt-serve`) reuses the
 //! exact same building blocks on its query path: [`ShardedLookup`] provides the
 //! route → answer → pool protocol over frozen (exported) tables, and
-//! [`DenseStack::forward`] is the inference half of the training forward/backward
-//! — sharing the float path is what makes served predictions bit-identical to a
-//! training-side forward pass.
+//! [`DenseStack::forward_infer`] is the one dense forward, which the training step
+//! [`DenseStack::forward_backward`] runs before its backward — sharing the float
+//! path is what makes served predictions bit-identical to a training-side forward
+//! pass.
 
 use super::config::DistributedError;
 use super::export::TableWeights;
 use dmt_data::{Batch, DatasetSchema};
 use dmt_models::{ModelArch, ModelHyperparams};
+use dmt_nn::activation::scalar_sigmoid;
 use dmt_nn::param::HasParameters;
 use dmt_nn::{
     BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, Mlp, MlpScratch, Parameter,
@@ -496,23 +498,25 @@ impl ShardedLookup {
         Ok(replies)
     }
 
-    /// Phase 3 (requester): pools fetched rows into one `[num_samples, dim]` tensor
-    /// per feature, bit-identical to a local sum-pooled forward.
-    pub fn pool(
+    /// Phase 3 (requester): pools fetched rows into the `[samples, features ·
+    /// dim]` block `out` (feature `pos` in columns `pos·dim .. (pos+1)·dim`),
+    /// bit-identical to a local sum-pooled forward.
+    pub fn pool_into(
         &self,
         bags: &[&[Vec<usize>]],
         routing: &LookupRouting,
         fetched: &[Vec<f32>],
-    ) -> Result<Vec<Tensor>, DistributedError> {
+        out: &mut Tensor,
+    ) -> Result<(), DistributedError> {
         let dim = self.dim;
-        let mut outputs = Vec::with_capacity(bags.len());
+        let width = bags.len() * dim;
+        out.reset_to_shape(&[bags.first().map_or(0, |b| b.len()), width]);
+        let data = out.data_mut();
         for (pos, per_sample) in bags.iter().enumerate() {
             let num_embeddings = self.shards.num_embeddings(pos);
             let feature = self.features[pos];
-            let mut out = Tensor::zeros(&[per_sample.len(), dim]);
-            let data = out.data_mut();
             for (sample, bag) in per_sample.iter().enumerate() {
-                let dst = &mut data[sample * dim..(sample + 1) * dim];
+                let dst = &mut data[sample * width + pos * dim..][..dim];
                 for &raw in bag {
                     let row = raw % num_embeddings;
                     let owner = self.shards.owner_of(pos, row);
@@ -527,32 +531,35 @@ impl ShardedLookup {
                     }
                 }
             }
-            outputs.push(out);
         }
-        Ok(outputs)
+        Ok(())
     }
 
     /// Backward phase 1 (requester): accumulates per-requested-row gradients
     /// (deduplicated exactly like the requests) into one buffer per owner — the
-    /// payload of the gradient AlltoAll.
+    /// payload of the gradient AlltoAll. `grads` is the `[samples, features ·
+    /// dim]` gradient of the pooled block (feature `pos` in columns `pos·dim ..
+    /// (pos+1)·dim`); each element is multiplied by `scale` (micro-batch
+    /// averaging) before it is added.
     pub(crate) fn build_grad_bufs(
         &self,
         bags: &[&[Vec<usize>]],
         routing: &LookupRouting,
-        grads: &[Tensor],
+        grads: &Tensor,
+        scale: f32,
     ) -> Vec<Vec<f32>> {
         let dim = self.dim;
+        let width = bags.len() * dim;
         let mut grad_bufs: Vec<Vec<f32>> = routing
             .request_keys
             .iter()
             .map(|keys| vec![0.0f32; keys.len() * dim])
             .collect();
-        for (pos, (per_sample, grad)) in bags.iter().zip(grads).enumerate() {
+        for (pos, per_sample) in bags.iter().enumerate() {
             let num_embeddings = self.shards.num_embeddings(pos);
             let feature = self.features[pos];
-            let grad_data = grad.data();
             for (sample, bag) in per_sample.iter().enumerate() {
-                let src = &grad_data[sample * dim..(sample + 1) * dim];
+                let src = &grads.data()[sample * width + pos * dim..][..dim];
                 for &raw in bag {
                     let row = raw % num_embeddings;
                     let owner = self.shards.owner_of(pos, row);
@@ -563,7 +570,7 @@ impl ShardedLookup {
                         .iter_mut()
                         .zip(src)
                     {
-                        *d += v;
+                        *d += v * scale;
                     }
                 }
             }
@@ -604,8 +611,8 @@ impl ShardedLookup {
     /// (feature `pos` occupies columns `pos·dim .. (pos+1)·dim`), skipping the
     /// route/answer key exchange entirely. Requires every row to be local —
     /// i.e. a lookup built with `world == 1` — and accumulates rows in bag
-    /// order, bit-identical to the route → answer → [`ShardedLookup::pool`]
-    /// path followed by a column concatenation.
+    /// order, bit-identical to the route → answer → [`ShardedLookup::pool_into`]
+    /// path.
     ///
     /// `bag(feature, sample)` supplies the raw index bag (same contract as
     /// [`encode_tower_streams`]); `row_buf` is a reusable `dim`-row decode
@@ -648,22 +655,48 @@ impl ShardedLookup {
     }
 }
 
-/// Reusable buffers for [`DenseStack::forward_infer`]: every intermediate
-/// tensor of the dense forward pass plus the per-module scratch of the
-/// layers underneath. Owned per serving worker; capacity is retained across
-/// micro-batches, so steady-state inference performs no heap allocation in
-/// the dense stack.
+/// Reusable buffers of the dense stack: every intermediate tensor of
+/// [`DenseStack::forward_infer`] — which is also the activation record the
+/// training step [`DenseStack::forward_backward`] reads back — the backward's
+/// gradient buffers, and the per-module scratch of the layers underneath.
+/// Owned per rank (training) or per serving worker; capacity is retained
+/// across micro-batches, so steady state performs no heap allocation in the
+/// dense stack.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
     dense_repr: Tensor,
     units: Tensor,
     interaction: Tensor,
-    interaction_panel: PairwiseScratch,
+    panel: PairwiseScratch,
     over_input: Tensor,
     logits: Tensor,
     bottom: MlpScratch,
     over: MlpScratch,
     cross: CrossNetScratch,
+    grad_logits: Tensor,
+    grad_over_input: Tensor,
+    grad_piece: Tensor,
+    grad_units: Tensor,
+    grad_dense_repr: Tensor,
+    grad_dense_input: Tensor,
+    grad_features: Tensor,
+}
+
+impl DenseScratch {
+    /// Gradient of the last training step's loss with respect to its feature
+    /// block, `[batch, feature width]`.
+    #[must_use]
+    pub fn feature_grad(&self) -> &Tensor {
+        &self.grad_features
+    }
+}
+
+/// The feature interaction between the bottom MLP and the over-arch.
+enum Interaction {
+    /// DLRM: pairwise dots of the units, concatenated after the dense unit.
+    Dot(DotInteraction),
+    /// DCN: a CrossNet over the concatenated units.
+    Cross(CrossNet),
 }
 
 /// The replicated dense stack: bottom MLP, feature interaction and over-arch.
@@ -674,12 +707,9 @@ pub struct DenseScratch {
 /// tower output dimension. The serving engine rebuilds the same geometry from a
 /// snapshot's metadata and loads the exported weights ([`load_params`]).
 pub struct DenseStack {
-    arch: ModelArch,
     bottom: Mlp,
-    dot: Option<DotInteraction>,
-    cross: Option<CrossNet>,
+    interaction: Interaction,
     over: Mlp,
-    loss: BceWithLogitsLoss,
     unit_width: usize,
 }
 
@@ -703,16 +733,16 @@ impl DenseStack {
         bottom_sizes.extend(&hyper.bottom_mlp_hidden);
         bottom_sizes.push(unit_width);
         let bottom = Mlp::new(&mut rng, &bottom_sizes);
-        let interaction_width = unit_width * num_units;
-        let (dot, cross, over_input) = match arch {
+        let (interaction, over_input) = match arch {
             ModelArch::Dlrm => {
                 let dot = DotInteraction::new(num_units, unit_width);
                 let over_input = unit_width + dot.output_dim();
-                (Some(dot), None, over_input)
+                (Interaction::Dot(dot), over_input)
             }
             ModelArch::Dcn => {
-                let cross = CrossNet::new(&mut rng, interaction_width, hyper.cross_layers.max(1));
-                (None, Some(cross), interaction_width)
+                let width = unit_width * num_units;
+                let cross = CrossNet::new(&mut rng, width, hyper.cross_layers.max(1));
+                (Interaction::Cross(cross), width)
             }
         };
         let mut over_sizes = vec![over_input];
@@ -720,20 +750,22 @@ impl DenseStack {
         over_sizes.push(1);
         let over = Mlp::new(&mut rng, &over_sizes);
         Self {
-            arch,
             bottom,
-            dot,
-            cross,
+            interaction,
             over,
-            loss: BceWithLogitsLoss::new(),
             unit_width,
         }
     }
 
-    /// Forward + backward over one local batch. Returns the mean loss, the
-    /// per-sample predicted click probabilities (for training-AUC tracking) and
-    /// the gradient with respect to the feature block. Parameter gradients
-    /// *accumulate* across calls (micro-batches) until `zero_grad`.
+    /// One training step over a local (micro-)batch: the serving forward
+    /// [`DenseStack::forward_infer`], the loss, then the backward over the
+    /// activations that forward left in `scratch`. Fills `predictions` with
+    /// the per-sample click probabilities (for training-AUC tracking), returns
+    /// the mean loss and leaves the gradient with respect to the feature block
+    /// in [`DenseScratch::feature_grad`]. Parameter gradients *accumulate*
+    /// across calls (micro-batches) until `zero_grad`. Once `scratch` and
+    /// `predictions` have grown to the batch shape, a step performs zero heap
+    /// allocations.
     ///
     /// `grad_scale` multiplies the loss gradient before it propagates (the loss
     /// value is reported unscaled). The sync schedule passes `1.0` (a no-op,
@@ -742,74 +774,56 @@ impl DenseStack {
     /// accumulated gradients in proportion to their sample counts — after the
     /// final `1/M` averaging, the result is the exact per-sample mean over the
     /// whole local batch.
-    pub(crate) fn forward_backward(
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DistributedError`] on input shape mismatch.
+    pub fn forward_backward(
         &mut self,
         dense_input: &Tensor,
         feature_block: &Tensor,
         labels: &[f32],
         grad_scale: f32,
-    ) -> Result<(f64, Vec<f32>, Tensor), DistributedError> {
-        let dense_repr = self.bottom.forward(dense_input)?;
-        let units = Tensor::concat_cols(&[&dense_repr, feature_block])?;
-        let over_input = match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_mut()
-                    .expect("DLRM stacks own a dot interaction");
-                let pairs = dot.forward(&units)?;
-                Tensor::concat_cols(&[&dense_repr, &pairs])?
-            }
-            ModelArch::Dcn => self
-                .cross
-                .as_mut()
-                .expect("DCN stacks own a CrossNet")
-                .forward(&units)?,
-        };
-        let logits = self.over.forward(&over_input)?;
-        let (loss, predictions, mut grad_logits) = self.loss.forward_backward(&logits, labels)?;
+        predictions: &mut Vec<f32>,
+        scratch: &mut DenseScratch,
+    ) -> Result<f64, DistributedError> {
+        self.forward_infer(dense_input, feature_block, predictions, scratch)?;
+        let (s, w) = (scratch, self.unit_width);
+        let loss =
+            BceWithLogitsLoss.forward_backward_into(&s.logits, labels, &mut s.grad_logits)?;
         if grad_scale != 1.0 {
             // Gradients are linear in the loss gradient, so scaling here scales
             // every parameter gradient of this pass.
-            for v in grad_logits.data_mut() {
+            for v in s.grad_logits.data_mut() {
                 *v *= grad_scale;
             }
         }
-
-        let grad_over_input = self.over.backward(&grad_logits)?;
-        let (grad_dense_direct, grad_units) = match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_mut()
-                    .expect("DLRM stacks own a dot interaction");
-                let pieces = grad_over_input.split_cols(&[self.unit_width, dot.output_dim()])?;
-                let grad_units = dot.backward(&pieces[1])?;
-                (Some(pieces[0].clone()), grad_units)
+        let grad_over = &mut s.grad_over_input;
+        self.over
+            .backward_into(&s.over_input, &mut s.over, &s.grad_logits, grad_over)?;
+        match &mut self.interaction {
+            Interaction::Dot(dot) => {
+                grad_over.cols_into(w, dot.output_dim(), &mut s.grad_piece)?;
+                dot.backward_into(&s.units, &s.grad_piece, &mut s.grad_units, &mut s.panel)?;
+                s.grad_units.cols_into(0, w, &mut s.grad_dense_repr)?;
+                // The over-arch also read `dense_repr` directly.
+                grad_over.cols_into(0, w, &mut s.grad_piece)?;
+                s.grad_dense_repr.axpy(1.0, &s.grad_piece)?;
             }
-            ModelArch::Dcn => (
-                None,
-                self.cross
-                    .as_mut()
-                    .expect("DCN stacks own a CrossNet")
-                    .backward(&grad_over_input)?,
-            ),
-        };
-        let feature_width = feature_block.shape()[1];
-        let pieces = grad_units.split_cols(&[self.unit_width, feature_width])?;
-        let mut grad_dense_repr = pieces[0].clone();
-        if let Some(direct) = grad_dense_direct {
-            grad_dense_repr.axpy(1.0, &direct)?;
+            Interaction::Cross(cross) => {
+                cross.backward_into(&s.units, &mut s.cross, grad_over, &mut s.grad_units)?;
+                s.grad_units.cols_into(0, w, &mut s.grad_dense_repr)?;
+            }
         }
-        self.bottom.backward(&grad_dense_repr)?;
-        Ok((loss, predictions, pieces[1].clone()))
+        let features = feature_block.shape()[1];
+        s.grad_units.cols_into(w, features, &mut s.grad_features)?;
+        let grad = &s.grad_dense_repr;
+        self.bottom
+            .backward_into(dense_input, &mut s.bottom, grad, &mut s.grad_dense_input)?;
+        Ok(loss)
     }
 
-    /// Inference forward: the exact forward half of the training
-    /// `forward_backward`, returning the per-sample predicted click
-    /// probabilities (`sigmoid(logit)`, the same float path the training loss
-    /// reports). No gradients are touched, so the stack can serve queries
-    /// indefinitely from frozen weights.
+    /// Allocating form of [`DenseStack::forward_infer`], for one-off callers.
     ///
     /// # Errors
     ///
@@ -819,38 +833,18 @@ impl DenseStack {
         dense_input: &Tensor,
         feature_block: &Tensor,
     ) -> Result<Vec<f32>, DistributedError> {
-        let dense_repr = self.bottom.forward(dense_input)?;
-        let units = Tensor::concat_cols(&[&dense_repr, feature_block])?;
-        let over_input = match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_mut()
-                    .expect("DLRM stacks own a dot interaction");
-                let pairs = dot.forward(&units)?;
-                Tensor::concat_cols(&[&dense_repr, &pairs])?
-            }
-            ModelArch::Dcn => self
-                .cross
-                .as_mut()
-                .expect("DCN stacks own a CrossNet")
-                .forward(&units)?,
-        };
-        let logits = self.over.forward(&over_input)?;
-        Ok(logits
-            .data()
-            .iter()
-            .map(|&z| dmt_nn::activation::scalar_sigmoid(z))
-            .collect())
+        let (mut predictions, mut scratch) = (Vec::new(), DenseScratch::default());
+        self.forward_infer(dense_input, feature_block, &mut predictions, &mut scratch)?;
+        Ok(predictions)
     }
 
-    /// Allocation-free inference forward: the same per-layer kernels as
-    /// [`DenseStack::forward`] — bit-identical probabilities — but immutable
-    /// over the stack (no activation caching) and writing every intermediate
-    /// into `scratch`. `predictions` is cleared and refilled with the
-    /// per-sample probabilities; once `scratch` and `predictions` have grown
-    /// to the batch's working-set size, a call performs zero heap
-    /// allocations.
+    /// The dense forward, shared by training and serving: writes every
+    /// intermediate into `scratch` and the per-sample predicted click
+    /// probabilities (`sigmoid(logit)`, the same float path the training loss
+    /// reports) into `predictions`, which is cleared first. Immutable over the
+    /// stack, so it can serve queries indefinitely from frozen weights; once
+    /// `scratch` and `predictions` have grown to the batch's working-set size,
+    /// a call performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -862,52 +856,23 @@ impl DenseStack {
         predictions: &mut Vec<f32>,
         scratch: &mut DenseScratch,
     ) -> Result<(), DistributedError> {
-        self.bottom.forward_infer_into(
-            dense_input,
-            &mut scratch.dense_repr,
-            &mut scratch.bottom,
-        )?;
-        Tensor::concat_cols_into(&[&scratch.dense_repr, feature_block], &mut scratch.units)?;
-        match self.arch {
-            ModelArch::Dlrm => {
-                let dot = self
-                    .dot
-                    .as_ref()
-                    .expect("DLRM stacks own a dot interaction");
-                dot.forward_into(
-                    &scratch.units,
-                    &mut scratch.interaction,
-                    &mut scratch.interaction_panel,
-                )?;
-                Tensor::concat_cols_into(
-                    &[&scratch.dense_repr, &scratch.interaction],
-                    &mut scratch.over_input,
-                )?;
+        let s = scratch;
+        self.bottom
+            .forward_into(dense_input, &mut s.dense_repr, &mut s.bottom)?;
+        Tensor::concat_cols_into(&[&s.dense_repr, feature_block], &mut s.units)?;
+        match &self.interaction {
+            Interaction::Dot(dot) => {
+                dot.forward_into(&s.units, &mut s.interaction, &mut s.panel)?;
+                Tensor::concat_cols_into(&[&s.dense_repr, &s.interaction], &mut s.over_input)?;
             }
-            ModelArch::Dcn => {
-                self.cross
-                    .as_ref()
-                    .expect("DCN stacks own a CrossNet")
-                    .forward_infer_into(
-                        &scratch.units,
-                        &mut scratch.over_input,
-                        &mut scratch.cross,
-                    )?;
+            Interaction::Cross(cross) => {
+                cross.forward_into(&s.units, &mut s.over_input, &mut s.cross)?
             }
         }
-        self.over.forward_infer_into(
-            &scratch.over_input,
-            &mut scratch.logits,
-            &mut scratch.over,
-        )?;
+        self.over
+            .forward_into(&s.over_input, &mut s.logits, &mut s.over)?;
         predictions.clear();
-        predictions.extend(
-            scratch
-                .logits
-                .data()
-                .iter()
-                .map(|&z| dmt_nn::activation::scalar_sigmoid(z)),
-        );
+        predictions.extend(s.logits.data().iter().map(|&z| scalar_sigmoid(z)));
         Ok(())
     }
 
@@ -927,7 +892,7 @@ impl DenseStack {
 impl HasParameters for DenseStack {
     fn visit_parameters(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         self.bottom.visit_parameters(visitor);
-        if let Some(cross) = &mut self.cross {
+        if let Interaction::Cross(cross) = &mut self.interaction {
             cross.visit_parameters(visitor);
         }
         self.over.visit_parameters(visitor);
@@ -1014,16 +979,6 @@ pub(crate) fn bags_for<'a>(batch: &'a Batch, features: &[usize]) -> Vec<&'a [Vec
         .collect()
 }
 
-/// Scales every element of each gradient tensor by `scale` — micro-batch
-/// averaging for the sparse/tower gradients the AllReduce does not touch.
-pub(crate) fn scale_grads(grads: &mut [Tensor], scale: f32) {
-    for grad in grads {
-        for v in grad.data_mut() {
-            *v *= scale;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,11 +1015,27 @@ mod tests {
 
             let mut predictions = Vec::new();
             let mut scratch = DenseScratch::default();
-            // Twice: the second pass reuses grown buffers and must still match.
-            for _ in 0..2 {
-                stack
-                    .forward_infer(&dense, &features, &mut predictions, &mut scratch)
-                    .unwrap();
+            let labels = vec![1.0; batch];
+            // The training step runs the same forward; the serving forward
+            // then reuses the buffers that step grew and must still match.
+            for train in [true, false, false] {
+                if train {
+                    stack
+                        .forward_backward(
+                            &dense,
+                            &features,
+                            &labels,
+                            1.0,
+                            &mut predictions,
+                            &mut scratch,
+                        )
+                        .unwrap();
+                    assert_eq!(scratch.feature_grad().shape(), features.shape());
+                } else {
+                    stack
+                        .forward_infer(&dense, &features, &mut predictions, &mut scratch)
+                        .unwrap();
+                }
                 assert_eq!(predictions.len(), reference.len());
                 for (a, b) in predictions.iter().zip(&reference) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{arch:?}");
@@ -1102,9 +1073,10 @@ mod tests {
             request_keys,
         };
         let fetched = lookup.answer(&routing.served_keys).unwrap();
-        let pooled = lookup.pool(&bag_slices, &routing, &fetched).unwrap();
-        let refs: Vec<&Tensor> = pooled.iter().collect();
-        let reference = Tensor::concat_cols(&refs).unwrap();
+        let mut reference = Tensor::default();
+        lookup
+            .pool_into(&bag_slices, &routing, &fetched, &mut reference)
+            .unwrap();
 
         let mut out = Tensor::default();
         let mut row_buf = Vec::new();

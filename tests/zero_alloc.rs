@@ -1,22 +1,31 @@
-//! Zero-allocation guarantee for the single-rank serving hot path.
+//! Zero-allocation guarantee for the single-rank serving hot path and the
+//! dense training step.
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator. After a warm-up pass over each micro-batch (which grows every
 //! reusable buffer to its steady-state capacity), re-serving the same batches
 //! through [`SingleRankServer::serve_into`] must perform **zero** heap
-//! allocations — at every storage precision.
+//! allocations — at every storage precision. Likewise a warmed-up dense
+//! training step ([`DenseStack::forward_backward`] between `zero_grad` and the
+//! Adam update) and a DMT tower forward + backward.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test thread can
-//! allocate while the hot path is being measured.
+//! allocate while a hot path is being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dmt_data::ZipfRequestStream;
-use dmt_models::ModelArch;
+use dmt_core::{DlrmTowerModule, DlrmTowerScratch, TowerModule};
+use dmt_data::{DatasetSchema, SyntheticClickDataset, ZipfRequestStream};
+use dmt_models::{ModelArch, ModelHyperparams};
+use dmt_nn::param::HasParameters;
+use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_serve::{ComputePrecision, SingleRankServer};
+use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
+use dmt_trainer::distributed::model::{DenseScratch, DenseStack};
 use dmt_trainer::distributed::{run_with_snapshot, DistributedConfig, ExecutionMode};
+use rand::SeedableRng;
 
 /// Counts every allocation and reallocation; frees are not counted (the hot
 /// path must not free either, but a free without a matching alloc is
@@ -51,6 +60,80 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// A deterministic `[rows, cols]` tensor of small values.
+fn filled(rows: usize, cols: usize) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|i| ((i * 7) % 23) as f32 * 0.01 - 0.1)
+        .collect();
+    Tensor::from_vec(vec![rows, cols], data).unwrap()
+}
+
+/// Training: after a warm-up step, one dense step allocates nothing at the
+/// benchmark's baseline DLRM geometry (27 units of 32), DMT's (3 of 16) and a
+/// DCN stack, and neither does a DMT tower forward + backward. The shapes
+/// stay under the GEMM and interaction thread-split cutoffs, where the
+/// vendored rayon spawns threads.
+fn training_performs_zero_heap_allocations() {
+    let schema = DatasetSchema::with_cardinality_scale(0.1);
+    let hyper = ModelHyperparams::quality_run();
+    let batch = SyntheticClickDataset::new(schema.clone(), 3).next_batch(256);
+    let dense_input = Tensor::from_vec(vec![256, schema.num_dense], batch.dense_flat()).unwrap();
+    for (arch, width, units) in [
+        (ModelArch::Dlrm, 32, 27),
+        (ModelArch::Dlrm, 16, 3),
+        (ModelArch::Dcn, 16, 27),
+    ] {
+        let mut stack = DenseStack::new(7, &schema, arch, &hyper, width, units);
+        let features = filled(256, width * (units - 1));
+        let mut adam = AdamOptimizer::new(1e-3);
+        let (mut predictions, mut scratch) = (Vec::new(), DenseScratch::default());
+        for warm_up in [true, false] {
+            let before = allocations();
+            HasParameters::zero_grad(&mut stack);
+            let loss = stack
+                .forward_backward(
+                    &dense_input,
+                    &features,
+                    &batch.labels,
+                    1.0,
+                    &mut predictions,
+                    &mut scratch,
+                )
+                .unwrap();
+            adam.step(&mut stack);
+            let allocated = allocations() - before;
+            assert!(loss.is_finite());
+            if !warm_up {
+                assert_eq!(
+                    allocated, 0,
+                    "{arch:?} {units}x{width}: training step allocated"
+                );
+            }
+        }
+    }
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut tower = DlrmTowerModule::new(&mut rng, 13, 32, 1, 1, 16).unwrap();
+    let input = filled(512, 13 * 32);
+    let grad = filled(512, tower.output_dim());
+    let (mut out, mut grad_input) = (Tensor::default(), Tensor::default());
+    let mut scratch = DlrmTowerScratch::default();
+    for warm_up in [true, false] {
+        let before = allocations();
+        tower.forward_into(&input, &mut out, &mut scratch).unwrap();
+        tower
+            .backward_into(&input, &mut scratch, &grad, &mut grad_input)
+            .unwrap();
+        if !warm_up {
+            assert_eq!(
+                allocations() - before,
+                0,
+                "tower forward + backward allocated"
+            );
+        }
+    }
 }
 
 #[test]
@@ -96,4 +179,6 @@ fn steady_state_serving_performs_zero_heap_allocations() {
         assert_eq!(predictions.len(), batches.last().unwrap().len());
         assert!(predictions.iter().all(|p| (0.0..=1.0).contains(p)));
     }
+
+    training_performs_zero_heap_allocations();
 }
