@@ -551,8 +551,8 @@ impl RecommendationModel {
                         per_feature[f] = Some(g);
                     }
                 }
-                let every = per_feature.into_iter();
-                every
+                per_feature
+                    .into_iter()
                     .map(|g| g.expect("every feature receives a gradient"))
                     .collect()
             }
