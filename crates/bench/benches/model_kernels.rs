@@ -6,7 +6,7 @@ use dmt_core::tower::{DlrmTowerModule, TowerModule};
 use dmt_core::{naive_partition, DmtConfig, TowerModuleKind};
 use dmt_data::{DatasetSchema, SyntheticClickDataset};
 use dmt_models::{ModelArch, ModelHyperparams, RecommendationModel};
-use dmt_tensor::{kernels, Tensor};
+use dmt_tensor::{kernels, with_tier, Tensor, Tier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,7 +27,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar_tier", s), &s, |bench, _| {
             bench.iter(|| {
                 out.iter_mut().for_each(|v| *v = 0.0);
-                kernels::gemm_scalar(&a, &b, &mut out, s, s, s);
+                with_tier(Tier::Scalar, || kernels::gemm(&a, &b, &mut out, s, s, s));
             });
         });
         group.bench_with_input(BenchmarkId::new("blocked_serial", s), &s, |bench, _| {

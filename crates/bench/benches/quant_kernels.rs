@@ -1,14 +1,14 @@
-//! Criterion benches for the quantized-compute kernels: f32 vs int8/fp16 GEMM
-//! at serving tower shapes, and f32 vs quantized embedding-row gathers.
+//! Criterion benches for the quantized-compute kernels: f32 vs int8 GEMM at
+//! serving tower shapes, and f32 vs quantized embedding-row gathers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmt_nn::{EmbeddingTable, QuantizedEmbeddingTable};
 use dmt_tensor::kernels::gemm_a_bt;
-use dmt_tensor::{gemm_a_bt_f16, gemm_a_bt_q8, F16BtMatrix, Precision, QuantizedBtMatrix};
+use dmt_tensor::{gemm_a_bt_q8, Precision, QuantizedBtMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The f32 kernel against the quantized kernels at serving forward shapes:
+/// The f32 kernel against the int8 kernel at serving forward shapes:
 /// a tower GEMM (64×256×128) and a dense-stack layer (64×128×64).
 fn bench_quant_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_gemm");
@@ -24,7 +24,6 @@ fn bench_quant_gemm(c: &mut Criterion) {
             }
         }
         let q8 = QuantizedBtMatrix::from_col_major(&b, k, n);
-        let f16 = F16BtMatrix::from_col_major(&b, k, n);
         let mut out = vec![0.0f32; m * n];
         group.bench_with_input(BenchmarkId::new("f32", &label), &m, |bench, _| {
             bench.iter(|| {
@@ -34,9 +33,6 @@ fn bench_quant_gemm(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("int8", &label), &m, |bench, _| {
             bench.iter(|| gemm_a_bt_q8(&a, &q8, &mut out, m, k));
-        });
-        group.bench_with_input(BenchmarkId::new("fp16", &label), &m, |bench, _| {
-            bench.iter(|| gemm_a_bt_f16(&a, &f16, &mut out, m, k));
         });
     }
     group.finish();

@@ -9,9 +9,9 @@
 //!   int8 table must be at least 2× smaller than f32.
 //! * **GEMM** (`quant_gemm`): the tower shape and the serving over-arch's
 //!   widest layer through f32 (the faster of the dot-product and fused-bias
-//!   kernels, so int8 is held against the strongest f32 contender), the
-//!   runtime-dispatched int8 kernel and the fp16-storage kernel. The int8
-//!   kernel must beat f32 at both shapes.
+//!   kernels, so int8 is held against the strongest f32 contender) and the
+//!   runtime-dispatched int8 kernel, which must beat f32 at both shapes. fp16
+//!   dense weights run the f32 kernel, so they have no row of their own.
 //! * **Serving** (`serving_quant`): the full DMT serving path — quantized
 //!   shards, quantized hot-row cache, quantized dense/tower weights — under
 //!   the same paced fabric as `bench_serving`, so the gated timing is stable
@@ -26,7 +26,7 @@
 //! Results go to `BENCH_quant.json` (committed baseline, eighth `--pair` of
 //! the CI bench-regression gate). Run with
 //! `cargo run --release -p dmt-bench --bin bench_quant` (add `--quick` in CI;
-//! `--tiers` prints the int8 / f32 kernel tiers of this machine and exits).
+//! `--tiers` prints the kernel tiers of this machine and exits).
 
 use dmt_comm::FabricProfile;
 use dmt_data::{Query, ZipfRequestStream};
@@ -37,11 +37,9 @@ use dmt_serve::{
     serve_stream, BatchConfig, BatcherConfig, ComputePrecision, ServeConfig, ServeReport,
     ServingEngine, StreamConfig,
 };
+use dmt_tensor::isa::tier_line;
 use dmt_tensor::kernels::{gemm_a_bt, gemm_fused_bias};
-use dmt_tensor::qgemm::{int8_simd_active, int8_tier_name};
-use dmt_tensor::{
-    f32_tier_name, gemm_a_bt_f16, gemm_a_bt_q8, F16BtMatrix, Precision, QuantizedBtMatrix,
-};
+use dmt_tensor::{gemm_a_bt_q8, Precision, QuantizedBtMatrix};
 use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::{
     run_with_snapshot, DistributedConfig, ExecutionMode, ModelSnapshot,
@@ -101,9 +99,8 @@ struct ServingQuantRow {
 struct SimdNote {
     op: String,
     shape: String,
-    int8_simd_active: bool,
-    /// `"avx512-vnni"`, `"avx2"` or `"scalar"`.
-    int8_tier: String,
+    /// The kernel tier of every family on the measuring host.
+    tiers: String,
 }
 
 /// Embedding dimension of the lookup microbench.
@@ -188,11 +185,7 @@ fn main() -> ExitCode {
     let serve_requests = if quick { 512 } else { 2_048 };
 
     dmt_bench::header("Quantized compute: storage, kernels, serving (see BENCH_quant.json)");
-    println!(
-        "kernel tiers: int8 {}, f32 {}",
-        int8_tier_name(),
-        f32_tier_name()
-    );
+    println!("{}", tier_line());
     if std::env::args().any(|a| a == "--tiers") {
         return ExitCode::SUCCESS;
     }
@@ -275,8 +268,8 @@ fn main() -> ExitCode {
         let mut rng = StdRng::seed_from_u64(12);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        // Row-major B^T for the f32 dot kernel; the quantized kernels pack B
-        // once, as the serving engine does at load.
+        // Row-major B^T for the f32 dot kernel; the int8 kernel packs B once,
+        // as the serving engine does at load.
         let mut bt = vec![0.0f32; n * k];
         for j in 0..n {
             for p in 0..k {
@@ -284,7 +277,6 @@ fn main() -> ExitCode {
             }
         }
         let q8 = QuantizedBtMatrix::from_col_major(&b, k, n);
-        let f16 = F16BtMatrix::from_col_major(&b, k, n);
         let mut c = vec![0.0f32; m * n];
         let zero_bias = vec![0.0f32; n];
         let f32_gemm_bytes = (n * k * 4) as u64;
@@ -306,15 +298,9 @@ fn main() -> ExitCode {
                 gemm_a_bt_q8(&a, &q8, &mut c, m, k);
             }
         });
-        let fp16_ns = time_ns_per_unit(3, gemm_iters, || {
-            for _ in 0..gemm_iters {
-                gemm_a_bt_f16(&a, &f16, &mut c, m, k);
-            }
-        });
         int8_gemm_beats_f32 &= int8_ns < f32_gemm_ns;
         for (precision, ns, bytes) in [
             (Precision::F32, f32_gemm_ns, f32_gemm_bytes),
-            (Precision::Fp16, fp16_ns, f16.resident_bytes()),
             (Precision::Int8, int8_ns, q8.resident_bytes()),
         ] {
             let row = QuantRow {
@@ -414,8 +400,7 @@ fn main() -> ExitCode {
     let note = SimdNote {
         op: "quant_note".into(),
         shape: "simd".into(),
-        int8_simd_active: int8_simd_active(),
-        int8_tier: int8_tier_name().into(),
+        tiers: tier_line(),
     };
     rows.push(pretty(&note));
 

@@ -127,6 +127,7 @@ impl DotInteraction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_tensor::{with_tier, Tier};
 
     fn forward(inter: &DotInteraction, x: &Tensor) -> Result<Tensor, TensorError> {
         let mut y = Tensor::default();
@@ -205,7 +206,9 @@ mod tests {
         )
         .unwrap();
         let mut want = vec![0.0f32; 3 * inter.output_dim()];
-        pairwise::pairwise_dots_scalar(x.data(), 4, 3, &mut want);
+        with_tier(Tier::Scalar, || {
+            pairwise::pairwise_dots(x.data(), 4, 3, &mut want, &mut PairwiseScratch::default());
+        });
         let mut out = Tensor::default();
         let mut scratch = PairwiseScratch::default();
         inter

@@ -1,10 +1,9 @@
 //! Fully connected (affine) layer.
 
 use crate::param::{HasParameters, Parameter};
-use dmt_tensor::quant::Precision;
+use dmt_tensor::quant::{f16_bits_to_f32, f32_to_f16_bits, Precision};
 use dmt_tensor::{
-    gemm_a_bt_f16_with, gemm_a_bt_q8_with, xavier_uniform, F16BtMatrix, F16GemmScratch,
-    QGemmScratch, QuantizedBtMatrix, Tensor, TensorError,
+    gemm_a_bt_q8_with, xavier_uniform, QGemmScratch, QuantizedBtMatrix, Tensor, TensorError,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -18,22 +17,22 @@ use serde::{Deserialize, Serialize};
 pub struct LinearScratch {
     /// Activation quantization scratch for the int8 GEMM.
     pub q8: QGemmScratch,
-    /// Row-decode scratch for the fp16 GEMM.
-    pub f16: F16GemmScratch,
     grad_w: Tensor,
     grad_b: Tensor,
 }
 
-/// Reduced-precision weight sidecar for the serving forward pass: the layer's
-/// `[in, out]` weight packed as `Wᵀ` rows at int8 (per-output-column scales)
-/// or fp16 words. Built once by [`Linear::quantize_weights`]; the f32 master
-/// weight stays in place (training and `weight()` probes keep using it).
+/// Reduced-precision weight sidecar for the serving forward pass. Built once
+/// by [`Linear::quantize_weights`]; the f32 master weight stays in place
+/// (training and `weight()` probes keep using it).
 #[derive(Debug, Clone, PartialEq)]
 enum QuantWeight {
-    /// Symmetric int8 with per-output-column scales, integer-dot kernel.
+    /// `Wᵀ` rows at symmetric int8 with per-output-column scales, run through
+    /// the integer-dot kernel.
     Int8(QuantizedBtMatrix),
-    /// IEEE binary16 words, decoded on the fly inside the GEMM.
-    Fp16(F16BtMatrix),
+    /// The `[in, out]` weight rounded to binary16 and kept as f32, run through
+    /// the fused f32 kernel: fp16 is a storage precision, and an f16 GEMM
+    /// lost to f32 at every serving shape.
+    Fp16(Tensor),
 }
 
 // Snapshots carry f32 weights and re-quantize on load, so the sidecar
@@ -99,9 +98,9 @@ impl Linear {
     }
 
     /// Forward pass into a caller-owned output: `y = x W + b`, with `relu`
-    /// applying `max(y, 0)` in the GEMM writeback (f32 path) or in place after
-    /// the quantized GEMM. No allocation once the scratch and `out` capacities
-    /// have grown to the batch shape.
+    /// applying `max(y, 0)` in the GEMM writeback (f32 and fp16 weights) or in
+    /// place after the int8 GEMM. No allocation once the scratch and `out`
+    /// capacities have grown to the batch shape.
     ///
     /// The fused epilogue maps `NaN` and `-0.0` to `+0.0`, so the saved output
     /// alone gives the ReLU mask for the backward pass: `y > 0` iff the
@@ -117,9 +116,24 @@ impl Linear {
         out: &mut Tensor,
         scratch: &mut LinearScratch,
     ) -> Result<(), TensorError> {
-        let Some(q) = &self.quantized else {
-            return input.matmul_bias_act_into(&self.weight.value, &self.bias.value, relu, out);
+        let w = match &self.quantized {
+            None => &self.weight.value,
+            Some(QuantWeight::Fp16(w)) => w,
+            Some(QuantWeight::Int8(w)) => return self.forward_int8(w, input, relu, out, scratch),
         };
+        input.matmul_bias_act_into(w, &self.bias.value, relu, out)
+    }
+
+    /// [`Linear::forward_into`] through the int8 sidecar: bias broadcast,
+    /// integer-dot GEMM, then the ReLU in place.
+    fn forward_int8(
+        &self,
+        w: &QuantizedBtMatrix,
+        input: &Tensor,
+        relu: bool,
+        out: &mut Tensor,
+        scratch: &mut LinearScratch,
+    ) -> Result<(), TensorError> {
         if input.rank() != 2 || input.shape()[1] != self.in_features {
             return Err(TensorError::ShapeMismatch {
                 op: "linear_forward_quantized",
@@ -133,12 +147,7 @@ impl Linear {
         for row in data.chunks_exact_mut(n) {
             row.copy_from_slice(self.bias.value.data());
         }
-        match q {
-            QuantWeight::Int8(w) => gemm_a_bt_q8_with(input.data(), w, data, m, k, &mut scratch.q8),
-            QuantWeight::Fp16(w) => {
-                gemm_a_bt_f16_with(input.data(), w, data, m, k, &mut scratch.f16);
-            }
-        }
+        gemm_a_bt_q8_with(input.data(), w, data, m, k, &mut scratch.q8);
         if relu {
             for v in data.iter_mut() {
                 *v = if *v > 0.0 { *v } else { 0.0 };
@@ -148,8 +157,8 @@ impl Linear {
     }
 
     /// Selects the forward-pass weight precision: packs the f32 weight into an
-    /// int8 or fp16 sidecar ([`Precision::F32`] clears it back to the fused
-    /// f32 kernel). The f32 master weight is untouched, so re-quantizing — or
+    /// int8 sidecar, or rounds it to fp16 ([`Precision::F32`] clears the
+    /// sidecar). The f32 master weight is untouched, so re-quantizing — or
     /// returning to f32 — is always lossless.
     pub fn quantize_weights(&mut self, precision: Precision) {
         let (k, n) = (self.in_features, self.out_features);
@@ -160,11 +169,11 @@ impl Linear {
                 k,
                 n,
             ))),
-            Precision::Fp16 => Some(QuantWeight::Fp16(F16BtMatrix::from_col_major(
-                self.weight.value.data(),
-                k,
-                n,
-            ))),
+            Precision::Fp16 => Some(QuantWeight::Fp16(
+                self.weight
+                    .value
+                    .map(|v| f16_bits_to_f32(f32_to_f16_bits(v))),
+            )),
         };
     }
 

@@ -11,15 +11,17 @@
 //!   linear layer's backward pass).
 //! * [`gemm_a_bt`] — `C += A·Bᵀ` without materializing `Bᵀ` (the `dx = dy·Wᵀ` step).
 //!
-//! The heavy lifting lives in [`crate::simd`]: AVX-512 / AVX2+FMA microkernels selected
-//! once at runtime, with a portable `f32::mul_add` fallback that executes the *same*
-//! per-element operation chains — so every tier (and the `*_scalar` reference entry
-//! points below) produces bit-identical results on every shape. Large problems
-//! (`m·k·n ≥` [`PARALLEL_FLOP_CUTOFF`]) additionally split their output row blocks
-//! across threads with rayon; the split regroups independent per-element chains, so
-//! parallel results are bit-identical to serial too.
+//! The heavy lifting lives in [`crate::simd`]: AVX-512 / AVX2+FMA microkernels and a
+//! portable `f32::mul_add` fallback that executes the *same* per-element operation
+//! chains, so every tier produces bit-identical results on every shape. Each entry point
+//! resolves its tier once through [`crate::isa::tier`] (the host's fastest, or the one an
+//! enclosing [`crate::isa::with_tier`] forces). Large problems (`m·k·n ≥`
+//! [`PARALLEL_FLOP_CUTOFF`]) additionally split their output row blocks across threads
+//! with rayon, each band on the caller's tier; the split regroups independent
+//! per-element chains, so parallel results are bit-identical to serial too.
 
-use crate::simd::{a_bt_dispatch, a_bt_scalar, bgemm_dispatch, bgemm_scalar, BroadcastGemm};
+use crate::isa::{self, Family, Tier};
+use crate::simd::{self, BroadcastGemm};
 use rayon::prelude::*;
 
 /// Row-block tile size: rows of `A`/`C` per rayon work item.
@@ -61,7 +63,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length");
     assert_eq!(c.len(), m * n, "gemm: C length");
-    gemm_inner(a, b, None, c, m, k, n, false, bgemm_dispatch);
+    gemm_inner(isa::tier(Family::F32), a, b, None, c, m, k, n, false);
 }
 
 /// `C += A·B` on the dispatched microkernel, never fanning out across threads.
@@ -77,36 +79,11 @@ pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     assert_eq!(a.len(), m * k, "gemm_serial: A length");
     assert_eq!(b.len(), k * n, "gemm_serial: B length");
     assert_eq!(c.len(), m * n, "gemm_serial: C length");
+    let tier = isa::tier(Family::F32);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    bgemm_dispatch(
-        &BroadcastGemm {
-            a,
-            a_row_stride: k,
-            a_step_stride: 1,
-            steps: k,
-            b,
-            n,
-            rows: m,
-            bias: None,
-            relu: false,
-        },
-        c,
-    );
-}
-
-/// [`gemm`] forced onto the portable fallback tier — the differential half of the
-/// SIMD bit-identity tests. Results match [`gemm`] bit for bit by construction.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-pub fn gemm_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "gemm_scalar: A length");
-    assert_eq!(b.len(), k * n, "gemm_scalar: B length");
-    assert_eq!(c.len(), m * n, "gemm_scalar: C length");
-    gemm_inner(a, b, None, c, m, k, n, false, bgemm_scalar);
+    simd::bgemm(tier, &a_times_b(a, k, b, n, m, None, false), c);
 }
 
 /// `C = bias ⊕ A·B` in one pass: every output chain is seeded from `bias[j]`,
@@ -135,68 +112,49 @@ pub fn gemm_fused_bias(
     assert_eq!(b.len(), k * n, "gemm_fused_bias: B length");
     assert_eq!(bias.len(), n, "gemm_fused_bias: bias length");
     assert_eq!(c.len(), m * n, "gemm_fused_bias: C length");
+    let tier = isa::tier(Family::F32);
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
         for row in c.chunks_exact_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(bias) {
-                let v = bv;
-                *o = if relu {
-                    if v > 0.0 {
-                        v
-                    } else {
-                        0.0
-                    }
-                } else {
-                    v
-                };
+            for (o, &v) in row.iter_mut().zip(bias) {
+                *o = if !relu || v > 0.0 { v } else { 0.0 };
             }
         }
         return;
     }
-    gemm_inner(a, b, Some(bias), c, m, k, n, relu, bgemm_dispatch);
+    gemm_inner(tier, a, b, Some(bias), c, m, k, n, relu);
 }
 
-/// [`gemm_fused_bias`] forced onto the portable fallback tier, for the
-/// differential bit-identity tests.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_fused_bias_scalar(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
+/// The broadcast problem `C ⊕= A·B` over `rows` rows of `A: [·, k]`.
+fn a_times_b<'x>(
+    a: &'x [f32],
     k: usize,
+    b: &'x [f32],
     n: usize,
+    rows: usize,
+    bias: Option<&'x [f32]>,
     relu: bool,
-) {
-    assert_eq!(a.len(), m * k, "gemm_fused_bias_scalar: A length");
-    assert_eq!(b.len(), k * n, "gemm_fused_bias_scalar: B length");
-    assert_eq!(bias.len(), n, "gemm_fused_bias_scalar: bias length");
-    assert_eq!(c.len(), m * n, "gemm_fused_bias_scalar: C length");
-    if m == 0 || n == 0 {
-        return;
+) -> BroadcastGemm<'x> {
+    BroadcastGemm {
+        a,
+        a_row_stride: k,
+        a_step_stride: 1,
+        steps: k,
+        b,
+        n,
+        rows,
+        bias,
+        relu,
     }
-    if k == 0 {
-        for row in c.chunks_exact_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(bias) {
-                *o = if relu && bv <= 0.0 { 0.0 } else { bv };
-            }
-        }
-        return;
-    }
-    gemm_inner(a, b, Some(bias), c, m, k, n, relu, bgemm_scalar);
 }
 
 /// Shared `A·B` driver: splits output rows across threads above the cutoff,
-/// delegating each band to `kernel` (the dispatched or forced-scalar tier).
+/// running every band on `tier`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_inner(
+    tier: Tier,
     a: &[f32],
     b: &[f32],
     bias: Option<&[f32]>,
@@ -205,7 +163,6 @@ fn gemm_inner(
     k: usize,
     n: usize,
     relu: bool,
-    kernel: fn(&BroadcastGemm<'_>, &mut [f32]),
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -216,36 +173,11 @@ fn gemm_inner(
             .for_each(|(block, c_rows)| {
                 let row0 = block * MC;
                 let rows = c_rows.len() / n;
-                kernel(
-                    &BroadcastGemm {
-                        a: &a[row0 * k..(row0 + rows) * k],
-                        a_row_stride: k,
-                        a_step_stride: 1,
-                        steps: k,
-                        b,
-                        n,
-                        rows,
-                        bias,
-                        relu,
-                    },
-                    c_rows,
-                );
+                let a_rows = &a[row0 * k..(row0 + rows) * k];
+                simd::bgemm(tier, &a_times_b(a_rows, k, b, n, rows, bias, relu), c_rows);
             });
     } else {
-        kernel(
-            &BroadcastGemm {
-                a,
-                a_row_stride: k,
-                a_step_stride: 1,
-                steps: k,
-                b,
-                n,
-                rows: m,
-                bias,
-                relu,
-            },
-            c,
-        );
+        simd::bgemm(tier, &a_times_b(a, k, b, n, m, bias, relu), c);
     }
 }
 
@@ -255,7 +187,8 @@ fn gemm_inner(
 /// This is the weight-gradient GEMM of a linear layer (`dW = xᵀ·dy`): each input row
 /// `i` contributes the rank-1 update `A[i, ·] ⊗ B[i, ·]`. The parallel path splits the
 /// `r` output rows across threads; each thread streams all of `A` and `B` once but
-/// touches a disjoint row band of `C`.
+/// touches a disjoint row band of `C`. The broadcast kernel with swapped strides
+/// (`a_row_stride = 1`, `a_step_stride = r`) walks `Aᵀ` rows for free.
 ///
 /// # Panics
 ///
@@ -264,72 +197,30 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, r: usize, n: usi
     assert_eq!(a.len(), m * r, "gemm_at_b: A length");
     assert_eq!(b.len(), m * n, "gemm_at_b: B length");
     assert_eq!(c.len(), r * n, "gemm_at_b: C length");
-    at_b_inner(a, b, c, m, r, n, bgemm_dispatch);
-}
-
-/// [`gemm_at_b`] forced onto the portable fallback tier, for the differential
-/// bit-identity tests.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-pub fn gemm_at_b_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, r: usize, n: usize) {
-    assert_eq!(a.len(), m * r, "gemm_at_b_scalar: A length");
-    assert_eq!(b.len(), m * n, "gemm_at_b_scalar: B length");
-    assert_eq!(c.len(), r * n, "gemm_at_b_scalar: C length");
-    at_b_inner(a, b, c, m, r, n, bgemm_scalar);
-}
-
-/// Shared `Aᵀ·B` driver: the broadcast kernel with swapped strides
-/// (`a_row_stride = 1`, `a_step_stride = r`) walks `Aᵀ` rows for free.
-fn at_b_inner(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    r: usize,
-    n: usize,
-    kernel: fn(&BroadcastGemm<'_>, &mut [f32]),
-) {
+    let tier = isa::tier(Family::F32);
     if m == 0 || r == 0 || n == 0 {
         return;
     }
+    let at_times_b = |a, rows| BroadcastGemm {
+        a,
+        a_row_stride: 1,
+        a_step_stride: r,
+        steps: m,
+        b,
+        n,
+        rows,
+        bias: None,
+        relu: false,
+    };
     if use_parallel(m, r, n) && r >= 4 {
         c.par_chunks_mut(MC * n)
             .enumerate()
             .for_each(|(block, c_rows)| {
-                let q0 = block * MC;
                 let rows = c_rows.len() / n;
-                kernel(
-                    &BroadcastGemm {
-                        a: &a[q0..],
-                        a_row_stride: 1,
-                        a_step_stride: r,
-                        steps: m,
-                        b,
-                        n,
-                        rows,
-                        bias: None,
-                        relu: false,
-                    },
-                    c_rows,
-                );
+                simd::bgemm(tier, &at_times_b(&a[block * MC..], rows), c_rows);
             });
     } else {
-        kernel(
-            &BroadcastGemm {
-                a,
-                a_row_stride: 1,
-                a_step_stride: r,
-                steps: m,
-                b,
-                n,
-                rows: r,
-                bias: None,
-                relu: false,
-            },
-            c,
-        );
+        simd::bgemm(tier, &at_times_b(a, r), c);
     }
 }
 
@@ -348,6 +239,7 @@ pub fn gemm_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_a_bt: A length");
     assert_eq!(b.len(), n * k, "gemm_a_bt: B length");
     assert_eq!(c.len(), m * n, "gemm_a_bt: C length");
+    let tier = isa::tier(Family::F32);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -357,27 +249,11 @@ pub fn gemm_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
             .for_each(|(block, c_rows)| {
                 let row0 = block * MC;
                 let rows = c_rows.len() / n;
-                a_bt_dispatch(&a[row0 * k..(row0 + rows) * k], b, c_rows, rows, k, n);
+                simd::a_bt(tier, &a[row0 * k..(row0 + rows) * k], b, c_rows, rows, k, n);
             });
     } else {
-        a_bt_dispatch(a, b, c, m, k, n);
+        simd::a_bt(tier, a, b, c, m, k, n);
     }
-}
-
-/// [`gemm_a_bt`] forced onto the portable fallback tier, for the differential
-/// bit-identity tests.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-pub fn gemm_a_bt_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "gemm_a_bt_scalar: A length");
-    assert_eq!(b.len(), n * k, "gemm_a_bt_scalar: B length");
-    assert_eq!(c.len(), m * n, "gemm_a_bt_scalar: C length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    a_bt_scalar(a, b, c, m, k, n);
 }
 
 /// Reference triple-loop `C += A·B`, kept for differential tests and benches.
@@ -412,17 +288,11 @@ pub fn gemm_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
-        // Small deterministic pseudo-random values in [-1, 1).
-        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
-            })
-            .collect()
-    }
+    use crate::isa::{on_every_tier, with_tier};
+    use crate::testutil::{bits, fill, hostile_value};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_close(actual: &[f32], expected: &[f32]) {
         assert_eq!(actual.len(), expected.len());
@@ -436,6 +306,17 @@ mod tests {
         let mut c = vec![0.0f32; m * n];
         gemm_naive(a, b, &mut c, m, k, n);
         c
+    }
+
+    /// `[rows, cols]` → `[cols, rows]`.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; rows * cols];
+        for i in 0..rows {
+            for j in 0..cols {
+                t[j * rows + i] = x[i * cols + j];
+            }
+        }
+        t
     }
 
     const SHAPES: &[(usize, usize, usize)] = &[
@@ -452,72 +333,79 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive_across_shapes() {
-        for &(m, k, n) in SHAPES {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let mut c = vec![0.0; m * n];
-            gemm(&a, &b, &mut c, m, k, n);
-            assert_close(&c, &naive(&a, &b, m, k, n));
-        }
+        on_every_tier(Family::F32, |_| {
+            for &(m, k, n) in SHAPES {
+                let a = fill(m * k, 1);
+                let b = fill(k * n, 2);
+                let mut c = vec![0.0; m * n];
+                gemm(&a, &b, &mut c, m, k, n);
+                assert_close(&c, &naive(&a, &b, m, k, n));
+            }
+        });
     }
 
     #[test]
     fn gemm_dispatch_matches_scalar_bit_identically() {
-        for &(m, k, n) in SHAPES {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let mut c_simd = fill(m * n, 3);
-            let mut c_scalar = c_simd.clone();
-            gemm(&a, &b, &mut c_simd, m, k, n);
-            gemm_scalar(&a, &b, &mut c_scalar, m, k, n);
-            for (x, y) in c_simd.iter().zip(&c_scalar) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
+        on_every_tier(Family::F32, |tier| {
+            for &(m, k, n) in SHAPES {
+                let a = fill(m * k, 1);
+                let b = fill(k * n, 2);
+                let mut c_tier = fill(m * n, 3);
+                let mut c_scalar = c_tier.clone();
+                gemm(&a, &b, &mut c_tier, m, k, n);
+                with_tier(Tier::Scalar, || gemm(&a, &b, &mut c_scalar, m, k, n));
+                assert_eq!(bits(&c_tier), bits(&c_scalar), "{tier:?} ({m},{k},{n})");
             }
-        }
+        });
     }
 
     #[test]
     fn fused_bias_matches_broadcast_then_gemm_bit_identically() {
-        for &(m, k, n) in SHAPES {
-            let a = fill(m * k, 4);
-            let b = fill(k * n, 5);
-            let bias = fill(n, 6);
-            for relu in [false, true] {
-                let mut fused = vec![-1.0; m * n];
-                gemm_fused_bias(&a, &b, &bias, &mut fused, m, k, n, relu);
-                let mut reference = Vec::with_capacity(m * n);
-                for _ in 0..m {
-                    reference.extend_from_slice(&bias);
-                }
-                gemm(&a, &b, &mut reference, m, k, n);
-                if relu {
-                    for v in &mut reference {
-                        *v = if *v > 0.0 { *v } else { 0.0 };
+        on_every_tier(Family::F32, |tier| {
+            for &(m, k, n) in SHAPES {
+                let a = fill(m * k, 4);
+                let b = fill(k * n, 5);
+                let bias = fill(n, 6);
+                for relu in [false, true] {
+                    let mut fused = vec![-1.0; m * n];
+                    gemm_fused_bias(&a, &b, &bias, &mut fused, m, k, n, relu);
+                    let mut reference = bias.repeat(m);
+                    gemm(&a, &b, &mut reference, m, k, n);
+                    if relu {
+                        for v in &mut reference {
+                            *v = if *v > 0.0 { *v } else { 0.0 };
+                        }
                     }
-                }
-                for (x, y) in fused.iter().zip(&reference) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n}) relu={relu}");
-                }
-                let mut fused_scalar = vec![-2.0; m * n];
-                gemm_fused_bias_scalar(&a, &b, &bias, &mut fused_scalar, m, k, n, relu);
-                for (x, y) in fused.iter().zip(&fused_scalar) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "scalar ({m},{k},{n}) relu={relu}");
+                    let at = format!("{tier:?} ({m},{k},{n}) relu={relu}");
+                    assert_eq!(bits(&fused), bits(&reference), "{at}");
+                    let mut fused_scalar = vec![-2.0; m * n];
+                    with_tier(Tier::Scalar, || {
+                        gemm_fused_bias(&a, &b, &bias, &mut fused_scalar, m, k, n, relu);
+                    });
+                    assert_eq!(bits(&fused), bits(&fused_scalar), "scalar {at}");
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn fused_relu_epilogue_handles_special_values() {
-        // One negative product, one NaN input: relu must send both to +0.0 /
-        // 0.0 exactly as the scalar definition does.
-        let a = [1.0f32, f32::NAN];
-        let b = [1.0f32];
-        let bias = [0.0f32];
-        let mut c = [9.0f32; 2];
-        gemm_fused_bias(&a, &b, &bias, &mut c, 2, 1, 1, true);
-        assert_eq!(c[0].to_bits(), 1.0f32.to_bits());
-        assert_eq!(c[1].to_bits(), 0.0f32.to_bits());
+        on_every_tier(Family::F32, |tier| {
+            // One negative product, one NaN input: relu must send both to +0.0 /
+            // 0.0 exactly as the scalar definition does.
+            let a = [1.0f32, f32::NAN];
+            let b = [1.0f32];
+            let bias = [0.0f32];
+            let mut c = [9.0f32; 2];
+            gemm_fused_bias(&a, &b, &bias, &mut c, 2, 1, 1, true);
+            assert_eq!(c[0].to_bits(), 1.0f32.to_bits(), "{tier:?}");
+            assert_eq!(c[1].to_bits(), 0.0f32.to_bits(), "{tier:?}");
+            // With no reduction the epilogue sees the bias itself.
+            let bias = [f32::NAN, -0.0, 2.0];
+            let mut c = [9.0f32; 3];
+            gemm_fused_bias(&[], &[], &bias, &mut c, 1, 0, 3, true);
+            assert_eq!(bits(&c), bits(&[0.0, 0.0, 2.0]), "{tier:?} k = 0");
+        });
     }
 
     #[test]
@@ -535,48 +423,75 @@ mod tests {
 
     #[test]
     fn at_b_matches_explicit_transpose() {
-        for &(m, r, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (129, 32, 7)] {
-            let a = fill(m * r, 5);
-            let b = fill(m * n, 6);
-            // Explicit Aᵀ.
-            let mut at = vec![0.0; r * m];
-            for i in 0..m {
-                for q in 0..r {
-                    at[q * m + i] = a[i * r + q];
-                }
+        on_every_tier(Family::F32, |tier| {
+            for &(m, r, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (129, 32, 7)] {
+                let a = fill(m * r, 5);
+                let b = fill(m * n, 6);
+                let expected = naive(&transpose(&a, m, r), &b, r, m, n);
+                let mut c = vec![0.0; r * n];
+                gemm_at_b(&a, &b, &mut c, m, r, n);
+                assert_close(&c, &expected);
+                let mut c_scalar = vec![0.0; r * n];
+                with_tier(Tier::Scalar, || gemm_at_b(&a, &b, &mut c_scalar, m, r, n));
+                assert_eq!(bits(&c), bits(&c_scalar), "{tier:?} ({m},{r},{n})");
             }
-            let expected = naive(&at, &b, r, m, n);
-            let mut c = vec![0.0; r * n];
-            gemm_at_b(&a, &b, &mut c, m, r, n);
-            assert_close(&c, &expected);
-            let mut c_scalar = vec![0.0; r * n];
-            gemm_at_b_scalar(&a, &b, &mut c_scalar, m, r, n);
-            for (x, y) in c.iter().zip(&c_scalar) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{r},{n})");
-            }
-        }
+        });
     }
 
     #[test]
     fn a_bt_matches_explicit_transpose() {
-        for &(m, k, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (33, 128, 130)] {
-            let a = fill(m * k, 7);
-            let b = fill(n * k, 8);
-            let mut bt = vec![0.0; k * n];
-            for j in 0..n {
-                for p in 0..k {
-                    bt[p * n + j] = b[j * k + p];
-                }
+        on_every_tier(Family::F32, |tier| {
+            for &(m, k, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (33, 128, 130)] {
+                let a = fill(m * k, 7);
+                let b = fill(n * k, 8);
+                let expected = naive(&a, &transpose(&b, n, k), m, k, n);
+                let mut c = vec![0.0; m * n];
+                gemm_a_bt(&a, &b, &mut c, m, k, n);
+                assert_close(&c, &expected);
+                let mut c_scalar = vec![0.0; m * n];
+                with_tier(Tier::Scalar, || gemm_a_bt(&a, &b, &mut c_scalar, m, k, n));
+                assert_eq!(bits(&c), bits(&c_scalar), "{tier:?} ({m},{k},{n})");
             }
-            let expected = naive(&a, &bt, m, k, n);
-            let mut c = vec![0.0; m * n];
-            gemm_a_bt(&a, &b, &mut c, m, k, n);
-            assert_close(&c, &expected);
-            let mut c_scalar = vec![0.0; m * n];
-            gemm_a_bt_scalar(&a, &b, &mut c_scalar, m, k, n);
-            for (x, y) in c.iter().zip(&c_scalar) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
-            }
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Ragged shapes on both sides of every register tile (zero-sized,
+        /// `n` off the 8/16/32-lane grid, `m` off the 6/12-row groups) with a
+        /// sprinkle of hostile values: every f32 entry point returns the
+        /// scalar tier's bits on every host tier.
+        #[test]
+        fn every_tier_matches_the_scalar_tier_on_ragged_shapes(
+            m in 0usize..70,
+            k in 0usize..70,
+            n in 0usize..70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut values = |len: usize| -> Vec<f32> {
+                let mut value = || match rng.gen_range(0u32..32) {
+                    0 => hostile_value(&mut rng),
+                    _ => rng.gen_range(-2.0f32..2.0),
+                };
+                (0..len).map(|_| value()).collect()
+            };
+            let (a, b, bias, c0) = (values(m * k), values(k * n), values(n), values(m * n));
+            let (b_t, c0_t) = (values(n * k), values(k * n));
+            let run = || {
+                let mut out = [c0.clone(), c0.clone(), c0.clone(), c0_t.clone(), c0.clone()];
+                gemm(&a, &b, &mut out[0], m, k, n);
+                gemm_fused_bias(&a, &b, &bias, &mut out[1], m, k, n, false);
+                gemm_fused_bias(&a, &b, &bias, &mut out[2], m, k, n, true);
+                gemm_at_b(&a, &c0, &mut out[3], m, k, n);
+                gemm_a_bt(&a, &b_t, &mut out[4], m, k, n);
+                out.iter().map(|c| bits(c)).collect::<Vec<_>>()
+            };
+            let want = with_tier(Tier::Scalar, run);
+            on_every_tier(Family::F32, |tier| {
+                assert_eq!(run(), want, "{tier:?} at ({m}, {k}, {n})");
+            });
         }
     }
 
@@ -586,12 +501,10 @@ mod tests {
         gemm(&[], &[], &mut empty, 0, 3, 0);
         gemm_at_b(&[], &[], &mut empty, 0, 0, 4);
         gemm_a_bt(&[], &[], &mut empty, 0, 2, 0);
-        let a = fill(3, 9);
         let mut c = vec![0.0; 3];
         // k = 0 leaves C untouched.
         gemm(&[], &[], &mut c, 3, 0, 1);
         assert_eq!(c, vec![0.0; 3]);
-        let _ = a;
         // k = 0 fused bias still writes the (relu'd) bias.
         let bias = [-1.0f32, 2.0];
         let mut out = [9.0f32; 4];

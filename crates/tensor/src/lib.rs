@@ -25,19 +25,20 @@
 #![deny(missing_docs)]
 
 pub mod init;
+pub mod isa;
 pub mod kernels;
 pub mod pairwise;
 pub mod qgemm;
 pub mod quant;
 pub mod simd;
 pub mod tensor;
+#[cfg(test)]
+mod testutil;
 
 pub use init::{kaiming_uniform, xavier_uniform};
+pub use isa::{with_tier, Tier};
 pub use pairwise::PairwiseScratch;
-pub use qgemm::{
-    gemm_a_bt_f16, gemm_a_bt_f16_with, gemm_a_bt_q8, gemm_a_bt_q8_with, F16BtMatrix,
-    F16GemmScratch, QGemmScratch, QuantizedBtMatrix,
-};
+pub use qgemm::{gemm_a_bt_q8, gemm_a_bt_q8_with, QGemmScratch, QuantizedBtMatrix};
 pub use quant::Precision;
-pub use simd::{f32_tier, f32_tier_name, prefetch_read, SimdTier};
+pub use simd::prefetch_read;
 pub use tensor::{Tensor, TensorError};

@@ -1,21 +1,13 @@
-//! Quantized GEMM microkernels: int8 with integer accumulation, fp16 storage.
+//! Quantized GEMM microkernels: int8 weights with integer accumulation.
 //!
-//! These extend the PR 1 register-tiled kernels ([`crate::kernels`]) with
-//! reduced-precision *weight storage* for the serving forward pass. Both
-//! variants compute `C += A·Bᵀ` for a linear layer's `[in, out]` weight:
-//!
-//! * [`gemm_a_bt_q8`] — weights packed once as int8 with one symmetric scale
-//!   per output column ([`QuantizedBtMatrix`]); activations are quantized per
-//!   row, once per GEMM, into a [`QGemmScratch`]. The inner product runs
-//!   entirely in **i32** (exact integer arithmetic), then each output gets
-//!   `dot as f32 * a_scale * b_scale`. Integer addition is associative, so
-//!   every tier below returns **bit-identical** results — pinned by tests
-//!   against [`dot_i8_scalar`], not hoped for.
-//! * [`gemm_a_bt_f16`] — weights stored as IEEE binary16 words
-//!   ([`F16BtMatrix`]), decoded row-block by row-block into an `f32` scratch
-//!   and fed through the *same* fused dot-product lanes as the f32 kernel, so
-//!   the result is bit-identical to decoding the whole matrix up front and
-//!   calling [`crate::kernels::gemm_a_bt`].
+//! [`gemm_a_bt_q8`] computes `C += A·Bᵀ` for a linear layer's `[in, out]`
+//! weight packed once as int8 with one symmetric scale per output column
+//! ([`QuantizedBtMatrix`]); activations are quantized per row, once per GEMM,
+//! into a [`QGemmScratch`]. The inner product runs entirely in **i32** (exact
+//! integer arithmetic), then each output gets `dot as f32 * a_scale *
+//! b_scale`. Integer addition is associative, so every tier below returns
+//! **bit-identical** results — pinned by tests against [`dot_i8_scalar`], not
+//! hoped for.
 //!
 //! # The packed int8 layout
 //!
@@ -41,13 +33,14 @@
 //!
 //! # Tiers
 //!
-//! Selected by runtime CPU detection only ([`int8_tier_name`] reports which):
+//! Dispatched through [`crate::isa`] ([`Family::Int8`] states what each tier
+//! requires):
 //!
-//! | tier          | requires                            | tile (rows × cols) | inner step |
-//! |---------------|-------------------------------------|--------------------|------------|
-//! | `avx512-vnni` | `avx512f` + `avx512bw` + `avx512vnni` | 4 × 64           | `vpdpbusd` on `u8` activations × `i8` weights |
-//! | `avx2`        | `avx2`                              | 2 × 16             | sign-extend to i16, `vpmaddwd` |
-//! | `scalar`      | —                                   | 1 × 16             | [`dot_i8_scalar`] per 4-byte lane |
+//! | tier     | tile (rows × cols) | inner step |
+//! |----------|--------------------|------------|
+//! | `Avx512` | 4 × 64             | `vpdpbusd` (VNNI) on `u8` activations × `i8` weights |
+//! | `Avx2`   | 2 × 16             | sign-extend to i16, `vpmaddwd` |
+//! | `Scalar` | 1 × 16             | [`dot_i8_scalar`] per 4-byte lane |
 //!
 //! Each tier also owns the activation quantizer it feeds from; the two
 //! vector forms reproduce [`quantize_i8`] bit for bit (IEEE division by the
@@ -73,11 +66,8 @@
 //! above any dense layer in this workspace; the signed tiers need only
 //! `127² · k`, a weaker bound.
 
-use crate::quant::{
-    decode_row_f16_into, f16_bits_to_f32, f32_to_f16_bits, finite_max_abs, int8_scale, quantize_i8,
-};
-use crate::simd::{dot4_dispatch, dot_dispatch};
-use std::sync::OnceLock;
+use crate::isa::{self, Family, Isa, Tier};
+use crate::quant::{finite_max_abs, int8_scale, quantize_i8};
 
 /// Largest inner dimension the constructors accept (keeps the i32 dot exact,
 /// including the unsigned-activation form — see the module docs).
@@ -195,127 +185,6 @@ fn packed_index(kgroups: usize, j: usize, p: usize) -> usize {
     ((j / PANEL) * kgroups + p / KGROUP) * BLOCK + (j % PANEL) * KGROUP + p % KGROUP
 }
 
-/// `B` stored as IEEE binary16 words in `Bᵀ: [n, k]` layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct F16BtMatrix {
-    data: Vec<u16>,
-    n: usize,
-    k: usize,
-}
-
-impl F16BtMatrix {
-    /// Packs a row-major `B: [k, n]` into half-precision words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != k * n`.
-    #[must_use]
-    pub fn from_col_major(b: &[f32], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "F16BtMatrix: B length");
-        let mut data = vec![0u16; n * k];
-        for j in 0..n {
-            for p in 0..k {
-                data[j * k + p] = f32_to_f16_bits(b[p * n + j]);
-            }
-        }
-        Self { data, n, k }
-    }
-
-    /// Output columns (`n`).
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.n
-    }
-
-    /// Inner dimension (`k`).
-    #[must_use]
-    pub fn inner(&self) -> usize {
-        self.k
-    }
-
-    /// Resident bytes of the stored half words.
-    #[must_use]
-    pub fn resident_bytes(&self) -> u64 {
-        2 * self.data.len() as u64
-    }
-
-    /// Decodes back to a row-major `B: [k, n]` — the reference operand the
-    /// bit-identity tests run the f32 kernel over.
-    #[must_use]
-    pub fn decode_col_major(&self) -> Vec<f32> {
-        let mut b = vec![0.0f32; self.k * self.n];
-        for j in 0..self.n {
-            for p in 0..self.k {
-                b[p * self.n + j] = f16_bits_to_f32(self.data[j * self.k + p]);
-            }
-        }
-        b
-    }
-}
-
-/// Instruction set the int8 kernels dispatch to at runtime.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Int8Tier {
-    /// 4 × 64 `vpdpbusd` tiles (`avx512f` + `avx512bw` + `avx512vnni`).
-    Avx512Vnni,
-    /// 2 × 16 sign-extend + `vpmaddwd` tiles (`avx2`).
-    Avx2,
-    /// Portable loop over the same packed layout.
-    Scalar,
-}
-
-impl Int8Tier {
-    /// Every tier, fastest first.
-    const ALL: [Int8Tier; 3] = [Int8Tier::Avx512Vnni, Int8Tier::Avx2, Int8Tier::Scalar];
-
-    /// Whether this host can execute the tier (runtime feature detection).
-    fn supported(self) -> bool {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Int8Tier::Avx512Vnni => {
-                std::is_x86_feature_detected!("avx512f")
-                    && std::is_x86_feature_detected!("avx512bw")
-                    && std::is_x86_feature_detected!("avx512vnni")
-            }
-            #[cfg(target_arch = "x86_64")]
-            Int8Tier::Avx2 => std::is_x86_feature_detected!("avx2"),
-            Int8Tier::Scalar => true,
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-}
-
-/// The tier the int8 kernels use on this host (detected once).
-fn int8_tier() -> Int8Tier {
-    static TIER: OnceLock<Int8Tier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        Int8Tier::ALL
-            .into_iter()
-            .find(|tier| tier.supported())
-            .unwrap_or(Int8Tier::Scalar)
-    })
-}
-
-/// Whether the int8 kernels will take a SIMD tier on this host (runtime
-/// feature detection, cached). Benches report this so a gate run on a
-/// different machine class is interpretable.
-#[must_use]
-pub fn int8_simd_active() -> bool {
-    int8_tier() != Int8Tier::Scalar
-}
-
-/// Name of the tier the int8 kernels dispatch to on this host:
-/// `"avx512-vnni"`, `"avx2"` or `"scalar"`.
-#[must_use]
-pub fn int8_tier_name() -> &'static str {
-    match int8_tier() {
-        Int8Tier::Avx512Vnni => "avx512-vnni",
-        Int8Tier::Avx2 => "avx2",
-        Int8Tier::Scalar => "scalar",
-    }
-}
-
 /// Exact int8 dot product in i32, portable scalar loop — the oracle every
 /// tier is tested against, and the scalar tier's 4-byte lane.
 #[must_use]
@@ -349,10 +218,10 @@ fn quantize_activations_into(
     a: &[f32],
     m: usize,
     k: usize,
-    tier: Int8Tier,
+    tier: Tier,
     scratch: &mut QGemmScratch,
 ) {
-    debug_assert!(tier.supported());
+    debug_assert!(Isa::host().supports(Family::Int8, tier));
     let kp = k.next_multiple_of(KGROUP);
     // Every row below is overwritten in full, padding included.
     scratch.qa.resize(m * kp, 0);
@@ -360,13 +229,13 @@ fn quantize_activations_into(
     let rows = a.chunks_exact(k).zip(scratch.qa.chunks_exact_mut(kp));
     for ((row, out), scale) in rows.zip(&mut scratch.scales) {
         *scale = match tier {
-            // SAFETY: the caller guarantees the host supports `tier`
-            // (`gemm_a_bt_q8_inner` asserts it); `out` is `row` rounded up.
+            // SAFETY: the host supports `tier` (it came from `isa::tier`);
+            // `out` is `row` rounded up to a whole k-group.
             #[cfg(target_arch = "x86_64")]
-            Int8Tier::Avx512Vnni => unsafe { x86::quantize_row_vnni(row, out) },
+            Tier::Avx512 => unsafe { x86::quantize_row_vnni(row, out) },
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            Int8Tier::Avx2 => unsafe { x86::quantize_row_avx2(row, out) },
+            Tier::Avx2 => unsafe { x86::quantize_row_avx2(row, out) },
             _ => quantize_row_scalar(row, out),
         };
     }
@@ -392,16 +261,14 @@ fn quantize_row_scalar(row: &[f32], out: &mut [i8]) -> f32 {
 /// pre-initialized by the caller (zeros, or a broadcast bias for a fused
 /// linear forward) — the kernel only accumulates, like [`crate::kernels::gemm`].
 ///
-/// Dispatches at runtime to the fastest tier the host supports (see the
-/// module docs), all bit-identical; [`gemm_a_bt_q8_scalar`] is the
-/// pinned-path entry point tests use.
+/// Runs on the tier [`crate::isa::tier`] picks (see the module docs); every
+/// tier is bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths do not match `m`, `k` and `b`'s geometry.
 pub fn gemm_a_bt_q8(a: &[f32], b: &QuantizedBtMatrix, c: &mut [f32], m: usize, k: usize) {
-    let mut scratch = QGemmScratch::default();
-    gemm_a_bt_q8_inner(a, b, c, m, k, int8_tier(), &mut scratch);
+    gemm_a_bt_q8_with(a, b, c, m, k, &mut QGemmScratch::default());
 }
 
 /// [`gemm_a_bt_q8`] with caller-owned activation scratch — the
@@ -418,57 +285,32 @@ pub fn gemm_a_bt_q8_with(
     k: usize,
     scratch: &mut QGemmScratch,
 ) {
-    gemm_a_bt_q8_inner(a, b, c, m, k, int8_tier(), scratch);
-}
-
-/// [`gemm_a_bt_q8`] forced onto the portable scalar tier, regardless of CPU
-/// features — the differential half of the SIMD bit-identity tests.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m`, `k` and `b`'s geometry.
-pub fn gemm_a_bt_q8_scalar(a: &[f32], b: &QuantizedBtMatrix, c: &mut [f32], m: usize, k: usize) {
-    let mut scratch = QGemmScratch::default();
-    gemm_a_bt_q8_inner(a, b, c, m, k, Int8Tier::Scalar, &mut scratch);
-}
-
-fn gemm_a_bt_q8_inner(
-    a: &[f32],
-    b: &QuantizedBtMatrix,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    tier: Int8Tier,
-    scratch: &mut QGemmScratch,
-) {
     let n = b.n;
     assert_eq!(b.k, k, "gemm_a_bt_q8: inner dimension");
     assert_eq!(a.len(), m * k, "gemm_a_bt_q8: A length");
     assert_eq!(c.len(), m * n, "gemm_a_bt_q8: C length");
-    assert!(
-        tier.supported(),
-        "gemm_a_bt_q8: {tier:?} not supported here"
-    );
+    let tier = isa::tier(Family::Int8);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     quantize_activations_into(a, m, k, tier, scratch);
     let (qa, a_scales) = (scratch.qa.as_slice(), scratch.scales.as_slice());
     match tier {
-        // SAFETY: the host supports `tier` (asserted above); `qa`/`a_scales`
-        // were just sized for `m` rows of `b`'s k-groups and `c` is `[m, n]`.
+        // SAFETY: the host supports `tier` (it came from `isa::tier`);
+        // `qa`/`a_scales` were just sized for `m` rows of `b`'s k-groups and
+        // `c` is `[m, n]`.
         #[cfg(target_arch = "x86_64")]
-        Int8Tier::Avx512Vnni => unsafe { x86::gemm_vnni(qa, a_scales, b, c, m) },
+        Tier::Avx512 => unsafe { x86::gemm_vnni(qa, a_scales, b, c, m) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        Int8Tier::Avx2 => unsafe { x86::gemm_avx2(qa, a_scales, b, c, m) },
-        _ => gemm_scalar(qa, a_scales, b, c),
+        Tier::Avx2 => unsafe { x86::gemm_avx2(qa, a_scales, b, c, m) },
+        _ => scalar_gemm(qa, a_scales, b, c),
     }
 }
 
 /// Scalar tier: one output row × one 16-column panel at a time, each 4-byte
 /// lane through [`dot_i8_scalar`].
-fn gemm_scalar(qa: &[i8], a_scales: &[f32], b: &QuantizedBtMatrix, c: &mut [f32]) {
+fn scalar_gemm(qa: &[i8], a_scales: &[f32], b: &QuantizedBtMatrix, c: &mut [f32]) {
     let (n, kgroups) = (b.n, b.kgroups());
     let rows = qa.chunks_exact(kgroups * KGROUP).zip(c.chunks_exact_mut(n));
     for ((arow, crow), &a_scale) in rows.zip(a_scales) {
@@ -499,22 +341,13 @@ fn gemm_scalar(qa: &[i8], a_scales: &[f32], b: &QuantizedBtMatrix, c: &mut [f32]
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{int8_scale, QuantizedBtMatrix, BLOCK, KGROUP, PANEL};
+    use crate::isa::lanes::{load16, load8, mask16, store16, store8};
     use std::arch::x86_64::*;
 
     /// Largest `f32` below one half. `trunc(t + copysign(HALF_BELOW, t))` is
     /// `t.round()` (half away from zero) for every finite `t`: adding exactly
     /// 0.5 would carry values just under `n + 0.5` up to `n + 1`.
     const HALF_BELOW: f32 = f32::from_bits(0x3eff_ffff);
-
-    /// Mask selecting the first `remaining.min(16)` lanes.
-    #[inline]
-    fn lane_mask(remaining: usize) -> __mmask16 {
-        if remaining >= 16 {
-            0xffff
-        } else {
-            (1u16 << remaining) - 1
-        }
-    }
 
     /// AVX-512 activation quantizer for the VNNI tier: bit-identical to
     /// [`super::quantize_row_scalar`] with every byte's sign bit flipped
@@ -535,7 +368,7 @@ mod x86 {
         let mut p = 0;
         while p < k {
             // In bounds: the mask stops the load at `row[k - 1]`.
-            let abs = _mm512_abs_ps(_mm512_maskz_loadu_ps(lane_mask(k - p), src.add(p)));
+            let abs = _mm512_abs_ps(load16(src.add(p), (k - p).min(16)));
             // Ordered less-than drops both infinities and NaN.
             let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(abs, inf);
             max = _mm512_mask_max_ps(max, finite, max, abs);
@@ -550,8 +383,9 @@ mod x86 {
         let plus_128 = _mm512_set1_epi32(0x80);
         let mut p = 0;
         while p < kp {
-            // Masked-off lanes load 0.0 and so quantize to the padding byte.
-            let x = _mm512_div_ps(_mm512_maskz_loadu_ps(lane_mask(k - p), src.add(p)), vscale);
+            // Masked-off lanes load 0.0 and so quantize to the padding byte
+            // (`p < k`: both are multiples of a k-group below `kp`).
+            let x = _mm512_div_ps(load16(src.add(p), (k - p).min(16)), vscale);
             // NaN (a NaN input, or 0/0 at a flushed-to-zero scale) → 0.
             let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(x, x);
             let t = _mm512_min_ps(_mm512_max_ps(x, lo), hi);
@@ -565,7 +399,7 @@ mod x86 {
             // In bounds: the mask stops the store at `out[kp - 1]`.
             _mm512_mask_cvtepi32_storeu_epi8(
                 dst.add(p),
-                lane_mask(kp - p),
+                mask16(0, (kp - p).min(16)),
                 _mm512_xor_si512(q, plus_128),
             );
             p += 16;
@@ -574,8 +408,8 @@ mod x86 {
     }
 
     /// AVX2 activation quantizer: bit-identical to
-    /// [`super::quantize_row_scalar`]; the ragged tail goes through a
-    /// zero-padded 8-lane copy rather than a scalar loop.
+    /// [`super::quantize_row_scalar`]; the ragged tail goes through a masked
+    /// load rather than a scalar loop.
     ///
     /// # Safety
     ///
@@ -585,27 +419,11 @@ mod x86 {
     pub(super) unsafe fn quantize_row_avx2(row: &[f32], out: &mut [i8]) -> f32 {
         let (k, kp) = (row.len(), out.len());
         debug_assert_eq!(kp, k.next_multiple_of(KGROUP));
-        /// Eight lanes starting at `row[p]`, zero-filled past the end.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn load8(row: &[f32], p: usize) -> __m256 {
-            let mut lanes = [0.0f32; 8];
-            let src = match row[p..].first_chunk::<8>() {
-                Some(full) => full,
-                None => {
-                    lanes[..row.len() - p].copy_from_slice(&row[p..]);
-                    &lanes
-                }
-            };
-            // SAFETY: `src` is a live `[f32; 8]`.
-            _mm256_loadu_ps(src.as_ptr())
-        }
-
         let abs_bits = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
         let inf = _mm256_set1_ps(f32::INFINITY);
         let mut max = _mm256_setzero_ps();
         for p in (0..k).step_by(8) {
-            let abs = _mm256_and_ps(load8(row, p), abs_bits);
+            let abs = _mm256_and_ps(load8(row.as_ptr().add(p), (k - p).min(8)), abs_bits);
             // Ordered less-than drops both infinities and NaN (lane → 0.0).
             let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(abs, inf);
             max = _mm256_max_ps(max, _mm256_and_ps(abs, finite));
@@ -619,7 +437,8 @@ mod x86 {
         let half = _mm256_set1_ps(HALF_BELOW);
         let sign_bit = _mm256_set1_ps(-0.0);
         for p in (0..kp).step_by(8) {
-            let x = _mm256_div_ps(load8(row, p), vscale);
+            // Zero-filled past the end; `p < k` as in `quantize_row_vnni`.
+            let x = _mm256_div_ps(load8(row.as_ptr().add(p), (k - p).min(8)), vscale);
             // NaN (a NaN input, or 0/0 at a flushed-to-zero scale) → 0.
             let ordered = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_ORD_Q>(x, x));
             let t = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
@@ -723,7 +542,7 @@ mod x86 {
 
         for (p, acc_panel) in acc.iter().enumerate() {
             let col = (p0 + p) * PANEL;
-            let mask = lane_mask(n - col);
+            let live = (n - col).min(PANEL);
             // Σ(a+128)·b − 128·Σb = Σ a·b, exactly (module docs).
             let sums = _mm512_loadu_si512(b.col_sums.as_ptr().add(col).cast());
             let correction = _mm512_slli_epi32::<7>(sums);
@@ -736,8 +555,7 @@ mod x86 {
                 let term = _mm512_mul_ps(_mm512_mul_ps(dot, a_scale), b_scales);
                 // In bounds: the mask stops at column `n - 1` of row `i0 + r`.
                 let cptr = c.as_mut_ptr().add((i0 + r) * n + col);
-                let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cptr), term);
-                _mm512_mask_storeu_ps(cptr, mask, sum);
+                store16(cptr, 0, live, _mm512_add_ps(load16(cptr, live), term));
             }
         }
     }
@@ -811,7 +629,6 @@ mod x86 {
             }
         }
 
-        let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         for (r, acc_row) in acc.iter().enumerate() {
             let a_scale = _mm256_set1_ps(a_scales[i0 + r]);
             for half in 0..2 {
@@ -827,108 +644,24 @@ mod x86 {
                 // Same two multiplies and one add as the scalar tier.
                 let term = _mm256_mul_ps(_mm256_mul_ps(dot, a_scale), b_scales);
                 // In bounds: the mask stops at column `n - 1` of row `i0 + r`.
-                let live = (n - col).min(8) as i32;
-                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane_ids);
+                let live = (n - col).min(8);
                 let cptr = c.as_mut_ptr().add((i0 + r) * n + col);
-                let sum = _mm256_add_ps(_mm256_maskload_ps(cptr, mask), term);
-                _mm256_maskstore_ps(cptr, mask, sum);
+                store8(cptr, 0, live, _mm256_add_ps(load8(cptr, live), term));
             }
         }
-    }
-}
-
-/// Reusable decode scratch for the fp16 GEMM (up to four weight rows of `k`
-/// f32 values), so steady-state serving decodes without heap allocations.
-#[derive(Debug, Default, Clone)]
-pub struct F16GemmScratch {
-    buf: Vec<f32>,
-}
-
-/// `C += A·Bᵀ` with fp16-stored weights, decoded on the fly.
-///
-/// Each group of four `Bᵀ` rows is decoded once into an `f32` scratch and fed
-/// through the same canonical dot-product kernels as the f32
-/// [`crate::kernels::gemm_a_bt`], so the result is **bit-identical** to
-/// decoding all of `B` up front and running the f32 kernel — pinned by tests.
-/// `C` must be pre-initialized; the kernel only accumulates.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m`, `k` and `b`'s geometry.
-pub fn gemm_a_bt_f16(a: &[f32], b: &F16BtMatrix, c: &mut [f32], m: usize, k: usize) {
-    let mut scratch = F16GemmScratch::default();
-    gemm_a_bt_f16_with(a, b, c, m, k, &mut scratch);
-}
-
-/// [`gemm_a_bt_f16`] with caller-owned decode scratch — the allocation-free
-/// form the serving hot path uses.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m`, `k` and `b`'s geometry.
-pub fn gemm_a_bt_f16_with(
-    a: &[f32],
-    b: &F16BtMatrix,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    scratch: &mut F16GemmScratch,
-) {
-    let n = b.n;
-    assert_eq!(b.k, k, "gemm_a_bt_f16: inner dimension");
-    assert_eq!(a.len(), m * k, "gemm_a_bt_f16: A length");
-    assert_eq!(c.len(), m * n, "gemm_a_bt_f16: C length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let scratch = &mut scratch.buf;
-    scratch.reserve(4 * k);
-    let mut j = 0;
-    while j + 4 <= n {
-        scratch.clear();
-        for q in 0..4 {
-            decode_row_f16_into(&b.data[(j + q) * k..(j + q + 1) * k], scratch);
-        }
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let dots = dot4_dispatch(arow, &scratch[..4 * k]);
-            let crow = &mut c[i * n + j..i * n + j + 4];
-            crow[0] += dots[0];
-            crow[1] += dots[1];
-            crow[2] += dots[2];
-            crow[3] += dots[3];
-        }
-        j += 4;
-    }
-    while j < n {
-        scratch.clear();
-        decode_row_f16_into(&b.data[j * k..(j + 1) * k], scratch);
-        for i in 0..m {
-            c[i * n + j] += dot_dispatch(&a[i * k..(i + 1) * k], &scratch[..k]);
-        }
-        j += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{on_every_tier, with_tier};
     use crate::kernels::gemm_a_bt;
     use crate::quant::quantize_row_i8;
+    use crate::testutil::{bits, fill, hostile_value};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
-        // Small deterministic pseudo-random values in [-1, 1).
-        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
-            })
-            .collect()
-    }
 
     /// Row-major [k, n] -> Bᵀ rows [n, k] (reference layout for gemm_a_bt).
     fn transpose(b: &[f32], k: usize, n: usize) -> Vec<f32> {
@@ -939,29 +672,6 @@ mod tests {
             }
         }
         bt
-    }
-
-    /// Every tier this host can run, scalar included.
-    fn host_tiers() -> Vec<Int8Tier> {
-        Int8Tier::ALL
-            .into_iter()
-            .filter(|t| t.supported())
-            .collect()
-    }
-
-    /// Values the quantizer has special rules for, plus ordinary ones.
-    fn hostile_value(rng: &mut StdRng) -> f32 {
-        match rng.gen_range(0u32..16) {
-            0 => f32::NAN,
-            1 => f32::INFINITY,
-            2 => f32::NEG_INFINITY,
-            3 => -0.0,
-            4 => 0.0,
-            5 => f32::MAX,
-            6 => f32::from_bits(rng.gen_range(1u32..64)), // subnormal
-            7 => rng.gen_range(-1.0e30f32..1.0e30),
-            _ => rng.gen_range(-4.0f32..4.0),
-        }
     }
 
     /// `[m, k]` activations: each row is all-zero, plain, or laced with
@@ -1004,64 +714,42 @@ mod tests {
         c
     }
 
-    fn bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// Runs the GEMM on one pinned tier.
-    fn run_tier(
-        tier: Int8Tier,
-        a: &[f32],
-        b: &QuantizedBtMatrix,
-        c0: &[f32],
-        m: usize,
-    ) -> Vec<f32> {
+    /// Runs the GEMM onto a copy of `c0` on the current thread's tier.
+    fn run(a: &[f32], b: &QuantizedBtMatrix, c0: &[f32], m: usize) -> Vec<f32> {
         let mut c = c0.to_vec();
-        let mut scratch = QGemmScratch::default();
-        gemm_a_bt_q8_inner(a, b, &mut c, m, b.inner(), tier, &mut scratch);
+        gemm_a_bt_q8(a, b, &mut c, m, b.inner());
         c
     }
 
     /// Asserts every host tier quantizes `a: [m, k]` exactly as
     /// `quantize_row_i8` does (sign bit flipped on the VNNI tier), padding
     /// bytes included.
-    fn assert_quantizers_match(a: &[f32], m: usize, k: usize) -> Result<(), String> {
+    fn assert_quantizers_match(a: &[f32], m: usize, k: usize) {
         let kp = k.next_multiple_of(KGROUP);
         let mut want = Vec::new();
-        for tier in host_tiers() {
-            let flip = if tier == Int8Tier::Avx512Vnni {
-                -128i8
-            } else {
-                0
-            };
+        on_every_tier(Family::Int8, |tier| {
+            let flip = if tier == Tier::Avx512 { -128i8 } else { 0 };
             // A dirty, oversized scratch: stale bytes must not leak through.
             let mut scratch = QGemmScratch {
                 qa: vec![0x55; m * kp + 9],
                 scales: vec![7.0; m + 2],
             };
             quantize_activations_into(a, m, k, tier, &mut scratch);
-            prop_assert_eq!(scratch.qa.len(), m * kp);
-            prop_assert_eq!(scratch.scales.len(), m);
+            assert_eq!(scratch.qa.len(), m * kp);
+            assert_eq!(scratch.scales.len(), m);
             for i in 0..m {
                 let scale = quantize_row_i8(&a[i * k..(i + 1) * k], &mut want);
                 want.resize(kp, 0);
                 let want: Vec<i8> = want.iter().map(|q| q ^ flip).collect();
-                prop_assert_eq!(
-                    scratch.scales[i].to_bits(),
-                    scale.to_bits(),
-                    "{:?} scale",
-                    tier
-                );
-                prop_assert_eq!(
+                let got_scale = scratch.scales[i];
+                assert_eq!(got_scale.to_bits(), scale.to_bits(), "{tier:?} scale");
+                assert_eq!(
                     &scratch.qa[i * kp..(i + 1) * kp],
                     &want[..],
-                    "{:?} row {}",
-                    tier,
-                    i
+                    "{tier:?} row {i}"
                 );
             }
-        }
-        Ok(())
+        });
     }
 
     proptest! {
@@ -1085,10 +773,9 @@ mod tests {
             let c0: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let b = QuantizedBtMatrix::from_col_major(&bf, k, n);
             let want = bits(&reference(&a, &bf, &c0, m, k, n));
-            for tier in host_tiers() {
-                let got = run_tier(tier, &a, &b, &c0, m);
-                prop_assert_eq!(bits(&got), want.clone(), "{:?} at ({}, {}, {})", tier, m, k, n);
-            }
+            on_every_tier(Family::Int8, |tier| {
+                assert_eq!(bits(&run(&a, &b, &c0, m)), want, "{tier:?} at ({m}, {k}, {n})");
+            });
         }
 
         /// The vector activation quantizers equal `quantize_i8` element for
@@ -1101,7 +788,7 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = activations(&mut rng, m, k);
-            assert_quantizers_match(&a, m, k)?;
+            assert_quantizers_match(&a, m, k);
         }
     }
 
@@ -1126,10 +813,13 @@ mod tests {
             let c0 = fill(m * n, 6);
             let b = QuantizedBtMatrix::from_col_major(&bf, k, n);
             let want = bits(&reference(&a, &bf, &c0, m, k, n));
-            for tier in host_tiers() {
-                let got = run_tier(tier, &a, &b, &c0, m);
-                assert_eq!(bits(&got), want, "{tier:?} at ({m}, {k}, {n})");
-            }
+            on_every_tier(Family::Int8, |tier| {
+                assert_eq!(
+                    bits(&run(&a, &b, &c0, m)),
+                    want,
+                    "{tier:?} at ({m}, {k}, {n})"
+                );
+            });
         }
     }
 
@@ -1145,11 +835,11 @@ mod tests {
             }
         }
         for k in [row.len(), row.len() - 1, row.len() - 2, row.len() - 3] {
-            assert_quantizers_match(&row[..k], 1, k).unwrap();
+            assert_quantizers_match(&row[..k], 1, k);
         }
         // And at a scale that is not a power of two.
         let scaled: Vec<f32> = row.iter().map(|v| v * 0.029_3).collect();
-        assert_quantizers_match(&scaled, 1, scaled.len()).unwrap();
+        assert_quantizers_match(&scaled, 1, scaled.len());
     }
 
     #[test]
@@ -1166,10 +856,10 @@ mod tests {
             let a: Vec<f32> = x.iter().map(|&v| f32::from(v)).collect();
             let bf: Vec<f32> = y.iter().map(|&v| f32::from(v)).collect();
             let b = QuantizedBtMatrix::from_col_major(&bf, len, 1);
-            for tier in host_tiers() {
-                let got = run_tier(tier, &a, &b, &[0.0], 1);
+            on_every_tier(Family::Int8, |tier| {
+                let got = run(&a, &b, &[0.0], 1);
                 assert_eq!(got[0], dot_i8_scalar(&x, &y) as f32, "{tier:?} len {len}");
-            }
+            });
         }
     }
 
@@ -1178,13 +868,15 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (3, 17, 5), (8, 64, 32), (5, 130, 9)] {
             let a = fill(m * k, 11);
             let b = QuantizedBtMatrix::from_col_major(&fill(k * n, 12), k, n);
-            let mut c_auto = vec![0.5f32; m * n];
-            let mut c_scalar = vec![0.5f32; m * n];
-            gemm_a_bt_q8(&a, &b, &mut c_auto, m, k);
-            gemm_a_bt_q8_scalar(&a, &b, &mut c_scalar, m, k);
-            for (x, y) in c_auto.iter().zip(&c_scalar) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
-            }
+            let c0 = vec![0.5f32; m * n];
+            let scalar = with_tier(Tier::Scalar, || run(&a, &b, &c0, m));
+            on_every_tier(Family::Int8, |tier| {
+                assert_eq!(
+                    bits(&run(&a, &b, &c0, m)),
+                    bits(&scalar),
+                    "{tier:?} ({m},{k},{n})"
+                );
+            });
         }
     }
 
@@ -1227,33 +919,13 @@ mod tests {
     }
 
     #[test]
-    fn f16_gemm_is_bit_identical_to_decode_then_f32_gemm() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 17, 5), (8, 64, 32), (5, 130, 9), (2, 40, 6)] {
-            let a = fill(m * k, 41);
-            let bf = fill(k * n, 42);
-            let b = F16BtMatrix::from_col_major(&bf, k, n);
-            let mut c = vec![0.25f32; m * n];
-            gemm_a_bt_f16(&a, &b, &mut c, m, k);
-            let decoded = b.decode_col_major();
-            let mut expected = vec![0.25f32; m * n];
-            gemm_a_bt(&a, &transpose(&decoded, k, n), &mut expected, m, k, n);
-            for (x, y) in c.iter().zip(&expected) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
-            }
-        }
-    }
-
-    #[test]
     fn packed_matrices_report_reduced_resident_bytes() {
         let (k, n) = (64, 32);
         let bf = fill(k * n, 51);
         let f32_bytes = 4 * (k * n) as u64;
         let q8 = QuantizedBtMatrix::from_col_major(&bf, k, n);
-        let f16 = F16BtMatrix::from_col_major(&bf, k, n);
         assert!(q8.resident_bytes() * 2 < f32_bytes, "int8 ≥ 2x smaller");
-        assert_eq!(f16.resident_bytes() * 2, f32_bytes);
         assert_eq!((q8.cols(), q8.inner()), (n, k));
-        assert_eq!((f16.cols(), f16.inner()), (n, k));
     }
 
     #[test]
@@ -1274,8 +946,6 @@ mod tests {
     fn degenerate_shapes_are_no_ops() {
         let b = QuantizedBtMatrix::from_col_major(&[], 0, 0);
         let mut c: Vec<f32> = Vec::new();
-        gemm_a_bt_q8(&[], &b, &mut c, 0, 0);
-        let f = F16BtMatrix::from_col_major(&[], 0, 0);
-        gemm_a_bt_f16(&[], &f, &mut c, 0, 0);
+        on_every_tier(Family::Int8, |_| gemm_a_bt_q8(&[], &b, &mut c, 0, 0));
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! PR 4 quantized the *wire* (`dmt_comm::codec` packs collective payloads into
 //! fp16/int8 words); this module pushes the same two formats into *storage and
-//! compute*: embedding tables and dense-layer weights held as int8 or fp16 and
-//! dequantized on the fly inside the hot loops. The scalar conversions here are
-//! the canonical definitions — the wire codec delegates its half-precision
-//! conversion to [`f32_to_f16_bits`] / [`f16_bits_to_f32`] so wire words and
-//! stored words are bit-compatible by construction.
+//! compute*: embedding tables held as int8 or fp16 and dequantized on the fly
+//! inside the hot loops, and dense-layer weights at int8 (an fp16 dense weight
+//! is its f16-rounded f32 copy, run through the f32 kernels). The scalar
+//! conversions here are the canonical definitions — the wire codec delegates
+//! its half-precision conversion to [`f32_to_f16_bits`] / [`f16_bits_to_f32`]
+//! so wire words and stored words are bit-compatible by construction.
 //!
 //! Two formats, two error models (identical to the wire codec's):
 //!
@@ -18,6 +19,8 @@
 //!   `max_abs / 127`, rounding half away from zero. Round-trip error is
 //!   bounded by `max_abs / 254` per row.
 
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{self, Family, Tier};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -197,7 +200,7 @@ pub fn decode_row_f16_into(row: &[u16], out: &mut Vec<f32>) {
 }
 
 /// Decodes the fp16 `row` into `out` (same length), using the hardware
-/// `vcvtph2ps` converter when F16C is available.
+/// `vcvtph2ps` converter on the vector tiers of [`crate::isa::Family::F16`].
 ///
 /// The hardware converter implements the same IEEE 754 binary16 → binary32
 /// widening as [`f16_bits_to_f32`] (the conversion is exact — every f16 value
@@ -215,8 +218,8 @@ pub fn decode_f16_slice(row: &[u16], out: &mut [f32]) {
         out.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if f16c_active() {
-        // SAFETY: `f16c_active` checked the CPU feature at runtime.
+    if isa::tier(Family::F16) != Tier::Scalar {
+        // SAFETY: `isa::tier` returns a vector tier only on an F16C host.
         unsafe { decode_f16_f16c(row, out) };
         return;
     }
@@ -226,7 +229,7 @@ pub fn decode_f16_slice(row: &[u16], out: &mut [f32]) {
 }
 
 /// Encodes `src` into IEEE 754 binary16 bits in `dst` (same length), using
-/// the hardware `vcvtps2ph` converter when F16C is available.
+/// the hardware `vcvtps2ph` converter on the vector tiers of [`crate::isa::Family::F16`].
 ///
 /// The hardware converter rounds to nearest even with overflow saturating to
 /// ±inf — the same semantics as [`f32_to_f16_bits`] — so both paths produce
@@ -247,8 +250,8 @@ pub fn encode_f16_slice(src: &[f32], dst: &mut [u16]) {
         dst.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if f16c_active() {
-        // SAFETY: `f16c_active` checked the CPU feature at runtime.
+    if isa::tier(Family::F16) != Tier::Scalar {
+        // SAFETY: `isa::tier` returns a vector tier only on an F16C host.
         unsafe { encode_f16_f16c(src, dst) };
         return;
     }
@@ -284,13 +287,6 @@ unsafe fn encode_f16_f16c(src: &[f32], dst: &mut [u16]) {
     for j in i..n {
         dst[j] = f32_to_f16_bits(src[j]);
     }
-}
-
-/// Runtime F16C detection, memoized like the other kernel dispatch gates.
-#[cfg(target_arch = "x86_64")]
-fn f16c_active() -> bool {
-    static ACTIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ACTIVE.get_or_init(|| std::arch::is_x86_feature_detected!("f16c"))
 }
 
 /// Bulk f16 → f32 decode through `vcvtph2ps`, eight elements per conversion,
@@ -332,6 +328,7 @@ unsafe fn decode_f16_f16c(row: &[u16], out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{on_every_tier, Family};
 
     /// The straightforward per-class decoder the branch-free one replaced; the
     /// exhaustive test below pins the two to identical bits on every pattern.
@@ -365,28 +362,30 @@ mod tests {
 
     #[test]
     fn bulk_f16_decode_matches_scalar_on_every_bit_pattern() {
-        // Every pattern through the dispatched bulk path (hardware vcvtph2ps
-        // where available), laid out so both the 8-wide body and the scalar
-        // tail see all 65536 patterns.
+        // Every pattern through the bulk path on every tier (hardware
+        // vcvtph2ps where available), laid out so both the 8-wide body and
+        // the scalar tail see all 65536 patterns.
         let all: Vec<u16> = (0..=u16::MAX).collect();
-        for offset in [0usize, 3] {
-            let row = &all[offset..];
-            let mut out = vec![0.0f32; row.len()];
-            decode_f16_slice(row, &mut out);
-            for (&half, &got) in row.iter().zip(&out) {
-                let want = f16_bits_to_f32(half);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "pattern {half:#06x}: {got} != {want}"
-                );
+        on_every_tier(Family::F16, |tier| {
+            for offset in [0usize, 3] {
+                let row = &all[offset..];
+                let mut out = vec![0.0f32; row.len()];
+                decode_f16_slice(row, &mut out);
+                for (&half, &got) in row.iter().zip(&out) {
+                    let want = f16_bits_to_f32(half);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{tier:?} pattern {half:#06x}: {got} != {want}"
+                    );
+                }
             }
-        }
-        let mut appended = vec![1.0f32];
-        decode_row_f16_into(&all[..17], &mut appended);
-        assert_eq!(appended.len(), 18);
-        assert_eq!(appended[0], 1.0);
-        assert_eq!(appended[1], f16_bits_to_f32(0));
+            let mut appended = vec![1.0f32];
+            decode_row_f16_into(&all[..17], &mut appended);
+            assert_eq!(appended.len(), 18);
+            assert_eq!(appended[0], 1.0);
+            assert_eq!(appended[1], f16_bits_to_f32(0));
+        });
     }
 
     #[test]
@@ -410,15 +409,17 @@ mod tests {
                 .wrapping_add(1);
             inputs.push(f32::from_bits((state >> 32) as u32));
         }
-        for offset in [0usize, 5] {
-            let src = &inputs[offset..];
-            let mut bulk = vec![0u16; src.len()];
-            encode_f16_slice(src, &mut bulk);
-            for (&v, &got) in src.iter().zip(&bulk) {
-                let want = f32_to_f16_bits(v);
-                assert_eq!(got, want, "input {:#010x} ({v})", v.to_bits());
+        on_every_tier(Family::F16, |tier| {
+            for offset in [0usize, 5] {
+                let src = &inputs[offset..];
+                let mut bulk = vec![0u16; src.len()];
+                encode_f16_slice(src, &mut bulk);
+                for (&v, &got) in src.iter().zip(&bulk) {
+                    let want = f32_to_f16_bits(v);
+                    assert_eq!(got, want, "{tier:?} input {:#010x} ({v})", v.to_bits());
+                }
             }
-        }
+        });
     }
 
     #[test]

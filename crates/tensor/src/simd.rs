@@ -1,14 +1,5 @@
-//! Runtime-dispatched FMA microkernels shared by the f32 GEMM family in
-//! [`crate::kernels`].
-//!
-//! # Dispatch
-//!
-//! [`f32_tier`] probes the host once (cached in a `OnceLock`), mirroring the
-//! int8 dispatch proven in [`crate::qgemm`]: `avx512f`+`fma` selects the
-//! 512-bit kernels, `avx2`+`fma` the 256-bit kernels, anything else the
-//! portable fallback. Every public kernel in [`crate::kernels`] routes through
-//! the same tier; the `*_scalar` entry points there force the fallback so
-//! differential tests can compare tiers on any host.
+//! FMA microkernels shared by the f32 GEMM family in [`crate::kernels`], one
+//! per [`Tier`] (see [`crate::isa`] for the dispatch).
 //!
 //! # Bit-identity by construction
 //!
@@ -37,47 +28,7 @@
 //! semantics of `maxps(v, 0.0)` (NaN ⇒ `0.0`, `-0.0` ⇒ `+0.0`), so the vector
 //! epilogue and the scalar one cannot disagree on special values.
 
-use std::sync::OnceLock;
-
-/// Instruction set the f32 kernels dispatch to at runtime.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SimdTier {
-    /// 512-bit FMA microkernels (`avx512f` + `fma`).
-    Avx512,
-    /// 256-bit FMA microkernels (`avx2` + `fma`).
-    Avx2,
-    /// Portable lane-grouped `f32::mul_add` fallback, bit-identical to SIMD.
-    Scalar,
-}
-
-/// Returns the SIMD tier the f32 kernels use on this host (detected once).
-#[must_use]
-pub fn f32_tier() -> SimdTier {
-    static TIER: OnceLock<SimdTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("fma") {
-                return SimdTier::Avx512;
-            }
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-                return SimdTier::Avx2;
-            }
-        }
-        SimdTier::Scalar
-    })
-}
-
-/// Human-readable tier name, recorded in bench metadata so a gate run on a
-/// different machine class is interpretable.
-#[must_use]
-pub fn f32_tier_name() -> &'static str {
-    match f32_tier() {
-        SimdTier::Avx512 => "avx512",
-        SimdTier::Avx2 => "avx2+fma",
-        SimdTier::Scalar => "scalar",
-    }
-}
+use crate::isa::Tier;
 
 /// Hints the CPU to pull the cache line at `&slice[index]` into L1 with read
 /// intent. A pure performance hint: no-op when out of bounds or off x86-64,
@@ -494,15 +445,16 @@ bgemm_isa!(
     _mm256_setzero_ps
 );
 
-/// Dispatches one broadcast-GEMM band to the detected tier.
-pub(crate) fn bgemm_dispatch(p: &BroadcastGemm<'_>, c: &mut [f32]) {
-    match f32_tier() {
+/// Runs one broadcast-GEMM band on `tier`, which came from
+/// [`crate::isa::tier`] for the f32 family.
+pub(crate) fn bgemm(tier: Tier, p: &BroadcastGemm<'_>, c: &mut [f32]) {
+    match tier {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only ever `Avx512`/`Avx2` after runtime
-        // feature detection in `f32_tier`.
-        SimdTier::Avx512 => unsafe { avx512_bgemm::bgemm(p, c) },
+        // SAFETY: `isa::tier` only returns a vector tier whose features the
+        // host has.
+        Tier::Avx512 => unsafe { avx512_bgemm::bgemm(p, c) },
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { avx2_bgemm::bgemm(p, c) },
+        Tier::Avx2 => unsafe { avx2_bgemm::bgemm(p, c) },
         _ => bgemm_scalar(p, c),
     }
 }
@@ -597,23 +549,6 @@ pub(crate) mod avx512_dot {
             i += 1;
         }
     }
-
-    /// Single canonical dot product.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-        let mut out = [0.0f32];
-        tile::<1, 1>(x.as_ptr(), 0, y.as_ptr(), 0, x.len(), out.as_mut_ptr(), 1);
-        out[0]
-    }
-
-    /// Four canonical dot products sharing the left operand. `ys` rows must
-    /// be contiguous at stride `stride` starting from `ys0`.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn dot4(x: &[f32], ys0: *const f32, stride: usize) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        tile::<1, 4>(x.as_ptr(), 0, ys0, stride, x.len(), out.as_mut_ptr(), 4);
-        out
-    }
 }
 
 /// Shared 8-lane fold: `t4 = lo128 + hi128`, `t2[l] = t4[l] + t4[l+2]`,
@@ -689,120 +624,62 @@ pub(crate) mod avx2_dot {
             }
         }
     }
-
-    /// Single canonical dot product.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-        let mut out = [0.0f32];
-        tile::<1>(x.as_ptr(), y.as_ptr(), 0, x.len(), out.as_mut_ptr());
-        out[0]
-    }
-
-    /// Four canonical dot products sharing the left operand.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn dot4(x: &[f32], ys0: *const f32, stride: usize) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        tile::<4>(x.as_ptr(), ys0, stride, x.len(), out.as_mut_ptr());
-        out
-    }
 }
 
-/// Dispatches `C += A·Bᵀ` over a row band to the detected tier.
-pub(crate) fn a_bt_dispatch(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    match f32_tier() {
+/// Runs `C += A·Bᵀ` over a row band on `tier`, which came from
+/// [`crate::isa::tier`] for the f32 family.
+pub(crate) fn a_bt(tier: Tier, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    match tier {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier implies the features were detected at runtime.
-        SimdTier::Avx512 => unsafe { avx512_dot::a_bt(a, b, c, m, k, n) },
+        // SAFETY: `isa::tier` only returns a vector tier whose features the
+        // host has.
+        Tier::Avx512 => unsafe { avx512_dot::a_bt(a, b, c, m, k, n) },
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { avx2_dot::a_bt(a, b, c, m, k, n) },
+        Tier::Avx2 => unsafe { avx2_dot::a_bt(a, b, c, m, k, n) },
         _ => a_bt_scalar(a, b, c, m, k, n),
-    }
-}
-
-/// Canonical dot product on the detected tier (used by the fp16 GEMM after
-/// decoding weight rows, so fp16 results stay bit-identical to
-/// decode-then-f32-GEMM).
-pub(crate) fn dot_dispatch(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    match f32_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier implies the features were detected at runtime.
-        SimdTier::Avx512 => unsafe { avx512_dot::dot(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { avx2_dot::dot(x, y) },
-        _ => dot16_scalar(x, y),
-    }
-}
-
-/// Four canonical dot products against rows of a contiguous `[4, len]` panel,
-/// on the detected tier.
-pub(crate) fn dot4_dispatch(x: &[f32], panel: &[f32]) -> [f32; 4] {
-    let len = x.len();
-    debug_assert_eq!(panel.len(), 4 * len);
-    match f32_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier implies the features were detected at runtime; the
-        // panel holds 4 contiguous rows of `len` elements.
-        SimdTier::Avx512 => unsafe { avx512_dot::dot4(x, panel.as_ptr(), len) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { avx2_dot::dot4(x, panel.as_ptr(), len) },
-        _ => dot16x4_scalar(
-            x,
-            [
-                &panel[..len],
-                &panel[len..2 * len],
-                &panel[2 * len..3 * len],
-                &panel[3 * len..4 * len],
-            ],
-        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
-            })
-            .collect()
-    }
+    use crate::isa::{self, Family};
+    use crate::kernels::gemm_a_bt;
+    use crate::testutil::fill;
 
     #[test]
     fn tier_detection_is_stable_and_named() {
-        assert_eq!(f32_tier(), f32_tier());
-        assert!(!f32_tier_name().is_empty());
+        assert_eq!(isa::tier(Family::F32), isa::tier(Family::F32));
+        assert!(!isa::tier(Family::F32).name().is_empty());
     }
 
     #[test]
     fn dispatched_dots_match_scalar_bit_identically() {
-        for len in [0usize, 1, 5, 15, 16, 17, 31, 32, 100, 257] {
-            let x = fill(len, 7);
-            let y = fill(len, 8);
-            assert_eq!(
-                dot_dispatch(&x, &y).to_bits(),
-                dot16_scalar(&x, &y).to_bits(),
-                "len {len}"
-            );
-            let panel = fill(4 * len, 9);
-            let simd = dot4_dispatch(&x, &panel);
-            let scalar = dot16x4_scalar(
-                &x,
-                [
-                    &panel[..len],
-                    &panel[len..2 * len],
-                    &panel[2 * len..3 * len],
-                    &panel[3 * len..4 * len],
-                ],
-            );
-            for q in 0..4 {
-                assert_eq!(simd[q].to_bits(), scalar[q].to_bits(), "len {len} q {q}");
+        // `C += A·Bᵀ` at 1×len×1 is one canonical dot added to `C`, at
+        // 1×len×4 the four-wide tile.
+        isa::on_every_tier(Family::F32, |tier| {
+            for len in [0usize, 1, 5, 15, 16, 17, 31, 32, 100, 257] {
+                let x = fill(len, 7);
+                let y = fill(len, 8);
+                let mut dot = [0.0f32];
+                gemm_a_bt(&x, &y, &mut dot, 1, len, 1);
+                let want = 0.0 + dot16_scalar(&x, &y);
+                assert_eq!(dot[0].to_bits(), want.to_bits(), "{tier:?} len {len}");
+                let panel = fill(4 * len, 9);
+                let mut dots = [0.0f32; 4];
+                gemm_a_bt(&x, &panel, &mut dots, 1, len, 4);
+                let rows: [&[f32]; 4] = std::array::from_fn(|q| &panel[q * len..(q + 1) * len]);
+                let want = dot16x4_scalar(&x, rows);
+                for q in 0..4 {
+                    let want = 0.0 + want[q];
+                    assert_eq!(
+                        dots[q].to_bits(),
+                        want.to_bits(),
+                        "{tier:?} len {len} q {q}"
+                    );
+                }
             }
-        }
+        });
     }
 
     #[test]

@@ -118,6 +118,11 @@ pub struct MeasuredRun {
     pub wall_s_per_iter: f64,
     /// Per-iteration wall-clock seconds (slowest rank per iteration), the raw
     /// samples behind [`MeasuredRun::wall_latency`].
+    ///
+    /// Ranks do not cross iteration boundaries in step, so each entry may
+    /// come from a different rank and `Σᵢ maxᵣ tᵣᵢ ≥ maxᵣ Σᵢ tᵣᵢ`: the sum can
+    /// exceed `wall_s_per_iter × iterations` with nothing counted twice. Sum
+    /// [`MeasuredRun::wall_s_per_iter`] for run wall time, not these.
     pub iter_wall_s: Vec<f64>,
 }
 
@@ -211,16 +216,6 @@ impl MeasuredRun {
     #[must_use]
     pub fn wall_latency(&self) -> Option<dmt_metrics::LatencyPercentiles> {
         dmt_metrics::LatencyPercentiles::of(&self.iter_wall_s)
-    }
-
-    /// The run as a [`dmt_metrics::ThroughputWindow`] — iterations over total
-    /// wall time — so training and serving report rates through one vocabulary.
-    #[must_use]
-    pub fn throughput(&self) -> dmt_metrics::ThroughputWindow {
-        dmt_metrics::ThroughputWindow {
-            count: self.iter_wall_s.len(),
-            wall_s: self.iter_wall_s.iter().sum(),
-        }
     }
 
     /// Mean training loss over the run's iterations.
@@ -576,6 +571,33 @@ mod tests {
             ..run
         };
         assert_eq!(empty.hidden_comm_fraction(), 0.0);
+    }
+
+    #[test]
+    fn staggered_ranks_make_per_iteration_maxima_outsum_the_run_wall_time() {
+        // Two ranks with the same 4 ms total whose slow iterations alternate:
+        // each iteration's slowest rank took 3 ms, the run took 4 ms.
+        let rank = |iter_wall_s: Vec<f64>| RankOutcome {
+            segments: Vec::new(),
+            losses: vec![0.5; 2],
+            aucs: vec![None; 2],
+            wall_s: iter_wall_s.iter().sum(),
+            iter_wall_s,
+        };
+        let cluster =
+            dmt_topology::ClusterTopology::new(dmt_topology::HardwareGeneration::A100, 1, 2)
+                .unwrap();
+        let config =
+            DistributedConfig::quick(cluster, dmt_models::ModelArch::Dlrm).with_iterations(2);
+        let run = aggregate(
+            ExecutionMode::Dmt,
+            &config,
+            vec![rank(vec![3e-3, 1e-3]), rank(vec![1e-3, 3e-3])],
+        );
+        assert_eq!(run.iter_wall_s, vec![3e-3, 3e-3]);
+        assert!((run.wall_s_per_iter - 2e-3).abs() < 1e-12);
+        let summed: f64 = run.iter_wall_s.iter().sum();
+        assert!(summed > run.wall_s_per_iter * run.iterations as f64 + 1e-3);
     }
 
     #[test]

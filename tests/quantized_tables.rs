@@ -1,23 +1,25 @@
-//! Property tests: quantized embedding tables and the int8/fp16 GEMM path
-//! (`dmt_nn::quantized`, `dmt_tensor::qgemm`).
+//! Property tests: quantized embedding tables and the int8/fp16 dense path
+//! (`dmt_nn::quantized`, `dmt_tensor::qgemm`, `dmt_nn::Linear`).
 //!
 //! Quantized serving is only sound if (a) table round-trip error is bounded by
 //! each precision's documented per-row bound, (b) the on-the-fly dequantizing
 //! lookup is bit-identical to dequantizing the whole table first and looking
 //! rows up through the f32 table, (c) re-sharding a quantized table never
 //! changes a single answered bit at any world size, (d) the SIMD int8 GEMM is
-//! bit-identical to its scalar fallback, and (e) a fully quantized serving
+//! bit-identical to its scalar tier and an fp16 layer is the f32 kernel over
+//! f16-rounded weights, and (e) a fully quantized serving
 //! forward pass stays within tight quality bounds of the f32 deployment. All
 //! five are checked here, mirroring the wire codec's property suite.
 
 use dmt_data::{Query, ZipfRequestStream};
 use dmt_metrics::{log_loss, roc_auc};
 use dmt_models::ModelArch;
-use dmt_nn::{EmbeddingTable, QuantizedEmbeddingTable, QuantizedShardedTable};
+use dmt_nn::{
+    EmbeddingTable, Linear, LinearScratch, QuantizedEmbeddingTable, QuantizedShardedTable,
+};
 use dmt_serve::{ComputePrecision, ServeConfig, ServingEngine};
-use dmt_tensor::kernels::gemm_a_bt;
-use dmt_tensor::qgemm::gemm_a_bt_q8_scalar;
-use dmt_tensor::{gemm_a_bt_f16, gemm_a_bt_q8, F16BtMatrix, Precision, QuantizedBtMatrix};
+use dmt_tensor::quant::{decode_f16_slice, encode_f16_slice};
+use dmt_tensor::{gemm_a_bt_q8, with_tier, Precision, QuantizedBtMatrix, Tensor, Tier};
 use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::{
     run_with_snapshot, DistributedConfig, ExecutionMode, ModelSnapshot,
@@ -128,9 +130,10 @@ proptest! {
         }
     }
 
-    /// The runtime-dispatched int8 GEMM is bit-identical to the portable scalar
-    /// kernel (exact i32 accumulation makes lane order irrelevant), and the
-    /// fp16 GEMM is bit-identical to decoding B and running the f32 kernel.
+    /// The runtime-dispatched int8 GEMM is bit-identical to its scalar tier
+    /// (exact i32 accumulation makes lane order irrelevant), and an fp16
+    /// layer's forward is bit-identical to the fused f32 kernel over its
+    /// f16-rounded weight.
     #[test]
     fn simd_and_scalar_quantized_gemms_are_bit_identical(
         m in 1usize..9,
@@ -144,23 +147,27 @@ proptest! {
         let mut simd = vec![0.0f32; m * n];
         let mut scalar = vec![0.0f32; m * n];
         gemm_a_bt_q8(&a, &q8, &mut simd, m, k);
-        gemm_a_bt_q8_scalar(&a, &q8, &mut scalar, m, k);
+        with_tier(Tier::Scalar, || gemm_a_bt_q8(&a, &q8, &mut scalar, m, k));
         prop_assert_eq!(bits(&simd), bits(&scalar), "int8 SIMD != scalar");
 
-        let f16 = F16BtMatrix::from_col_major(&b, k, n);
-        let mut quant = vec![0.0f32; m * n];
-        gemm_a_bt_f16(&a, &f16, &mut quant, m, k);
-        // decode_col_major returns row-major B [k, n]; gemm_a_bt takes B^T [n, k].
-        let decoded = f16.decode_col_major();
-        let mut bt = vec![0.0f32; n * k];
-        for j in 0..n {
-            for p in 0..k {
-                bt[j * k + p] = decoded[p * n + j];
-            }
-        }
-        let mut reference = vec![0.0f32; m * n];
-        gemm_a_bt(&a, &bt, &mut reference, m, k, n);
-        prop_assert_eq!(bits(&quant), bits(&reference), "fp16 GEMM != decode-then-f32");
+        let mut layer = Linear::new(&mut StdRng::seed_from_u64(seed), k, n);
+        let x = Tensor::from_vec(vec![m, k], a).unwrap();
+        let mut halves = vec![0u16; k * n];
+        encode_f16_slice(layer.weight().data(), &mut halves);
+        let mut rounded = vec![0.0f32; k * n];
+        decode_f16_slice(&halves, &mut rounded);
+        let rounded = Tensor::from_vec(vec![k, n], rounded).unwrap();
+        let mut reference = Tensor::default();
+        // `Linear::new` starts from a zero bias.
+        x.matmul_bias_act_into(&rounded, &Tensor::zeros(&[n]), true, &mut reference).unwrap();
+        layer.quantize_weights(Precision::Fp16);
+        let mut quant = Tensor::default();
+        layer.forward_into(&x, true, &mut quant, &mut LinearScratch::default()).unwrap();
+        prop_assert_eq!(
+            bits(quant.data()),
+            bits(reference.data()),
+            "fp16 layer != f32 kernel on f16-rounded W"
+        );
     }
 }
 
