@@ -6,6 +6,7 @@
 //! own sparse update path (row-wise Adagrad, the de-facto standard for DLRM-family
 //! models) rather than going through the dense optimizers.
 
+use crate::sharded::RowSource;
 use dmt_tensor::{prefetch_read, Tensor, TensorError};
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
@@ -346,17 +347,10 @@ impl EmbeddingTable {
         out.reserve(rows.len() * self.dim);
         for (n, &raw) in rows.iter().enumerate() {
             if let Some(&next) = rows.get(n + 1) {
-                self.prefetch_row(next);
+                self.prefetch_row(next % self.num_embeddings);
             }
             out.extend_from_slice(self.row(raw % self.num_embeddings));
         }
-    }
-
-    /// Software-prefetches row `index` (modulo-mapped like every lookup) — for
-    /// callers that already know which row they will read next, hiding the
-    /// random-access latency the hardware prefetcher cannot.
-    pub fn prefetch_row(&self, index: usize) {
-        prefetch_read(&self.weight, (index % self.num_embeddings) * self.dim);
     }
 
     /// Accumulates externally computed per-row gradients into the pending sparse
@@ -445,6 +439,18 @@ impl EmbeddingTable {
             *a /= rows.len() as f32;
         }
         acc
+    }
+}
+
+impl RowSource for EmbeddingTable {
+    #[inline]
+    fn row_into(&self, index: usize, out: &mut Vec<f32>) {
+        out.extend_from_slice(self.row(index));
+    }
+
+    #[inline]
+    fn prefetch_row(&self, index: usize) {
+        prefetch_read(&self.weight, index * self.dim);
     }
 }
 

@@ -17,10 +17,15 @@
 //! * [`CrossNet`] — DCN-v2's cross layers, also reused as the DCN tower module.
 //! * [`EmbeddingTable`] — sum-pooled embedding bags with sparse gradients and a fused
 //!   row-wise Adagrad update (the standard optimizer for embedding tables).
-//! * [`ShardedEmbeddingTable`] — one rank's row-block shard of a logical table, the
-//!   local half of the distributed lookup/grad exchange the execution engine drives.
-//! * [`QuantizedEmbeddingTable`] / [`QuantizedShardedTable`] — int8/fp16 storage for
-//!   serving-side tables with allocation-free on-the-fly dequantization.
+//! * [`RowStore`] — `[n, dim]` rows at rest at one storage precision (f32, fp16, or
+//!   int8 with a per-row scale), encoded and decoded in place without allocating.
+//!   Frozen serving tables and the serving hot-row cache both keep their rows in one.
+//! * [`QuantizedEmbeddingTable`] — a frozen serving table over a [`RowStore`] at any
+//!   precision, f32 included, with allocation-free on-the-fly decoding.
+//! * [`Sharded`] — one rank's row-block shard of a logical table, written once over
+//!   any [`RowSource`]: [`ShardedEmbeddingTable`] (trainable, the local half of the
+//!   distributed lookup/grad exchange the execution engine drives) and
+//!   [`QuantizedShardedTable`] (frozen serving rows).
 //! * [`BceWithLogitsLoss`] — the binary cross-entropy training objective.
 //! * [`SgdOptimizer`] / [`AdamOptimizer`] — dense-parameter optimizers.
 //!
@@ -56,6 +61,7 @@ pub mod mlp;
 pub mod optim;
 pub mod param;
 pub mod quantized;
+pub mod row_store;
 pub mod sharded;
 
 pub use crossnet::{CrossNet, CrossNetScratch};
@@ -67,4 +73,5 @@ pub use mlp::{Mlp, MlpScratch};
 pub use optim::{AdamOptimizer, Optimizer, SgdOptimizer};
 pub use param::Parameter;
 pub use quantized::{QuantizedEmbeddingTable, QuantizedShardedTable};
-pub use sharded::{replica_rank, replica_sources, ShardedEmbeddingTable};
+pub use row_store::RowStore;
+pub use sharded::{replica_rank, replica_sources, RowSource, Sharded, ShardedEmbeddingTable};

@@ -1,83 +1,46 @@
-//! Quantized embedding-table storage: int8 / fp16 rows, dequantized on access.
+//! Frozen embedding tables for serving, at any storage precision.
 //!
 //! Serving holds embedding tables that are read-only and memory-bound — the
 //! capacity papers behind the roadmap (DisaggRec, Lui et al.) argue resident
 //! table bytes, not FLOPs, bound how many models a tier can host. A
-//! [`QuantizedEmbeddingTable`] stores rows in one of the two reduced formats of
-//! `dmt_tensor::quant` and decodes on the fly inside `lookup_rows_into`, with
-//! zero heap allocations per lookup beyond the caller's reply buffer:
+//! [`QuantizedEmbeddingTable`] keeps its rows in one [`RowStore`] and decodes
+//! on the fly inside `lookup_rows_into`, with zero heap allocations per lookup
+//! beyond the caller's reply buffer:
 //!
+//! * **f32** — the exact rows, with none of a trainable table's optimizer state.
+//! * **fp16** — IEEE binary16 words, exactly 2x smaller.
 //! * **int8** — one byte per element plus one `f32` scale per *row*
 //!   (symmetric `max_abs / 127`), ~3.2–3.9x smaller than f32 at serving dims.
-//! * **fp16** — IEEE binary16 words, exactly 2x smaller.
 //!
-//! [`QuantizedShardedTable`] is the row-sharded twin: it is built *through*
-//! the existing [`ShardedEmbeddingTable`] `local_weights` / `from_local_rows`
-//! snapshot boundary (same `ceil(num/W)` block partition, same modulo row
-//! wrap), so an exported f32 snapshot re-shards straight into quantized
-//! serving shards with no new export format.
+//! [`QuantizedShardedTable`] is its row-sharded form, the same [`Sharded`]
+//! geometry as [`ShardedEmbeddingTable`] (same `ceil(num/W)` block partition,
+//! same modulo row wrap). It is built from the f32 rows a shard's range covers,
+//! so an exported f32 snapshot re-shards straight into serving shards with no
+//! new export format.
 
-use crate::sharded::ShardedEmbeddingTable;
-use dmt_tensor::quant::{
-    decode_row_f16_into, dequantize_row_i8_into, f32_to_f16_bits, quantize_row_i8, Precision,
-};
-use dmt_tensor::{prefetch_read, TensorError};
-use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use crate::row_store::RowStore;
+use crate::sharded::{RowSource, Sharded, ShardedEmbeddingTable};
+use dmt_tensor::quant::Precision;
 
-/// Row storage of a quantized table: the payload words plus per-row scales
-/// where the format needs them.
-#[derive(Debug, Clone, PartialEq)]
-enum Storage {
-    /// IEEE binary16 words, `[num_embeddings, dim]`.
-    Fp16(Vec<u16>),
-    /// Symmetric int8 payload `[num_embeddings, dim]` with one scale per row.
-    Int8 { data: Vec<i8>, scales: Vec<f32> },
-}
-
-// The vendored serde derive cannot handle tuple enum variants, so spell the
-// impls out: an externally-tagged object mirroring what the derive emits for
-// struct variants.
-impl Serialize for Storage {
-    fn to_json_value(&self) -> serde::json::Value {
-        let (tag, inner) = match self {
-            Storage::Fp16(words) => ("Fp16", vec![("words".to_string(), words.to_json_value())]),
-            Storage::Int8 { data, scales } => (
-                "Int8",
-                vec![
-                    ("data".to_string(), data.to_json_value()),
-                    ("scales".to_string(), scales.to_json_value()),
-                ],
-            ),
-        };
-        serde::json::Value::Object(vec![(tag.to_string(), serde::json::Value::Object(inner))])
-    }
-}
-
-impl<'de> Deserialize<'de> for Storage {}
-
-/// A read-only embedding table stored at reduced precision.
+/// A read-only embedding table stored at any [`Precision`].
 ///
 /// This is the serving-side counterpart of [`crate::EmbeddingTable`]: same
 /// `[num_embeddings, dim]` geometry, same modulo row-wrap on lookup, but rows
-/// live as int8 or fp16 words and every access dequantizes into the caller's
-/// `f32` buffer. There is no training path — gradients never touch a
-/// quantized table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// live in a [`RowStore`] and every access decodes into the caller's `f32`
+/// buffer. There is no training path — gradients never touch a frozen table.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedEmbeddingTable {
-    storage: Storage,
+    rows: RowStore,
     num_embeddings: usize,
-    dim: usize,
 }
 
 impl QuantizedEmbeddingTable {
-    /// Quantizes exported row-major `[num_embeddings, dim]` f32 weights.
+    /// Encodes exported row-major `[num_embeddings, dim]` f32 weights at
+    /// `precision` ([`Precision::F32`] keeps them exact).
     ///
     /// # Panics
     ///
-    /// Panics if a dimension is zero, `weight.len() != num_embeddings * dim`,
-    /// or `precision` is [`Precision::F32`] (a full-precision table is a
-    /// [`crate::EmbeddingTable`], not a quantized one).
+    /// Panics if a dimension is zero or `weight.len() != num_embeddings * dim`.
     #[must_use]
     pub fn from_weights(
         num_embeddings: usize,
@@ -94,34 +57,16 @@ impl QuantizedEmbeddingTable {
             num_embeddings * dim,
             "weight buffer must be [num_embeddings, dim]"
         );
-        let storage = match precision {
-            Precision::F32 => panic!("QuantizedEmbeddingTable requires a reduced precision"),
-            Precision::Fp16 => Storage::Fp16(weight.iter().map(|&v| f32_to_f16_bits(v)).collect()),
-            Precision::Int8 => {
-                let mut data = Vec::with_capacity(weight.len());
-                let mut scales = Vec::with_capacity(num_embeddings);
-                let mut row_buf = Vec::with_capacity(dim);
-                for row in weight.chunks_exact(dim) {
-                    scales.push(quantize_row_i8(row, &mut row_buf));
-                    data.extend_from_slice(&row_buf);
-                }
-                Storage::Int8 { data, scales }
-            }
-        };
         Self {
-            storage,
+            rows: RowStore::encode(precision, dim, weight),
             num_embeddings,
-            dim,
         }
     }
 
     /// The storage format of this table's rows.
     #[must_use]
     pub fn precision(&self) -> Precision {
-        match self.storage {
-            Storage::Fp16(_) => Precision::Fp16,
-            Storage::Int8 { .. } => Precision::Int8,
-        }
+        self.rows.precision()
     }
 
     /// Number of rows.
@@ -133,108 +78,67 @@ impl QuantizedEmbeddingTable {
     /// Embedding dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
-    /// Bytes resident in this table: quantized payload plus per-row scales.
+    /// Bytes resident in this table: payload words plus int8 per-row scales.
     /// The f32 equivalent is `4 * num_embeddings * dim`.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        match &self.storage {
-            Storage::Fp16(data) => 2 * data.len() as u64,
-            Storage::Int8 { data, scales } => data.len() as u64 + 4 * scales.len() as u64,
-        }
+        self.rows.resident_bytes()
     }
 
-    /// Appends the dequantized values of row `index` onto `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    #[inline]
-    pub fn row_into(&self, index: usize, out: &mut Vec<f32>) {
-        let span = index * self.dim..(index + 1) * self.dim;
-        match &self.storage {
-            Storage::Fp16(data) => decode_row_f16_into(&data[span], out),
-            Storage::Int8 { data, scales } => {
-                dequantize_row_i8_into(&data[span], scales[index], out);
-            }
-        }
-    }
-
-    /// Copies the requested rows, dequantized, into a flat `[rows.len(), dim]`
+    /// Copies the requested rows, decoded, into a flat `[rows.len(), dim]`
     /// buffer in request order. Out-of-range indices wrap modulo the table
     /// size, exactly like [`crate::EmbeddingTable::lookup_rows`].
     #[must_use]
     pub fn lookup_rows(&self, rows: &[usize]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(rows.len() * self.dim);
+        let mut out = Vec::with_capacity(rows.len() * self.dim());
         self.lookup_rows_into(rows, &mut out);
         out
-    }
-
-    /// Issues a software prefetch for row `index`'s payload words. Gathered
-    /// rows are a random-access pattern the hardware prefetcher cannot
-    /// predict, so the lookup loops hint the next row while decoding the
-    /// current one.
-    #[inline]
-    fn prefetch_row(&self, index: usize) {
-        match &self.storage {
-            Storage::Fp16(data) => prefetch_read(data, index * self.dim),
-            Storage::Int8 { data, .. } => prefetch_read(data, index * self.dim),
-        }
     }
 
     /// [`QuantizedEmbeddingTable::lookup_rows`] appending into a caller-owned
     /// buffer — the allocation-free form the distributed answer path uses.
     pub fn lookup_rows_into(&self, rows: &[usize], out: &mut Vec<f32>) {
-        out.reserve(rows.len() * self.dim);
+        out.reserve(rows.len() * self.dim());
         for (n, &raw) in rows.iter().enumerate() {
             if let Some(&next) = rows.get(n + 1) {
-                self.prefetch_row(next % self.num_embeddings);
+                self.rows.prefetch(next % self.num_embeddings);
             }
-            self.row_into(raw % self.num_embeddings, out);
+            self.rows.row_into(raw % self.num_embeddings, out);
         }
     }
 
-    /// Dequantizes the whole table back to row-major f32 weights — the
-    /// reference the bit-identity tests compare quantized lookups against.
+    /// Decodes the whole table back to row-major f32 weights — the
+    /// reference the bit-identity tests compare lookups against.
     #[must_use]
     pub fn dequantize_weights(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_embeddings * self.dim);
+        let mut out = Vec::with_capacity(self.num_embeddings * self.dim());
         for index in 0..self.num_embeddings {
-            self.row_into(index, &mut out);
+            self.rows.row_into(index, &mut out);
         }
         out
     }
 }
 
-/// One rank's quantized shard of a row-partitioned embedding table.
-///
-/// The twin of [`ShardedEmbeddingTable`] for serving at reduced precision:
-/// the same contiguous `ceil(num_embeddings / world_size)` row blocks, the
-/// same owner arithmetic and modulo wrap, but local rows held by a
-/// [`QuantizedEmbeddingTable`]. Constructed from an f32 shard via
-/// [`QuantizedShardedTable::from_shard`], which reads the shard's exported
-/// `local_weights` — snapshots therefore load into quantized serving shards
-/// through the exact same boundary full-precision serving uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedShardedTable {
-    /// Local rows, `None` when this shard's range is empty.
-    shard: Option<QuantizedEmbeddingTable>,
-    num_embeddings: usize,
-    dim: usize,
-    world_size: usize,
-    shard_index: usize,
-    rows_per_shard: usize,
-    precision: Precision,
+impl RowSource for QuantizedEmbeddingTable {
+    #[inline]
+    fn row_into(&self, index: usize, out: &mut Vec<f32>) {
+        self.rows.row_into(index, out);
+    }
+
+    #[inline]
+    fn prefetch_row(&self, index: usize) {
+        self.rows.prefetch(index);
+    }
 }
 
-impl QuantizedShardedTable {
-    /// Quantizes an existing f32 shard through its `local_weights` boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `precision` is [`Precision::F32`].
+/// One rank's shard of a row-partitioned frozen table.
+pub type QuantizedShardedTable = Sharded<QuantizedEmbeddingTable>;
+
+impl Sharded<QuantizedEmbeddingTable> {
+    /// Encodes an existing f32 shard through its `local_weights` boundary.
     #[must_use]
     pub fn from_shard(shard: &ShardedEmbeddingTable, precision: Precision) -> Self {
         Self::from_local_rows(
@@ -248,13 +152,12 @@ impl QuantizedShardedTable {
     }
 
     /// Builds shard `shard_index` from the row-major f32 buffer of exactly the
-    /// rows its range covers — the quantizing mirror of
+    /// rows its range covers — the encoding mirror of
     /// [`ShardedEmbeddingTable::from_local_rows`].
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the f32 constructor, or if
-    /// `precision` is [`Precision::F32`].
+    /// Panics under the same conditions as the f32 constructor.
     #[must_use]
     pub fn from_local_rows(
         num_embeddings: usize,
@@ -264,137 +167,17 @@ impl QuantizedShardedTable {
         local_rows: &[f32],
         precision: Precision,
     ) -> Self {
-        assert!(
-            num_embeddings > 0 && dim > 0 && world_size > 0,
-            "sharded table dimensions must be positive"
-        );
-        assert!(shard_index < world_size, "shard index out of range");
-        let rows_per_shard = num_embeddings.div_ceil(world_size);
-        let lo = (shard_index * rows_per_shard).min(num_embeddings);
-        let hi = ((shard_index + 1) * rows_per_shard).min(num_embeddings);
-        assert_eq!(
-            local_rows.len(),
-            (hi - lo) * dim,
-            "local rows must cover exactly the shard's range"
-        );
-        let shard = (hi > lo)
-            .then(|| QuantizedEmbeddingTable::from_weights(hi - lo, dim, local_rows, precision));
-        Self {
-            shard,
-            num_embeddings,
-            dim,
-            world_size,
-            shard_index,
-            rows_per_shard,
-            precision,
-        }
+        let len = Some(local_rows.len());
+        Self::build(num_embeddings, dim, world_size, shard_index, len, |rows| {
+            QuantizedEmbeddingTable::from_weights(rows, dim, local_rows, precision)
+        })
     }
 
-    /// Rows of the logical table.
-    #[must_use]
-    pub fn num_embeddings(&self) -> usize {
-        self.num_embeddings
-    }
-
-    /// Embedding dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of shards the logical table is split across.
-    #[must_use]
-    pub fn world_size(&self) -> usize {
-        self.world_size
-    }
-
-    /// This shard's index.
-    #[must_use]
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// The storage format of this shard's rows.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The shard owning global `row` (modulo wrap, identical to the f32 twin).
-    #[must_use]
-    pub fn owner_of(&self, row: usize) -> usize {
-        (row % self.num_embeddings) / self.rows_per_shard
-    }
-
-    /// Global row range owned by this shard (possibly empty).
-    #[must_use]
-    pub fn local_row_range(&self) -> Range<usize> {
-        let lo = (self.shard_index * self.rows_per_shard).min(self.num_embeddings);
-        let hi = ((self.shard_index + 1) * self.rows_per_shard).min(self.num_embeddings);
-        lo..hi
-    }
-
-    /// Bytes resident in this shard's quantized rows (0 for an empty range).
+    /// Bytes resident in this shard's rows (0 for an empty range).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.shard
-            .as_ref()
+        self.local()
             .map_or(0, QuantizedEmbeddingTable::resident_bytes)
-    }
-
-    /// Copies the requested *global* rows (which must all be owned by this
-    /// shard), dequantized, into a flat `[rows.len(), dim]` buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if any row is outside this shard's range.
-    pub fn lookup_rows(&self, global_rows: &[usize]) -> Result<Vec<f32>, TensorError> {
-        let mut out = Vec::new();
-        self.lookup_rows_into(global_rows, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`QuantizedShardedTable::lookup_rows`] appending into a caller-owned
-    /// buffer, allocation-free like the f32 twin's answer path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if any row is outside this shard's range.
-    pub fn lookup_rows_into(
-        &self,
-        global_rows: &[usize],
-        out: &mut Vec<f32>,
-    ) -> Result<(), TensorError> {
-        let range = self.local_row_range();
-        let Some(table) = &self.shard else {
-            if global_rows.is_empty() {
-                return Ok(());
-            }
-            return Err(TensorError::ShapeMismatch {
-                op: "sharded_row_ownership",
-                lhs: vec![global_rows.len()],
-                rhs: vec![0],
-            });
-        };
-        out.reserve(global_rows.len() * self.dim);
-        for (n, &raw) in global_rows.iter().enumerate() {
-            let g = raw % self.num_embeddings;
-            if !range.contains(&g) {
-                return Err(TensorError::ShapeMismatch {
-                    op: "sharded_row_ownership",
-                    lhs: vec![g],
-                    rhs: vec![range.start, range.end],
-                });
-            }
-            if let Some(&next) = global_rows.get(n + 1) {
-                let ng = next % self.num_embeddings;
-                if range.contains(&ng) {
-                    table.prefetch_row(ng - range.start);
-                }
-            }
-            table.row_into(g - range.start, out);
-        }
-        Ok(())
     }
 }
 
@@ -432,7 +215,7 @@ mod tests {
     fn lookup_matches_dequantized_reference_bit_identically() {
         let (rows, dim) = (12, 5);
         let w = weights(rows, dim);
-        for precision in [Precision::Fp16, Precision::Int8] {
+        for precision in [Precision::F32, Precision::Fp16, Precision::Int8] {
             let q = QuantizedEmbeddingTable::from_weights(rows, dim, &w, precision);
             let reference = EmbeddingTable::from_weights(rows, dim, q.dequantize_weights());
             let ids = [0usize, 3, 3, 11, 25];
@@ -515,11 +298,5 @@ mod tests {
         assert_eq!(empty.resident_bytes(), 0);
         assert!(empty.lookup_rows(&[]).unwrap().is_empty());
         assert!(empty.lookup_rows(&[0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "reduced precision")]
-    fn f32_precision_is_not_a_quantized_table() {
-        let _ = QuantizedEmbeddingTable::from_weights(2, 2, &[0.0; 4], Precision::F32);
     }
 }

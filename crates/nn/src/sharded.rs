@@ -1,13 +1,18 @@
 //! Row-sharded embedding tables for the distributed execution engine.
 //!
-//! A [`ShardedEmbeddingTable`] is one rank's slice of a logical
-//! `[num_embeddings, dim]` table whose rows are block-partitioned across the ranks of
-//! a communicator world: rank `w` owns the contiguous row range
-//! `[w * ceil(num/W), (w+1) * ceil(num/W))`. The shard resolves global row ids to
-//! owners ([`ShardedEmbeddingTable::owner_of`]), answers row-fetch requests for its
-//! own range, and accumulates remotely computed gradients — the three local halves of
-//! the distributed lookup/grad exchange `dmt-trainer::distributed` drives over a
-//! `dmt-comm` backend.
+//! A [`Sharded`] table is one rank's slice of a logical `[num_embeddings, dim]`
+//! table whose rows are block-partitioned across the ranks of a communicator
+//! world: rank `w` owns the contiguous row range
+//! `[w * ceil(num/W), (w+1) * ceil(num/W))`. The geometry — owner resolution
+//! ([`Sharded::owner_of`]), the owned range and the ownership-checked row fetch
+//! ([`Sharded::lookup_rows_into`]) — is written once, over any [`RowSource`]:
+//!
+//! * [`ShardedEmbeddingTable`] holds trainable [`EmbeddingTable`] rows and also
+//!   accumulates remotely computed gradients — the local halves of the
+//!   distributed lookup/grad exchange `dmt-trainer::distributed` drives over a
+//!   `dmt-comm` backend;
+//! * [`crate::QuantizedShardedTable`] holds frozen serving rows at any storage
+//!   precision.
 //!
 //! Sharding is a pure re-homing of rows: the set of (row, value) pairs across all
 //! shards equals a single table's, so a sharded lookup followed by requester-side
@@ -17,14 +22,24 @@
 use crate::embedding_table::EmbeddingTable;
 use dmt_tensor::TensorError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// One rank's shard of a row-partitioned embedding table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedEmbeddingTable {
+/// The local rows a [`Sharded`] table reads. `index` is always a shard-local
+/// row inside the table.
+pub trait RowSource {
+    /// Appends the `f32` values of row `index` onto `out`.
+    fn row_into(&self, index: usize, out: &mut Vec<f32>);
+
+    /// Software-prefetches row `index` (a pure performance hint).
+    fn prefetch_row(&self, index: usize);
+}
+
+/// One rank's shard of a row-partitioned embedding table, its local rows
+/// held by a `T`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sharded<T> {
     /// Local rows, `None` when this shard's range is empty (more shards than rows).
-    shard: Option<EmbeddingTable>,
+    shard: Option<T>,
     num_embeddings: usize,
     dim: usize,
     world_size: usize,
@@ -32,92 +47,51 @@ pub struct ShardedEmbeddingTable {
     rows_per_shard: usize,
 }
 
-impl ShardedEmbeddingTable {
-    /// Creates shard `shard_index` of a logical `[num_embeddings, dim]` table
-    /// partitioned across `world_size` ranks.
-    ///
-    /// Each shard draws its rows from its own `rng`; seeding the rng per
-    /// `(table, shard)` makes initialization independent of the world size layout
-    /// while staying deterministic.
+/// One rank's shard of a trainable table.
+pub type ShardedEmbeddingTable = Sharded<EmbeddingTable>;
+
+impl<T> Sharded<T> {
+    /// Shard `shard_index` of a logical `[num_embeddings, dim]` table split
+    /// across `world_size` ranks, its local rows built by `local(row_count)`
+    /// (never called for an empty range). `local_len`, when given, is the
+    /// length of the caller's row-major buffer of exactly the rows the range
+    /// covers.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or `world_size` is zero, or `shard_index` is out of
-    /// range.
-    #[must_use]
-    pub fn new<R: Rng + ?Sized>(
-        rng: &mut R,
+    /// Panics if any dimension or `world_size` is zero, `shard_index` is out of
+    /// range, or `local_len` does not match the shard's row range.
+    pub(crate) fn build(
         num_embeddings: usize,
         dim: usize,
         world_size: usize,
         shard_index: usize,
+        local_len: Option<usize>,
+        local: impl FnOnce(usize) -> T,
     ) -> Self {
         assert!(
             num_embeddings > 0 && dim > 0 && world_size > 0,
             "sharded table dimensions must be positive"
         );
         assert!(shard_index < world_size, "shard index out of range");
-        let rows_per_shard = num_embeddings.div_ceil(world_size);
-        let lo = (shard_index * rows_per_shard).min(num_embeddings);
-        let hi = ((shard_index + 1) * rows_per_shard).min(num_embeddings);
-        let shard = (hi > lo).then(|| EmbeddingTable::new(rng, hi - lo, dim));
-        Self {
-            shard,
+        let mut sharded = Self {
+            shard: None,
             num_embeddings,
             dim,
             world_size,
             shard_index,
-            rows_per_shard,
+            rows_per_shard: num_embeddings.div_ceil(world_size),
+        };
+        let rows = sharded.local_row_range().len();
+        if let Some(len) = local_len {
+            assert_eq!(
+                len,
+                rows * dim,
+                "local rows must cover exactly the shard's range"
+            );
         }
-    }
-
-    /// Rebuilds shard `shard_index` from exported weights: `local_rows` is the
-    /// row-major buffer of exactly the rows this shard's range covers (possibly
-    /// empty when there are more shards than rows). This is the import half of a
-    /// sharded model snapshot — serving re-shards a table by slicing the full
-    /// exported weight buffer per target shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension or `world_size` is zero, `shard_index` is out of
-    /// range, or `local_rows` does not match the shard's row range.
-    #[must_use]
-    pub fn from_local_rows(
-        num_embeddings: usize,
-        dim: usize,
-        world_size: usize,
-        shard_index: usize,
-        local_rows: Vec<f32>,
-    ) -> Self {
-        assert!(
-            num_embeddings > 0 && dim > 0 && world_size > 0,
-            "sharded table dimensions must be positive"
-        );
-        assert!(shard_index < world_size, "shard index out of range");
-        let rows_per_shard = num_embeddings.div_ceil(world_size);
-        let lo = (shard_index * rows_per_shard).min(num_embeddings);
-        let hi = ((shard_index + 1) * rows_per_shard).min(num_embeddings);
-        assert_eq!(
-            local_rows.len(),
-            (hi - lo) * dim,
-            "local rows must cover exactly the shard's range"
-        );
-        let shard = (hi > lo).then(|| EmbeddingTable::from_weights(hi - lo, dim, local_rows));
-        Self {
-            shard,
-            num_embeddings,
-            dim,
-            world_size,
-            shard_index,
-            rows_per_shard,
-        }
-    }
-
-    /// Borrow of this shard's local row-major weights (empty when the shard's
-    /// range is empty) — the export half of a sharded model snapshot.
-    #[must_use]
-    pub fn local_weights(&self) -> &[f32] {
-        self.shard.as_ref().map_or(&[], EmbeddingTable::weights)
+        sharded.shard = (rows > 0).then(|| local(rows));
+        sharded
     }
 
     /// Rows of the logical table.
@@ -161,14 +135,26 @@ impl ShardedEmbeddingTable {
         lo..hi
     }
 
-    /// Trainable scalars held by this shard.
-    #[must_use]
-    pub fn local_parameter_count(&self) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(0, EmbeddingTable::parameter_count)
+    /// This shard's local rows, `None` when its range is empty.
+    pub(crate) fn local(&self) -> Option<&T> {
+        self.shard.as_ref()
     }
+}
 
+/// Global row `g` (already wrapped) as an index into the owned `range`.
+fn localize(range: &Range<usize>, g: usize) -> Result<usize, TensorError> {
+    if range.contains(&g) {
+        Ok(g - range.start)
+    } else {
+        Err(TensorError::ShapeMismatch {
+            op: "sharded_row_ownership",
+            lhs: vec![g],
+            rhs: vec![range.start, range.end],
+        })
+    }
+}
+
+impl<T: RowSource> Sharded<T> {
     /// Copies the requested *global* rows (which must all be owned by this shard)
     /// into a flat `[rows.len(), dim]` buffer in request order.
     ///
@@ -181,9 +167,10 @@ impl ShardedEmbeddingTable {
         Ok(out)
     }
 
-    /// [`ShardedEmbeddingTable::lookup_rows`] appending into a caller-owned
-    /// buffer, so an answer spanning many feature runs fills one reply buffer
-    /// without intermediate allocations.
+    /// [`Sharded::lookup_rows`] appending into a caller-owned buffer, so an
+    /// answer spanning many feature runs fills one reply buffer without
+    /// intermediate allocations. Each row is validated and translated as it
+    /// streams, and the next owned row is prefetched while this one is copied.
     ///
     /// # Errors
     ///
@@ -193,32 +180,78 @@ impl ShardedEmbeddingTable {
         global_rows: &[usize],
         out: &mut Vec<f32>,
     ) -> Result<(), TensorError> {
-        let range = self.local_row_range();
-        let table = self.shard.as_ref();
-        if let Some(table) = table {
-            out.reserve(global_rows.len() * table.dim());
-        }
-        // Streamed localize → lookup: validating and translating row by row
-        // keeps the hot serving path free of the intermediate id vector.
-        for (n, &raw) in global_rows.iter().enumerate() {
-            let g = raw % self.num_embeddings;
-            if !range.contains(&g) {
-                return Err(TensorError::ShapeMismatch {
-                    op: "sharded_row_ownership",
-                    lhs: vec![g],
-                    rhs: vec![range.start, range.end],
-                });
-            }
-            let Some(table) = table else { continue };
-            if let Some(&next) = global_rows.get(n + 1) {
-                let next = next % self.num_embeddings;
+        let (range, n) = (self.local_row_range(), self.num_embeddings);
+        out.reserve(global_rows.len() * self.dim);
+        for (i, &raw) in global_rows.iter().enumerate() {
+            let local = localize(&range, raw % n)?;
+            // An owned row means a non-empty range, hence local rows.
+            let Some(table) = &self.shard else { continue };
+            if let Some(&next) = global_rows.get(i + 1) {
+                let next = next % n;
                 if range.contains(&next) {
                     table.prefetch_row(next - range.start);
                 }
             }
-            out.extend_from_slice(table.row(g - range.start));
+            table.row_into(local, out);
         }
         Ok(())
+    }
+}
+
+impl Sharded<EmbeddingTable> {
+    /// Creates shard `shard_index` of a logical `[num_embeddings, dim]` table
+    /// partitioned across `world_size` ranks.
+    ///
+    /// Each shard draws its rows from its own `rng`; seeding the rng per
+    /// `(table, shard)` makes initialization independent of the world size layout
+    /// while staying deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension or `world_size` is zero, or `shard_index` is out of
+    /// range.
+    #[must_use]
+    pub fn new<R: Rng + ?Sized>(
+        rng: &mut R,
+        num_embeddings: usize,
+        dim: usize,
+        world_size: usize,
+        shard_index: usize,
+    ) -> Self {
+        Self::build(num_embeddings, dim, world_size, shard_index, None, |rows| {
+            EmbeddingTable::new(rng, rows, dim)
+        })
+    }
+
+    /// Rebuilds shard `shard_index` from exported weights: `local_rows` is the
+    /// row-major buffer of exactly the rows this shard's range covers (possibly
+    /// empty when there are more shards than rows). This is the import half of a
+    /// sharded model snapshot — serving re-shards a table by slicing the full
+    /// exported weight buffer per target shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension or `world_size` is zero, `shard_index` is out of
+    /// range, or `local_rows` does not match the shard's row range.
+    #[must_use]
+    pub fn from_local_rows(
+        num_embeddings: usize,
+        dim: usize,
+        world_size: usize,
+        shard_index: usize,
+        local_rows: Vec<f32>,
+    ) -> Self {
+        let len = Some(local_rows.len());
+        Self::build(num_embeddings, dim, world_size, shard_index, len, |rows| {
+            EmbeddingTable::from_weights(rows, dim, local_rows)
+        })
+    }
+
+    /// Borrow of this shard's local row-major weights (empty when the shard's
+    /// range is empty) — the export half of a sharded model snapshot.
+    #[must_use]
+    pub fn local_weights(&self) -> &[f32] {
+        self.shard.as_ref().map_or(&[], EmbeddingTable::weights)
     }
 
     /// Accumulates per-row gradients (flat `[rows.len(), dim]`, aligned with
@@ -234,15 +267,14 @@ impl ShardedEmbeddingTable {
         grads: &[f32],
     ) -> Result<(), TensorError> {
         let range = self.local_row_range();
-        let local = self.localize(global_rows, &range)?;
+        let local = global_rows
+            .iter()
+            .map(|&g| localize(&range, g % self.num_embeddings))
+            .collect::<Result<Vec<_>, _>>()?;
         match &mut self.shard {
             Some(table) => table.accumulate_row_grads(&local, grads),
-            None if global_rows.is_empty() => Ok(()),
-            None => Err(TensorError::ShapeMismatch {
-                op: "sharded_accumulate_row_grads",
-                lhs: vec![global_rows.len()],
-                rhs: vec![0],
-            }),
+            // An empty range owns no row, so `global_rows` was empty.
+            None => Ok(()),
         }
     }
 
@@ -265,38 +297,6 @@ impl ShardedEmbeddingTable {
     #[must_use]
     pub fn pending_rows(&self) -> usize {
         self.shard.as_ref().map_or(0, EmbeddingTable::pending_rows)
-    }
-
-    /// The ranks holding a replica of this shard's rows under `replicas`-way
-    /// replication in a world of `gpus_per_host`-rank hosts; see [`replica_rank`].
-    #[must_use]
-    pub fn replica_ranks(&self, replicas: usize, gpus_per_host: usize) -> Vec<usize> {
-        (1..=replicas)
-            .map(|i| replica_rank(self.shard_index, i, self.world_size, gpus_per_host))
-            .collect()
-    }
-
-    /// Maps global row ids into shard-local ids, validating ownership.
-    fn localize(
-        &self,
-        global_rows: &[usize],
-        range: &Range<usize>,
-    ) -> Result<Vec<usize>, TensorError> {
-        global_rows
-            .iter()
-            .map(|&g| {
-                let g = g % self.num_embeddings;
-                if range.contains(&g) {
-                    Ok(g - range.start)
-                } else {
-                    Err(TensorError::ShapeMismatch {
-                        op: "sharded_row_ownership",
-                        lhs: vec![g],
-                        rhs: vec![range.start, range.end],
-                    })
-                }
-            })
-            .collect()
     }
 }
 
@@ -389,7 +389,7 @@ mod tests {
         let shards = shards(3, 2, 8);
         let owned: usize = shards.iter().map(|s| s.local_row_range().len()).sum();
         assert_eq!(owned, 3);
-        assert_eq!(shards[7].local_parameter_count(), 0);
+        assert!(shards[7].local_weights().is_empty());
         assert!(shards[7].lookup_rows(&[]).unwrap().is_empty());
     }
 
@@ -520,14 +520,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shard_replica_ranks_uses_the_same_placement() {
-        let shards = shards(16, 2, 8);
-        // 2 hosts x 4 GPUs: shard 1's single replica sits on the other host.
-        assert_eq!(shards[1].replica_ranks(1, 4), vec![5]);
-        // 4 hosts x 2 GPUs: shard 6's two replicas sit on two further hosts.
-        assert_eq!(shards[6].replica_ranks(2, 2), vec![0, 2]);
     }
 }

@@ -7,11 +7,17 @@
 //! tables are frozen, a cached row is forever bit-identical to the owner's copy —
 //! the cache changes which link a row arrives over, never its value.
 //!
+//! Rows live in one [`RowStore`] slab at the serving precision, one row per
+//! LRU slot, so an insert re-encodes a slot's row in place and never allocates.
+//! Decoded fp16 values are exactly representable, so a re-inserted fp16 row
+//! never drifts; an int8 row takes a fresh scale, so re-inserting an
+//! already-dequantized int8 row adds at most half an original quantization step.
+//!
 //! The cache accounts for its own effect: hits, misses, evictions and the wire
 //! bytes saved (`dim × 4` per hit), which the serving report folds into the
 //! per-query byte accounting.
 
-use dmt_tensor::quant::{decode_row_f16_into, f32_to_f16_bits, int8_scale, quantize_i8};
+use dmt_nn::RowStore;
 use dmt_tensor::Precision;
 use std::collections::HashMap;
 
@@ -65,52 +71,11 @@ impl CacheStats {
     }
 }
 
-/// One cached row at the cache's storage precision.
-///
-/// fp16 round-trips bit-exactly through re-quantization (decoded values are
-/// exactly representable), so a re-inserted fp16 row never drifts. int8 rows
-/// carry one fresh per-row scale; re-quantizing an already-dequantized int8
-/// row adds at most half an original quantization step.
-#[derive(Debug, Clone)]
-enum StoredRow {
-    /// Full-precision row — the exact bit-identical path.
-    F32(Vec<f32>),
-    /// IEEE binary16 words.
-    F16(Vec<u16>),
-    /// Symmetric int8 payload with its per-row scale.
-    I8 { q: Vec<i8>, scale: f32 },
-}
-
-impl StoredRow {
-    fn encode(row: &[f32], precision: Precision) -> Self {
-        match precision {
-            Precision::F32 => StoredRow::F32(row.to_vec()),
-            Precision::Fp16 => StoredRow::F16(row.iter().map(|&v| f32_to_f16_bits(v)).collect()),
-            Precision::Int8 => {
-                let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                let scale = int8_scale(max_abs);
-                StoredRow::I8 {
-                    q: row.iter().map(|&v| quantize_i8(v, scale)).collect(),
-                    scale,
-                }
-            }
-        }
-    }
-
-    fn decode_into(&self, out: &mut Vec<f32>) {
-        match self {
-            StoredRow::F32(row) => out.extend_from_slice(row),
-            StoredRow::F16(words) => decode_row_f16_into(words, out),
-            StoredRow::I8 { q, scale } => out.extend(q.iter().map(|&v| f32::from(v) * scale)),
-        }
-    }
-}
-
-/// Intrusive doubly-linked LRU slot.
+/// Intrusive doubly-linked LRU slot; slot `i` keeps its row in row `i` of
+/// the cache's [`RowStore`].
 #[derive(Debug, Clone)]
 struct Slot {
     key: u64,
-    row: StoredRow,
     prev: usize,
     next: usize,
 }
@@ -124,9 +89,10 @@ const NIL: usize = usize::MAX;
 pub struct HotRowCache {
     capacity_rows: usize,
     dim: usize,
-    precision: Precision,
     map: HashMap<u64, usize>,
     slots: Vec<Slot>,
+    /// One row per slot, encoded at the cache's storage precision.
+    rows: RowStore,
     free: Vec<usize>,
     /// Most recently used slot, `NIL` when empty.
     head: usize,
@@ -147,14 +113,19 @@ impl HotRowCache {
     /// int8/fp16 words, so the same row budget costs proportionally fewer
     /// resident bytes. Hit/saved-byte accounting is unchanged — a hit still
     /// avoids the same `dim × 4` f32 wire bytes whatever the storage format.
+    /// The row slab is allocated zeroed up front, so pages of slots never
+    /// filled stay untouched and inserts never allocate.
     #[must_use]
     pub fn with_precision(capacity_rows: usize, dim: usize, precision: Precision) -> Self {
         Self {
             capacity_rows,
             dim,
-            precision,
-            map: HashMap::with_capacity(capacity_rows.min(1 << 20)),
+            // Evictions leave tombstones in the key map; a map at most half
+            // full clears them by rehashing in place, so room for twice the
+            // rows means it never reallocates once built.
+            map: HashMap::with_capacity(2 * capacity_rows.min(1 << 20) + 2),
             slots: Vec::new(),
+            rows: RowStore::zeros(precision, capacity_rows, dim),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -171,19 +142,14 @@ impl HotRowCache {
     /// Storage precision of the cached rows.
     #[must_use]
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.rows.precision()
     }
 
     /// Bytes currently resident in cached row payloads (int8 rows include
     /// their per-row scale word).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let per_row = match self.precision {
-            Precision::F32 => self.dim as u64 * 4,
-            Precision::Fp16 => self.dim as u64 * 2,
-            Precision::Int8 => self.dim as u64 + 4,
-        };
-        self.map.len() as u64 * per_row
+        self.map.len() as u64 * self.rows.row_bytes()
     }
 
     /// Rows currently cached.
@@ -217,7 +183,7 @@ impl HotRowCache {
             Some(slot) => {
                 self.stats.hits += 1;
                 self.stats.saved_bytes += self.dim as u64 * 4;
-                self.slots[slot].row.decode_into(out);
+                self.rows.row_into(slot, out);
                 self.touch(slot);
                 true
             }
@@ -246,34 +212,29 @@ impl HotRowCache {
             return;
         }
         if let Some(&slot) = self.map.get(&key) {
-            self.slots[slot].row = StoredRow::encode(row, self.precision);
+            self.rows.set_row(slot, row);
             self.touch(slot);
             return;
         }
         if self.map.len() >= self.capacity_rows {
             self.evict_lru();
         }
-        let stored = StoredRow::encode(row, self.precision);
+        let linked = Slot {
+            key,
+            prev: NIL,
+            next: NIL,
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Slot {
-                    key,
-                    row: stored,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[slot] = linked;
                 slot
             }
             None => {
-                self.slots.push(Slot {
-                    key,
-                    row: stored,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(linked);
                 self.slots.len() - 1
             }
         };
+        self.rows.set_row(slot, row);
         self.map.insert(key, slot);
         self.push_front(slot);
         self.stats.inserts += 1;
@@ -336,7 +297,6 @@ impl HotRowCache {
         debug_assert_ne!(victim, NIL, "evict called on an empty cache");
         self.unlink(victim);
         self.map.remove(&self.slots[victim].key);
-        self.slots[victim].row = StoredRow::F32(Vec::new());
         self.free.push(victim);
         self.stats.evictions += 1;
     }
@@ -345,6 +305,7 @@ impl HotRowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_nn::QuantizedEmbeddingTable;
 
     fn row(v: f32, dim: usize) -> Vec<f32> {
         vec![v; dim]
@@ -468,6 +429,21 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn int8_rows_with_non_finite_values_decode_like_the_int8_table() {
+        // An infinite element must not set the row's scale: the finite
+        // elements keep their values and the row matches the int8 table's.
+        let source = [1.0f32, f32::INFINITY, -2.0];
+        let mut c = HotRowCache::with_precision(2, 3, Precision::Int8);
+        c.insert(1, &source);
+        let mut out = Vec::new();
+        assert!(c.lookup_into(1, &mut out));
+        let table = QuantizedEmbeddingTable::from_weights(1, 3, &source, Precision::Int8);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&table.lookup_rows(&[0])));
+        assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
     }
 
     #[test]

@@ -19,23 +19,22 @@
 //! bookkeeping on the wire.
 
 use crate::ServeError;
-use dmt_nn::{replica_rank, replica_sources};
+use dmt_nn::{replica_rank, replica_sources, QuantizedEmbeddingTable};
 use dmt_tensor::Precision;
 use dmt_trainer::distributed::model::{decode_key, encode_key, ShardedLookup};
 use dmt_trainer::distributed::TableWeights;
 
+/// One rank's frozen shard view of every served table.
+type Shards = ShardedLookup<QuantizedEmbeddingTable>;
+
 /// One serving rank's primary shard plus the replica shards it hosts for peers.
 pub struct ReplicatedAnswerer {
     /// This rank's own shard view — also the requester-side router/pooler.
-    primary: ShardedLookup,
+    primary: Shards,
     /// `(source_rank, that rank's shard view)` for every replicated peer shard.
-    replicas: Vec<(usize, ShardedLookup)>,
+    replicas: Vec<(usize, Shards)>,
     /// Holder chain per owner rank: `[owner, replica 1, replica 2, ...]`.
     chains: Vec<Vec<usize>>,
-    /// Logical row count per served feature (ascending feature order) — fixes
-    /// each key's nominal owner without touching any shard.
-    feature_rows: Vec<usize>,
-    world: usize,
     me: usize,
     replica_bytes: u64,
 }
@@ -90,30 +89,13 @@ impl ReplicatedAnswerer {
     ) -> Result<Self, ServeError> {
         let mut sorted = features;
         sorted.sort_unstable();
-        let primary =
-            ShardedLookup::from_tables_quantized(sorted.clone(), tables, world, me, precision)?;
-        let mut feature_rows = Vec::with_capacity(sorted.len());
-        for &f in &sorted {
-            let table =
-                tables
-                    .iter()
-                    .find(|t| t.feature == f)
-                    .ok_or_else(|| ServeError::Config {
-                        reason: format!("snapshot holds no table for feature {f}"),
-                    })?;
-            feature_rows.push(table.rows);
-        }
+        let primary = ShardedLookup::from_tables(sorted.clone(), tables, world, me, precision)?;
         let mut held = Vec::new();
         let mut replica_bytes = 0u64;
         if replicas > 0 {
             for source in replica_sources(me, replicas, world, gpus_per_host) {
-                let lookup = ShardedLookup::from_tables_quantized(
-                    sorted.clone(),
-                    tables,
-                    world,
-                    source,
-                    precision,
-                )?;
+                let lookup =
+                    ShardedLookup::from_tables(sorted.clone(), tables, world, source, precision)?;
                 replica_bytes += lookup.resident_bytes();
                 held.push((source, lookup));
             }
@@ -134,8 +116,6 @@ impl ReplicatedAnswerer {
             primary,
             replicas: held,
             chains,
-            feature_rows,
-            world,
             me,
             replica_bytes,
         })
@@ -143,7 +123,7 @@ impl ReplicatedAnswerer {
 
     /// The requester-side shard view (router / pooler / primary answerer).
     #[must_use]
-    pub fn primary(&self) -> &ShardedLookup {
+    pub fn primary(&self) -> &ShardedLookup<QuantizedEmbeddingTable> {
         &self.primary
     }
 
@@ -175,16 +155,13 @@ impl ReplicatedAnswerer {
         &self.chains[owner]
     }
 
-    /// The nominal owner rank of encoded `key` — same row arithmetic as the
-    /// shards themselves.
+    /// The nominal owner rank of encoded `key`, resolved by the primary's
+    /// shard of the key's table (every held shard shares its geometry).
     fn owner_of_key(&self, key: u64) -> Option<usize> {
         let (feature, row) = decode_key(key);
         let pos = self.primary.features().binary_search(&feature).ok()?;
-        let rows = self.feature_rows[pos];
-        if row >= rows {
-            return None;
-        }
-        Some((row / rows.div_ceil(self.world)).min(self.world - 1))
+        let shard = &self.primary.shards()[pos];
+        (row < shard.num_embeddings()).then(|| shard.owner_of(row))
     }
 
     /// How many samples of `bags` (feature-major, one bag list per served
@@ -197,16 +174,19 @@ impl ReplicatedAnswerer {
             return 0;
         }
         let samples = bags[0].len();
-        let features = self.primary.features();
+        let (features, shards) = (self.primary.features(), self.primary.shards());
         let mut touched = 0u64;
         for sample in 0..samples {
-            let hit = bags.iter().zip(features).zip(&self.feature_rows).any(
-                |((bag, &feature), &rows)| {
-                    bag[sample]
-                        .iter()
-                        .any(|&raw| lost.binary_search(&encode_key(feature, raw % rows)).is_ok())
-                },
-            );
+            let hit = bags
+                .iter()
+                .zip(features)
+                .zip(shards)
+                .any(|((bag, &f), shard)| {
+                    bag[sample].iter().any(|&raw| {
+                        let key = encode_key(f, raw % shard.num_embeddings());
+                        lost.binary_search(&key).is_ok()
+                    })
+                });
             if hit {
                 touched += 1;
             }
@@ -216,7 +196,7 @@ impl ReplicatedAnswerer {
 
     /// The held shard covering encoded `key`, if any: the primary, or the
     /// replica of the key's nominal owner.
-    fn shard_covering(&self, key: u64) -> Option<&ShardedLookup> {
+    fn shard_covering(&self, key: u64) -> Option<&Shards> {
         let owner = self.owner_of_key(key)?;
         if owner == self.me {
             return Some(&self.primary);
@@ -244,7 +224,7 @@ impl ReplicatedAnswerer {
         }
         let mut replies = Vec::with_capacity(incoming.len());
         for keys in incoming {
-            let shards: Option<Vec<&ShardedLookup>> =
+            let shards: Option<Vec<&Shards>> =
                 keys.iter().map(|&key| self.shard_covering(key)).collect();
             let Some(shards) = shards else {
                 replies.push(Vec::new());

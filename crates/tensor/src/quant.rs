@@ -329,6 +329,9 @@ unsafe fn decode_f16_f16c(row: &[u16], out: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::isa::{on_every_tier, Family};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The straightforward per-class decoder the branch-free one replaced; the
     /// exhaustive test below pins the two to identical bits on every pattern.
@@ -420,6 +423,83 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// f32 inputs the f16 codec has special rules for: ±0, ±inf, quiet and
+    /// signaling NaN payloads, f32 subnormals, and both sides of f16's
+    /// overflow edge (65504 is the largest half, 65520 rounds to inf) and of
+    /// its underflow edges (2⁻²⁴ is the smallest subnormal half, 2⁻²⁵ ties to
+    /// zero, 2⁻¹⁴ is the smallest normal half).
+    const HOSTILE_F32_BITS: [u32; 18] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0x7fc0_2000,
+        0x7f80_0001,
+        0xffbf_ffff,
+        0x0000_0001,
+        0x807f_ffff,
+        0x477f_e000,
+        0x477f_efff,
+        0x477f_f000,
+        0x3380_0000,
+        0x3300_0000,
+        0x3300_0001,
+        0x3880_0000,
+        0x387f_ffff,
+    ];
+
+    /// Half patterns the decoder has special rules for: ±0, ±inf, quiet and
+    /// signaling NaNs, the smallest and largest subnormals and the largest
+    /// finite half.
+    const HOSTILE_F16_BITS: [u16; 10] = [
+        0x0000, 0x8000, 0x7c00, 0xfc00, 0x7e00, 0x7c01, 0xfdff, 0x0001, 0x83ff, 0x7bff,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Ragged lengths on both sides of the 8-wide converter groups, with
+        /// hostile values mixed in: on every host tier the bulk codec returns
+        /// the per-element scalar codec's bits, both ways.
+        #[test]
+        fn f16_codec_matches_the_scalar_codec_on_ragged_lengths(
+            len in 0usize..70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw_bits = || (rng.gen::<u64>() >> 32) as u32;
+            let mut src = Vec::with_capacity(len);
+            let mut halves_in = Vec::with_capacity(len);
+            for _ in 0..len {
+                let pick = raw_bits();
+                src.push(match pick % 4 {
+                    0 => f32::from_bits(
+                        HOSTILE_F32_BITS[(pick >> 8) as usize % HOSTILE_F32_BITS.len()],
+                    ),
+                    1 => f32::from_bits(raw_bits()),
+                    _ => (raw_bits() % 140_001) as f32 * 0.5 - 35_000.0,
+                });
+                halves_in.push(match pick % 3 {
+                    0 => HOSTILE_F16_BITS[(pick >> 8) as usize % HOSTILE_F16_BITS.len()],
+                    _ => raw_bits() as u16,
+                });
+            }
+            let want_halves: Vec<u16> = src.iter().map(|&v| f32_to_f16_bits(v)).collect();
+            let want_floats: Vec<u32> =
+                halves_in.iter().map(|&h| f16_bits_to_f32(h).to_bits()).collect();
+            on_every_tier(Family::F16, |tier| {
+                let mut halves = vec![0u16; len];
+                encode_f16_slice(&src, &mut halves);
+                assert_eq!(halves, want_halves, "{tier:?} encode at length {len}");
+                let mut floats = vec![0.0f32; len];
+                decode_f16_slice(&halves_in, &mut floats);
+                let got: Vec<u32> = floats.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want_floats, "{tier:?} decode at length {len}");
+            });
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! The module is public because the *serving* engine (`dmt-serve`) reuses the
 //! exact same building blocks on its query path: [`ShardedLookup`] provides the
-//! route → answer → pool protocol over frozen (exported) tables, and
+//! route → answer → pool protocol over frozen (exported) tables at any storage
+//! precision, and
 //! [`DenseStack::forward_infer`] is the one dense forward, which the training step
 //! [`DenseStack::forward_backward`] runs before its backward — sharing the float
 //! path is what makes served predictions bit-identical to a training-side forward
@@ -17,8 +18,9 @@ use dmt_models::{ModelArch, ModelHyperparams};
 use dmt_nn::activation::scalar_sigmoid;
 use dmt_nn::param::HasParameters;
 use dmt_nn::{
-    BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, Mlp, MlpScratch, Parameter,
-    QuantizedShardedTable, ShardedEmbeddingTable,
+    BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, EmbeddingTable, Mlp, MlpScratch,
+    Parameter, QuantizedEmbeddingTable, QuantizedShardedTable, RowSource, Sharded,
+    ShardedEmbeddingTable,
 };
 use dmt_tensor::{PairwiseScratch, Precision, Tensor, TensorError};
 
@@ -182,81 +184,180 @@ pub struct LookupRouting {
 /// protocol phase is its own method, so the sync path can run them back to back
 /// while the pipelined path slots collectives between them.
 ///
-/// The serving engine reuses the same type over *frozen* tables
-/// ([`ShardedLookup::from_tables`]) and drives only the forward phases —
-/// optionally at reduced storage precision
-/// ([`ShardedLookup::from_tables_quantized`]), where rows live as int8/fp16
-/// words and dequantize on the fly inside `answer`.
-pub struct ShardedLookup {
+/// The forward phases run over any [`RowSource`] shards. Training holds
+/// trainable [`EmbeddingTable`] shards, the only ones with gradient, optimizer
+/// and export phases. The serving engine loads *frozen* shards at any storage
+/// precision ([`ShardedLookup::from_tables`]), where rows live as f32, fp16 or
+/// int8 words and decode on the fly inside `answer`.
+pub struct ShardedLookup<T = EmbeddingTable> {
     /// Global feature ids served by this world, ascending.
     features: Vec<usize>,
     /// This rank's shard of each feature's table, aligned with `features`.
-    shards: ShardStorage,
+    shards: Vec<Sharded<T>>,
     dim: usize,
 }
 
-/// Per-rank shard storage: trainable f32 tables or frozen quantized tables.
-///
-/// Both variants expose identical geometry (`rows_per_shard = ⌈rows/world⌉`
-/// row blocks, modulo row wrap), so the route/answer/pool protocol is
-/// storage-agnostic; only the training phases (gradient merge, optimizer,
-/// export) require the f32 variant.
-enum ShardStorage {
-    /// Trainable full-precision shards.
-    F32(Vec<ShardedEmbeddingTable>),
-    /// Frozen int8/fp16 serving shards.
-    Quantized(Vec<QuantizedShardedTable>),
-}
-
-impl ShardStorage {
-    fn num_embeddings(&self, pos: usize) -> usize {
-        match self {
-            ShardStorage::F32(shards) => shards[pos].num_embeddings(),
-            ShardStorage::Quantized(shards) => shards[pos].num_embeddings(),
-        }
+impl<T> ShardedLookup<T> {
+    /// Global feature ids served by this lookup, ascending.
+    #[must_use]
+    pub fn features(&self) -> &[usize] {
+        &self.features
     }
 
-    fn owner_of(&self, pos: usize, row: usize) -> usize {
-        match self {
-            ShardStorage::F32(shards) => shards[pos].owner_of(row),
-            ShardStorage::Quantized(shards) => shards[pos].owner_of(row),
-        }
+    /// Embedding dimension of every served table.
+    #[must_use]
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
-    fn lookup_rows_into(
+    /// This rank's shard of each served table, aligned with
+    /// [`ShardedLookup::features`].
+    #[must_use]
+    pub fn shards(&self) -> &[Sharded<T>] {
+        &self.shards
+    }
+
+    /// Position of a global feature id within `features`.
+    fn feature_pos(&self, feature: usize) -> usize {
+        self.features
+            .binary_search(&feature)
+            .expect("feature served by this lookup")
+    }
+
+    /// Walks every bag entry of `bags` in (feature, sample, bag) order, calling
+    /// `visit(pos, sample, owner, slot)` with the owner rank of the entry's row
+    /// and the row's slot in that owner's request keys.
+    fn for_each_requested(
         &self,
-        pos: usize,
-        rows: &[usize],
-        out: &mut Vec<f32>,
-    ) -> Result<(), TensorError> {
-        match self {
-            ShardStorage::F32(shards) => shards[pos].lookup_rows_into(rows, out),
-            ShardStorage::Quantized(shards) => shards[pos].lookup_rows_into(rows, out),
-        }
-    }
-
-    /// Trainable shards, or a panic on frozen quantized storage: every caller
-    /// is a training phase that has no meaning for serving-only tables.
-    fn trainable(&self) -> &Vec<ShardedEmbeddingTable> {
-        match self {
-            ShardStorage::F32(shards) => shards,
-            ShardStorage::Quantized(_) => {
-                panic!("quantized serving shards have no training path")
+        bags: &[&[Vec<usize>]],
+        routing: &LookupRouting,
+        mut visit: impl FnMut(usize, usize, usize, usize),
+    ) {
+        for (pos, per_sample) in bags.iter().enumerate() {
+            let (shard, feature) = (&self.shards[pos], self.features[pos]);
+            for (sample, bag) in per_sample.iter().enumerate() {
+                for &raw in bag {
+                    let row = raw % shard.num_embeddings();
+                    let owner = shard.owner_of(row);
+                    let slot = routing.request_keys[owner]
+                        .binary_search(&encode_key(feature, row))
+                        .expect("row was requested");
+                    visit(pos, sample, owner, slot);
+                }
             }
         }
     }
 
-    fn trainable_mut(&mut self) -> &mut Vec<ShardedEmbeddingTable> {
-        match self {
-            ShardStorage::F32(shards) => shards,
-            ShardStorage::Quantized(_) => {
-                panic!("quantized serving shards have no training path")
+    // --- Protocol phases ----------------------------------------------------
+
+    /// Phase 1 (requester): routes each distinct (feature, row) of `bags` to its
+    /// owner shard as sorted-unique keys — the payload of the index AlltoAll.
+    pub fn route(&self, world: usize, bags: &[&[Vec<usize>]]) -> Vec<Vec<u64>> {
+        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); world];
+        for ((per_sample, shard), &feature) in bags.iter().zip(&self.shards).zip(&self.features) {
+            for bag in per_sample.iter() {
+                for &raw in bag {
+                    let row = raw % shard.num_embeddings();
+                    requests[shard.owner_of(row)].push(encode_key(feature, row));
+                }
             }
         }
+        for keys in &mut requests {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        requests
+    }
+
+    /// Phase 3 (requester): pools fetched rows into the `[samples, features ·
+    /// dim]` block `out` (feature `pos` in columns `pos·dim .. (pos+1)·dim`),
+    /// bit-identical to a local sum-pooled forward.
+    pub fn pool_into(
+        &self,
+        bags: &[&[Vec<usize>]],
+        routing: &LookupRouting,
+        fetched: &[Vec<f32>],
+        out: &mut Tensor,
+    ) -> Result<(), DistributedError> {
+        let dim = self.dim;
+        let width = bags.len() * dim;
+        out.reset_to_shape(&[bags.first().map_or(0, |b| b.len()), width]);
+        let data = out.data_mut();
+        self.for_each_requested(bags, routing, |pos, sample, owner, slot| {
+            let dst = &mut data[sample * width + pos * dim..][..dim];
+            for (d, v) in dst.iter_mut().zip(&fetched[owner][slot * dim..][..dim]) {
+                *d += v;
+            }
+        });
+        Ok(())
     }
 }
 
-impl ShardedLookup {
+impl<T: RowSource> ShardedLookup<T> {
+    /// Phase 2 (owner): answers incoming request keys with raw rows, in request
+    /// order. Keys are sorted, so rows of the same feature form contiguous runs and
+    /// each run is answered with one batched shard lookup.
+    pub fn answer(&self, incoming: &[Vec<u64>]) -> Result<Vec<Vec<f32>>, DistributedError> {
+        let dim = self.dim;
+        let mut replies: Vec<Vec<f32>> = Vec::with_capacity(incoming.len());
+        for keys in incoming {
+            let mut reply = Vec::with_capacity(keys.len() * dim);
+            for (feature, rows) in feature_runs(keys) {
+                self.shards[self.feature_pos(feature)].lookup_rows_into(&rows, &mut reply)?;
+            }
+            replies.push(reply);
+        }
+        Ok(replies)
+    }
+
+    /// Single-rank pooling: sums each sample's bag rows for every served
+    /// feature straight into the feature-block layout `[samples, F · dim]`
+    /// (feature `pos` occupies columns `pos·dim .. (pos+1)·dim`), skipping the
+    /// route/answer key exchange entirely. Requires every row to be local —
+    /// i.e. a lookup built with `world == 1` — and accumulates rows in bag
+    /// order, bit-identical to the route → answer → [`ShardedLookup::pool_into`]
+    /// path.
+    ///
+    /// `bag(feature, sample)` supplies the raw index bag (same contract as
+    /// [`encode_tower_streams`]); `row_buf` is a reusable `dim`-row decode
+    /// buffer, so once it and `out` have grown, the pass allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] if a row is not owned by this shard view
+    /// (the lookup was built with more than one shard).
+    pub fn pool_local_into<'a, F>(
+        &self,
+        samples: usize,
+        bag: F,
+        row_buf: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<(), TensorError>
+    where
+        F: Fn(usize, usize) -> &'a [usize],
+    {
+        let dim = self.dim;
+        let width = self.features.len() * dim;
+        out.reset_to_shape(&[samples, width]);
+        let data = out.data_mut();
+        for (pos, (&feature, shard)) in self.features.iter().zip(&self.shards).enumerate() {
+            for (s, sample_row) in data.chunks_exact_mut(width).enumerate() {
+                let dst = &mut sample_row[pos * dim..(pos + 1) * dim];
+                for &raw in bag(feature, s) {
+                    let row = raw % shard.num_embeddings();
+                    row_buf.clear();
+                    shard.lookup_rows_into(std::slice::from_ref(&row), row_buf)?;
+                    for (d, v) in dst.iter_mut().zip(row_buf.iter()) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl ShardedLookup<EmbeddingTable> {
     /// Creates one rank's freshly initialized shard view: shard `shard_index` of
     /// `world` for every feature in `features`, with per-`(feature, shard)`
     /// deterministic seeding.
@@ -291,41 +392,97 @@ impl ShardedLookup {
             .collect();
         Self {
             features,
-            shards: ShardStorage::F32(shards),
+            shards,
             dim,
         }
     }
 
-    /// Rebuilds one rank's shard view from exported full-table weights: shard
-    /// `shard_index` of a `world`-way partition for every feature in `features`,
-    /// slicing each feature's snapshot table. This is how the serving engine
-    /// re-shards a snapshot onto *its* cluster, independent of the world size the
-    /// model was trained with.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributedError::Config`] if a feature has no snapshot table or
-    /// the table dimensions are inconsistent.
-    pub fn from_tables(
-        features: Vec<usize>,
-        tables: &[TableWeights],
-        world: usize,
-        shard_index: usize,
-    ) -> Result<Self, DistributedError> {
-        Self::from_tables_quantized(features, tables, world, shard_index, Precision::F32)
+    /// Exports this rank's shards as `(feature, first_global_row, local rows)`
+    /// triples — the per-rank contribution to a full-table snapshot.
+    pub(crate) fn export_shards(&self) -> Vec<(usize, usize, Vec<f32>)> {
+        self.features
+            .iter()
+            .zip(&self.shards)
+            .map(|(&f, shard)| {
+                (
+                    f,
+                    shard.local_row_range().start,
+                    shard.local_weights().to_vec(),
+                )
+            })
+            .collect()
     }
 
-    /// [`ShardedLookup::from_tables`] at a chosen storage precision: f32 rows
-    /// come straight from the snapshot; int8/fp16 quantize each shard's local
-    /// rows once at load time through the same `local_weights`/
-    /// `from_local_rows` boundary, so a snapshot loads directly into quantized
-    /// serving shards without ever materializing full-precision tables.
+    /// Backward phase 1 (requester): accumulates per-requested-row gradients
+    /// (deduplicated exactly like the requests) into one buffer per owner — the
+    /// payload of the gradient AlltoAll. `grads` is the `[samples, features ·
+    /// dim]` gradient of the pooled block (feature `pos` in columns `pos·dim ..
+    /// (pos+1)·dim`); each element is multiplied by `scale` (micro-batch
+    /// averaging) before it is added.
+    pub(crate) fn build_grad_bufs(
+        &self,
+        bags: &[&[Vec<usize>]],
+        routing: &LookupRouting,
+        grads: &Tensor,
+        scale: f32,
+    ) -> Vec<Vec<f32>> {
+        let dim = self.dim;
+        let width = bags.len() * dim;
+        let mut grad_bufs: Vec<Vec<f32>> = routing
+            .request_keys
+            .iter()
+            .map(|keys| vec![0.0f32; keys.len() * dim])
+            .collect();
+        self.for_each_requested(bags, routing, |pos, sample, owner, slot| {
+            let src = &grads.data()[sample * width + pos * dim..][..dim];
+            for (d, v) in grad_bufs[owner][slot * dim..][..dim].iter_mut().zip(src) {
+                *d += v * scale;
+            }
+        });
+        grad_bufs
+    }
+
+    /// Backward phase 2 (owner): merges each source's gradient contributions in
+    /// rank order, one batched merge per contiguous feature run (a per-row merge
+    /// would rebuild the pending CSR store once per key).
+    pub(crate) fn merge_grads(
+        &mut self,
+        routing: &LookupRouting,
+        incoming: Vec<Vec<f32>>,
+    ) -> Result<(), DistributedError> {
+        let dim = self.dim;
+        for (keys, grads) in routing.served_keys.iter().zip(incoming) {
+            let mut offset = 0usize;
+            for (feature, rows) in feature_runs(keys) {
+                let pos = self.feature_pos(feature);
+                let span = rows.len() * dim;
+                self.shards[pos].accumulate_row_grads(&rows, &grads[offset..offset + span])?;
+                offset += span;
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn apply_rowwise_adagrad(&mut self, learning_rate: f32, eps: f32) {
+        for shard in &mut self.shards {
+            shard.apply_rowwise_adagrad(learning_rate, eps);
+        }
+    }
+}
+
+impl ShardedLookup<QuantizedEmbeddingTable> {
+    /// Loads one rank's frozen shard view from exported full-table weights:
+    /// shard `shard_index` of a `world`-way partition for every feature in
+    /// `features`, each shard's local rows encoded once at `precision`
+    /// ([`Precision::F32`] keeps them exact). This is how the serving engine
+    /// re-shards a snapshot onto *its* cluster, independent of the world size
+    /// the model was trained with, without ever materializing trainable tables.
     ///
     /// # Errors
     ///
     /// Returns [`DistributedError::Config`] if a feature has no snapshot table
     /// or the table dimensions are inconsistent.
-    pub fn from_tables_quantized(
+    pub fn from_tables(
         mut features: Vec<usize>,
         tables: &[TableWeights],
         world: usize,
@@ -333,8 +490,7 @@ impl ShardedLookup {
         precision: Precision,
     ) -> Result<Self, DistributedError> {
         features.sort_unstable();
-        let mut f32_shards = Vec::new();
-        let mut quant_shards = Vec::new();
+        let mut shards = Vec::with_capacity(features.len());
         let mut dim = 0usize;
         for &f in &features {
             let table =
@@ -364,31 +520,15 @@ impl ShardedLookup {
             let rows_per_shard = table.rows.div_ceil(world);
             let lo = (shard_index * rows_per_shard).min(table.rows);
             let hi = ((shard_index + 1) * rows_per_shard).min(table.rows);
-            let local_rows = &table.data[lo * table.dim..hi * table.dim];
-            if precision.is_f32() {
-                f32_shards.push(ShardedEmbeddingTable::from_local_rows(
-                    table.rows,
-                    table.dim,
-                    world,
-                    shard_index,
-                    local_rows.to_vec(),
-                ));
-            } else {
-                quant_shards.push(QuantizedShardedTable::from_local_rows(
-                    table.rows,
-                    table.dim,
-                    world,
-                    shard_index,
-                    local_rows,
-                    precision,
-                ));
-            }
+            shards.push(QuantizedShardedTable::from_local_rows(
+                table.rows,
+                table.dim,
+                world,
+                shard_index,
+                &table.data[lo * table.dim..hi * table.dim],
+                precision,
+            ));
         }
-        let shards = if precision.is_f32() {
-            ShardStorage::F32(f32_shards)
-        } else {
-            ShardStorage::Quantized(quant_shards)
-        };
         Ok(Self {
             features,
             shards,
@@ -396,262 +536,14 @@ impl ShardedLookup {
         })
     }
 
-    /// Storage precision of the shards this lookup serves from.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        match &self.shards {
-            ShardStorage::F32(_) => Precision::F32,
-            ShardStorage::Quantized(shards) => shards
-                .first()
-                .map_or(Precision::F32, QuantizedShardedTable::precision),
-        }
-    }
-
     /// Bytes resident in this rank's shard storage (payload words plus int8
-    /// per-row scales) — the number the quantized formats shrink.
+    /// per-row scales) — the number the reduced precisions shrink.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        match &self.shards {
-            ShardStorage::F32(shards) => shards
-                .iter()
-                .map(|s| s.local_weights().len() as u64 * 4)
-                .sum(),
-            ShardStorage::Quantized(shards) => shards
-                .iter()
-                .map(QuantizedShardedTable::resident_bytes)
-                .sum(),
-        }
-    }
-
-    /// Exports this rank's shards as `(feature, first_global_row, local rows)`
-    /// triples — the per-rank contribution to a full-table snapshot.
-    pub(crate) fn export_shards(&self) -> Vec<(usize, usize, Vec<f32>)> {
-        self.features
+        self.shards
             .iter()
-            .zip(self.shards.trainable())
-            .map(|(&f, shard)| {
-                (
-                    f,
-                    shard.local_row_range().start,
-                    shard.local_weights().to_vec(),
-                )
-            })
-            .collect()
-    }
-
-    /// Global feature ids served by this lookup, ascending.
-    #[must_use]
-    pub fn features(&self) -> &[usize] {
-        &self.features
-    }
-
-    /// Embedding dimension of every served table.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Position of a global feature id within `features`.
-    fn feature_pos(&self, feature: usize) -> usize {
-        self.features
-            .binary_search(&feature)
-            .expect("feature served by this lookup")
-    }
-
-    // --- Protocol phases ----------------------------------------------------
-
-    /// Phase 1 (requester): routes each distinct (feature, row) of `bags` to its
-    /// owner shard as sorted-unique keys — the payload of the index AlltoAll.
-    pub fn route(&self, world: usize, bags: &[&[Vec<usize>]]) -> Vec<Vec<u64>> {
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); world];
-        for (pos, per_sample) in bags.iter().enumerate() {
-            let num_embeddings = self.shards.num_embeddings(pos);
-            let feature = self.features[pos];
-            for bag in per_sample.iter() {
-                for &raw in bag {
-                    let row = raw % num_embeddings;
-                    requests[self.shards.owner_of(pos, row)].push(encode_key(feature, row));
-                }
-            }
-        }
-        for keys in &mut requests {
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        requests
-    }
-
-    /// Phase 2 (owner): answers incoming request keys with raw rows, in request
-    /// order. Keys are sorted, so rows of the same feature form contiguous runs and
-    /// each run is answered with one batched shard lookup.
-    pub fn answer(&self, incoming: &[Vec<u64>]) -> Result<Vec<Vec<f32>>, DistributedError> {
-        let dim = self.dim;
-        let mut replies: Vec<Vec<f32>> = Vec::with_capacity(incoming.len());
-        for keys in incoming {
-            let mut reply = Vec::with_capacity(keys.len() * dim);
-            for (feature, rows) in feature_runs(keys) {
-                self.shards
-                    .lookup_rows_into(self.feature_pos(feature), &rows, &mut reply)?;
-            }
-            replies.push(reply);
-        }
-        Ok(replies)
-    }
-
-    /// Phase 3 (requester): pools fetched rows into the `[samples, features ·
-    /// dim]` block `out` (feature `pos` in columns `pos·dim .. (pos+1)·dim`),
-    /// bit-identical to a local sum-pooled forward.
-    pub fn pool_into(
-        &self,
-        bags: &[&[Vec<usize>]],
-        routing: &LookupRouting,
-        fetched: &[Vec<f32>],
-        out: &mut Tensor,
-    ) -> Result<(), DistributedError> {
-        let dim = self.dim;
-        let width = bags.len() * dim;
-        out.reset_to_shape(&[bags.first().map_or(0, |b| b.len()), width]);
-        let data = out.data_mut();
-        for (pos, per_sample) in bags.iter().enumerate() {
-            let num_embeddings = self.shards.num_embeddings(pos);
-            let feature = self.features[pos];
-            for (sample, bag) in per_sample.iter().enumerate() {
-                let dst = &mut data[sample * width + pos * dim..][..dim];
-                for &raw in bag {
-                    let row = raw % num_embeddings;
-                    let owner = self.shards.owner_of(pos, row);
-                    let slot = routing.request_keys[owner]
-                        .binary_search(&encode_key(feature, row))
-                        .expect("row was requested");
-                    for (d, v) in dst
-                        .iter_mut()
-                        .zip(&fetched[owner][slot * dim..(slot + 1) * dim])
-                    {
-                        *d += v;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Backward phase 1 (requester): accumulates per-requested-row gradients
-    /// (deduplicated exactly like the requests) into one buffer per owner — the
-    /// payload of the gradient AlltoAll. `grads` is the `[samples, features ·
-    /// dim]` gradient of the pooled block (feature `pos` in columns `pos·dim ..
-    /// (pos+1)·dim`); each element is multiplied by `scale` (micro-batch
-    /// averaging) before it is added.
-    pub(crate) fn build_grad_bufs(
-        &self,
-        bags: &[&[Vec<usize>]],
-        routing: &LookupRouting,
-        grads: &Tensor,
-        scale: f32,
-    ) -> Vec<Vec<f32>> {
-        let dim = self.dim;
-        let width = bags.len() * dim;
-        let mut grad_bufs: Vec<Vec<f32>> = routing
-            .request_keys
-            .iter()
-            .map(|keys| vec![0.0f32; keys.len() * dim])
-            .collect();
-        for (pos, per_sample) in bags.iter().enumerate() {
-            let num_embeddings = self.shards.num_embeddings(pos);
-            let feature = self.features[pos];
-            for (sample, bag) in per_sample.iter().enumerate() {
-                let src = &grads.data()[sample * width + pos * dim..][..dim];
-                for &raw in bag {
-                    let row = raw % num_embeddings;
-                    let owner = self.shards.owner_of(pos, row);
-                    let slot = routing.request_keys[owner]
-                        .binary_search(&encode_key(feature, row))
-                        .expect("row was requested");
-                    for (d, v) in grad_bufs[owner][slot * dim..(slot + 1) * dim]
-                        .iter_mut()
-                        .zip(src)
-                    {
-                        *d += v * scale;
-                    }
-                }
-            }
-        }
-        grad_bufs
-    }
-
-    /// Backward phase 2 (owner): merges each source's gradient contributions in
-    /// rank order, one batched merge per contiguous feature run (a per-row merge
-    /// would rebuild the pending CSR store once per key).
-    pub(crate) fn merge_grads(
-        &mut self,
-        routing: &LookupRouting,
-        incoming: Vec<Vec<f32>>,
-    ) -> Result<(), DistributedError> {
-        let dim = self.dim;
-        for (keys, grads) in routing.served_keys.iter().zip(incoming) {
-            let mut offset = 0usize;
-            for (feature, rows) in feature_runs(keys) {
-                let pos = self.feature_pos(feature);
-                let span = rows.len() * dim;
-                self.shards.trainable_mut()[pos]
-                    .accumulate_row_grads(&rows, &grads[offset..offset + span])?;
-                offset += span;
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn apply_rowwise_adagrad(&mut self, learning_rate: f32, eps: f32) {
-        for shard in self.shards.trainable_mut() {
-            shard.apply_rowwise_adagrad(learning_rate, eps);
-        }
-    }
-
-    /// Single-rank pooling: sums each sample's bag rows for every served
-    /// feature straight into the feature-block layout `[samples, F · dim]`
-    /// (feature `pos` occupies columns `pos·dim .. (pos+1)·dim`), skipping the
-    /// route/answer key exchange entirely. Requires every row to be local —
-    /// i.e. a lookup built with `world == 1` — and accumulates rows in bag
-    /// order, bit-identical to the route → answer → [`ShardedLookup::pool_into`]
-    /// path.
-    ///
-    /// `bag(feature, sample)` supplies the raw index bag (same contract as
-    /// [`encode_tower_streams`]); `row_buf` is a reusable `dim`-row decode
-    /// buffer, so once it and `out` have grown, the pass allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if a row is not owned by this shard view
-    /// (the lookup was built with more than one shard).
-    pub fn pool_local_into<'a, F>(
-        &self,
-        samples: usize,
-        bag: F,
-        row_buf: &mut Vec<f32>,
-        out: &mut Tensor,
-    ) -> Result<(), TensorError>
-    where
-        F: Fn(usize, usize) -> &'a [usize],
-    {
-        let dim = self.dim;
-        let width = self.features.len() * dim;
-        out.reset_to_shape(&[samples, width]);
-        let data = out.data_mut();
-        for (pos, &feature) in self.features.iter().enumerate() {
-            let num_embeddings = self.shards.num_embeddings(pos);
-            for (s, sample_row) in data.chunks_exact_mut(width).enumerate() {
-                let dst = &mut sample_row[pos * dim..(pos + 1) * dim];
-                for &raw in bag(feature, s) {
-                    let row = raw % num_embeddings;
-                    row_buf.clear();
-                    self.shards
-                        .lookup_rows_into(pos, std::slice::from_ref(&row), row_buf)?;
-                    for (d, v) in dst.iter_mut().zip(row_buf.iter()) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-        Ok(())
+            .map(QuantizedShardedTable::resident_bytes)
+            .sum()
     }
 }
 

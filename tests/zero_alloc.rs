@@ -1,11 +1,13 @@
-//! Zero-allocation guarantee for the single-rank serving hot path and the
-//! dense training step.
+//! Zero-allocation guarantee for the single-rank serving hot path, the
+//! serving hot-row cache and the dense training step.
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator. After a warm-up pass over each micro-batch (which grows every
 //! reusable buffer to its steady-state capacity), re-serving the same batches
 //! through [`SingleRankServer::serve_into`] must perform **zero** heap
-//! allocations — at every storage precision. Likewise a warmed-up dense
+//! allocations — at every storage precision. So must a full [`HotRowCache`]'s
+//! evicting inserts and hits once it has been churned through a few times its
+//! capacity. Likewise a warmed-up dense
 //! training step ([`DenseStack::forward_backward`] between `zero_grad` and the
 //! Adam update) and a DMT tower forward + backward.
 //!
@@ -20,7 +22,7 @@ use dmt_data::{DatasetSchema, SyntheticClickDataset, ZipfRequestStream};
 use dmt_models::{ModelArch, ModelHyperparams};
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
-use dmt_serve::{ComputePrecision, SingleRankServer};
+use dmt_serve::{ComputePrecision, HotRowCache, SingleRankServer};
 use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
 use dmt_trainer::distributed::model::{DenseScratch, DenseStack};
@@ -136,6 +138,39 @@ fn training_performs_zero_heap_allocations() {
     }
 }
 
+/// Serving's hot-row cache at every storage precision: after a warm-up that
+/// churns several capacities of keys through a full cache (the key map may
+/// grow once there), evicting inserts and hits allocate nothing.
+fn cache_performs_zero_heap_allocations() {
+    let (capacity, dim) = (64u64, 16usize);
+    let row: Vec<f32> = (0..dim).map(|i| i as f32 * 0.25 - 1.5).collect();
+    let mut out = Vec::with_capacity(dim);
+    for precision in [
+        ComputePrecision::F32,
+        ComputePrecision::Fp16,
+        ComputePrecision::Int8,
+    ] {
+        let mut cache = HotRowCache::with_precision(capacity as usize, dim, precision);
+        let mut churn = |cache: &mut HotRowCache, keys: std::ops::Range<u64>| {
+            for key in keys {
+                cache.insert(key, &row);
+                out.clear();
+                assert!(cache.lookup_into(key, &mut out));
+                assert!(!cache.lookup_into(key + capacity, &mut out));
+            }
+        };
+        churn(&mut cache, 0..4 * capacity);
+        let before = allocations();
+        churn(&mut cache, 4 * capacity..8 * capacity);
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{precision}: steady-state cache allocated"
+        );
+        assert_eq!(cache.len(), capacity as usize);
+    }
+}
+
 #[test]
 fn steady_state_serving_performs_zero_heap_allocations() {
     let cluster = ClusterTopology::new(HardwareGeneration::A100, 1, 2).unwrap();
@@ -180,5 +215,6 @@ fn steady_state_serving_performs_zero_heap_allocations() {
         assert!(predictions.iter().all(|p| (0.0..=1.0).contains(p)));
     }
 
+    cache_performs_zero_heap_allocations();
     training_performs_zero_heap_allocations();
 }
