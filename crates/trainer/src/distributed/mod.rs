@@ -428,6 +428,442 @@ mod tests {
         }
     }
 
+    /// What the exchange pin below compares for one run: loss bits, every
+    /// measured segment's `(label, payload, cross-host, intra-host)` bytes and
+    /// rank 0's iteration-0 node labels in execution order.
+    type Observed = (Vec<u64>, Vec<(String, u64, u64, u64)>, Vec<String>);
+
+    /// Runs `cfg` under `mode` with the trace recorder on. The recorder is
+    /// scoped to the calling thread and the rank threads it spawns, so sibling
+    /// tests running in parallel never land in this capture.
+    fn observe(cfg: &DistributedConfig, mode: ExecutionMode) -> Observed {
+        trace::set_tracing(true);
+        let run = run_mode(cfg, mode);
+        trace::set_tracing(false);
+        let events = trace::take_events();
+        let run = run.unwrap();
+        let rank0 = trace::Track {
+            pid: trace::deployment::TRAINER,
+            tid: 0,
+        };
+        let iter0_end = events
+            .iter()
+            .find(|e| e.cat == trace::cat::ITER && e.track == rank0 && e.name == "iteration 0")
+            .map(|e| e.ts_s + e.dur_s)
+            .expect("rank 0 traced iteration 0");
+        let mut nodes: Vec<&trace::TraceEvent> = events
+            .iter()
+            .filter(|e| e.cat == trace::cat::NODE && e.track == rank0 && e.ts_s <= iter0_end)
+            .collect();
+        nodes.sort_by(|a, b| a.ts_s.total_cmp(&b.ts_s));
+        (
+            run.losses.iter().map(|l| l.to_bits()).collect(),
+            run.segments
+                .iter()
+                .map(|s| {
+                    (
+                        s.label.clone(),
+                        s.payload_bytes,
+                        s.cross_host_bytes,
+                        s.intra_host_bytes,
+                    )
+                })
+                .collect(),
+            nodes.iter().map(|e| e.name.clone()).collect(),
+        )
+    }
+
+    /// Pins what the sync fp32 fixture above cannot see: both deployments under
+    /// both schedules (two micro-batches when pipelined) at every sub-fp32 wire
+    /// precision, plus pipelined fp32. Per case it holds the loss bits of two
+    /// iterations, every measured segment's bytes and the executed node-label
+    /// sequence of rank 0's first iteration — so the lowered graph, its codec
+    /// nodes and their collectives are fixed, not just their totals.
+    #[test]
+    fn every_schedule_and_wire_reproduces_the_recorded_graph() {
+        use dmt_commsim::Quantization::{self, Fp16, Fp32, Int8};
+        use ExecutionMode::{Baseline, Dmt};
+        use ScheduleMode::{Pipelined, Sync};
+        type Case = (
+            ExecutionMode,
+            ScheduleMode,
+            Quantization,
+            [u64; 2],
+            &'static [(&'static str, u64, u64, u64)],
+            &'static [&'static str],
+        );
+        const BASELINE_SYNC: &[&str] = &[
+            "route + issue index AlltoAll",
+            "claim indices + answer",
+            "quantize rows",
+            "issue row fetch",
+            "claim row fetch",
+            "dequantize rows",
+            "pool + dense fwd/bwd",
+            "quantize embedding grads",
+            "issue embedding grads",
+            "claim embedding grads",
+            "dequantize embedding grads",
+            "merge embedding grads",
+            "issue dense AllReduce",
+            "claim dense AllReduce",
+        ];
+        const BASELINE_PIPELINED_FP32: &[&str] = &[
+            "route + issue index AlltoAll",
+            "route + issue index AlltoAll",
+            "claim indices + answer",
+            "issue row fetch",
+            "claim indices + answer",
+            "issue row fetch",
+            "claim row fetch",
+            "pool + dense fwd/bwd",
+            "issue embedding grads",
+            "claim row fetch",
+            "pool + dense fwd/bwd",
+            "issue embedding grads",
+            "issue dense AllReduce",
+            "claim embedding grads",
+            "merge embedding grads",
+            "claim embedding grads",
+            "merge embedding grads",
+            "claim dense AllReduce",
+        ];
+        const BASELINE_PIPELINED: &[&str] = &[
+            "route + issue index AlltoAll",
+            "route + issue index AlltoAll",
+            "claim indices + answer",
+            "quantize rows",
+            "issue row fetch",
+            "claim indices + answer",
+            "quantize rows",
+            "issue row fetch",
+            "claim row fetch",
+            "dequantize rows",
+            "pool + dense fwd/bwd",
+            "quantize embedding grads",
+            "issue embedding grads",
+            "claim row fetch",
+            "dequantize rows",
+            "pool + dense fwd/bwd",
+            "quantize embedding grads",
+            "issue embedding grads",
+            "issue dense AllReduce",
+            "claim embedding grads",
+            "dequantize embedding grads",
+            "merge embedding grads",
+            "claim embedding grads",
+            "dequantize embedding grads",
+            "merge embedding grads",
+            "claim dense AllReduce",
+        ];
+        const DMT_SYNC: &[&str] = &[
+            "encode + issue peer index AlltoAll",
+            "claim peer indices + route intra",
+            "claim intra indices + answer",
+            "quantize intra rows",
+            "issue intra rows",
+            "claim intra rows",
+            "dequantize intra rows",
+            "pool + tower fwd",
+            "quantize peer outputs",
+            "issue peer outputs",
+            "claim peer outputs",
+            "dequantize peer outputs",
+            "dense fwd/bwd",
+            "quantize peer grads",
+            "issue peer grads",
+            "claim peer grads",
+            "dequantize peer grads",
+            "tower bwd",
+            "quantize intra grads",
+            "issue intra grads",
+            "claim intra grads",
+            "dequantize intra grads",
+            "merge intra grads",
+            "issue tower AllReduce",
+            "claim tower AllReduce",
+            "issue dense AllReduce",
+            "claim dense AllReduce",
+        ];
+        const DMT_PIPELINED_FP32: &[&str] = &[
+            "encode + issue peer index AlltoAll",
+            "encode + issue peer index AlltoAll",
+            "claim peer indices + route intra",
+            "claim intra indices + answer",
+            "issue intra rows",
+            "claim intra rows",
+            "pool + tower fwd",
+            "issue peer outputs",
+            "claim peer indices + route intra",
+            "claim intra indices + answer",
+            "issue intra rows",
+            "claim intra rows",
+            "pool + tower fwd",
+            "issue peer outputs",
+            "claim peer outputs",
+            "dense fwd/bwd",
+            "issue peer grads",
+            "claim peer outputs",
+            "dense fwd/bwd",
+            "issue peer grads",
+            "claim peer grads",
+            "tower bwd",
+            "issue intra grads",
+            "claim peer grads",
+            "tower bwd",
+            "issue intra grads",
+            "issue tower AllReduce",
+            "issue dense AllReduce",
+            "claim intra grads",
+            "merge intra grads",
+            "claim intra grads",
+            "merge intra grads",
+            "claim tower AllReduce",
+            "claim dense AllReduce",
+        ];
+        const DMT_PIPELINED: &[&str] = &[
+            "encode + issue peer index AlltoAll",
+            "encode + issue peer index AlltoAll",
+            "claim peer indices + route intra",
+            "claim intra indices + answer",
+            "quantize intra rows",
+            "issue intra rows",
+            "claim intra rows",
+            "dequantize intra rows",
+            "pool + tower fwd",
+            "quantize peer outputs",
+            "issue peer outputs",
+            "claim peer indices + route intra",
+            "claim intra indices + answer",
+            "quantize intra rows",
+            "issue intra rows",
+            "claim intra rows",
+            "dequantize intra rows",
+            "pool + tower fwd",
+            "quantize peer outputs",
+            "issue peer outputs",
+            "claim peer outputs",
+            "dequantize peer outputs",
+            "dense fwd/bwd",
+            "quantize peer grads",
+            "issue peer grads",
+            "claim peer outputs",
+            "dequantize peer outputs",
+            "dense fwd/bwd",
+            "quantize peer grads",
+            "issue peer grads",
+            "claim peer grads",
+            "dequantize peer grads",
+            "tower bwd",
+            "quantize intra grads",
+            "issue intra grads",
+            "claim peer grads",
+            "dequantize peer grads",
+            "tower bwd",
+            "quantize intra grads",
+            "issue intra grads",
+            "issue tower AllReduce",
+            "issue dense AllReduce",
+            "claim intra grads",
+            "dequantize intra grads",
+            "merge intra grads",
+            "claim intra grads",
+            "dequantize intra grads",
+            "merge intra grads",
+            "claim tower AllReduce",
+            "claim dense AllReduce",
+        ];
+        let cases: [Case; 10] = [
+            (
+                Baseline,
+                Sync,
+                Fp16,
+                [0x3fe53a7a44eb78a8, 0x3fe4ca218e9082d6],
+                &[
+                    ("dense + sparse compute", 0, 0, 0),
+                    ("feature distribution AlltoAll", 9116, 4517, 3419),
+                    ("embedding row fetch AlltoAll (fwd)", 36462, 18066, 13676),
+                    ("embedding gradient AlltoAll (bwd)", 36462, 18066, 13676),
+                    ("dense gradient AllReduce", 53284, 23312, 69935),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                BASELINE_SYNC,
+            ),
+            (
+                Baseline,
+                Sync,
+                Int8,
+                [0x3fe53a89d255c2b8, 0x3fe4c64d1ca5df02],
+                &[
+                    ("dense + sparse compute", 0, 0, 0),
+                    ("feature distribution AlltoAll", 9116, 4517, 3419),
+                    ("embedding row fetch AlltoAll (fwd)", 18263, 9049, 6850),
+                    ("embedding gradient AlltoAll (bwd)", 18263, 9049, 6850),
+                    ("dense gradient AllReduce", 26648, 11659, 34976),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                BASELINE_SYNC,
+            ),
+            (
+                Baseline,
+                Pipelined,
+                Fp32,
+                [0x3fe53a78959a3fd6, 0x3fe4ca2cd500f136],
+                &[
+                    ("dense + sparse compute", 0, 0, 0),
+                    ("feature distribution AlltoAll", 10294, 5153, 3823),
+                    ("embedding row fetch AlltoAll (fwd)", 82352, 41224, 30580),
+                    ("embedding gradient AlltoAll (bwd)", 82352, 41224, 30580),
+                    ("dense gradient AllReduce", 106564, 46622, 139865),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                BASELINE_PIPELINED_FP32,
+            ),
+            (
+                Baseline,
+                Pipelined,
+                Fp16,
+                [0x3fe53a7a44eb78a8, 0x3fe4ca2118e2333d],
+                &[
+                    ("dense + sparse compute", 0, 0, 0),
+                    ("feature distribution AlltoAll", 10294, 5153, 3823),
+                    ("embedding row fetch AlltoAll (fwd)", 41176, 20612, 15290),
+                    ("embedding gradient AlltoAll (bwd)", 41176, 20612, 15290),
+                    ("dense gradient AllReduce", 53284, 23312, 69935),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                BASELINE_PIPELINED,
+            ),
+            (
+                Baseline,
+                Pipelined,
+                Int8,
+                [0x3fe53a8d3a67350d, 0x3fe4c62d3d3883d9],
+                &[
+                    ("dense + sparse compute", 0, 0, 0),
+                    ("feature distribution AlltoAll", 10294, 5153, 3823),
+                    ("embedding row fetch AlltoAll (fwd)", 20652, 10338, 7669),
+                    ("embedding gradient AlltoAll (bwd)", 20652, 10338, 7669),
+                    ("dense gradient AllReduce", 26648, 11659, 34976),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                BASELINE_PIPELINED,
+            ),
+            (
+                Dmt,
+                Sync,
+                Fp16,
+                [0x3fe6975f141a97c6, 0x3fe4d680c9c40c7f],
+                &[
+                    ("dense + tower-module compute", 0, 0, 0),
+                    ("peer index distribution AlltoAll", 26624, 13312, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 40830, 0, 30768),
+                    ("peer tower-output AlltoAll (fwd)", 4096, 2048, 0),
+                    ("peer tower-grad AlltoAll (bwd)", 4096, 2048, 0),
+                    ("intra-host gradient AlltoAll (bwd)", 32664, 0, 24614),
+                    ("tower-module intra-host AllReduce", 6688, 0, 10032),
+                    ("dense gradient AllReduce", 8740, 3824, 11471),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                DMT_SYNC,
+            ),
+            (
+                Dmt,
+                Sync,
+                Int8,
+                [0x3fe69750d483f453, 0x3fe4d7828a5703d8],
+                &[
+                    ("dense + tower-module compute", 0, 0, 0),
+                    ("peer index distribution AlltoAll", 26624, 13312, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 24514, 0, 18473),
+                    ("peer tower-output AlltoAll (fwd)", 2056, 1028, 0),
+                    ("peer tower-grad AlltoAll (bwd)", 2056, 1028, 0),
+                    ("intra-host gradient AlltoAll (bwd)", 16348, 0, 12319),
+                    ("tower-module intra-host AllReduce", 3348, 0, 5022),
+                    ("dense gradient AllReduce", 4376, 1915, 5744),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                DMT_SYNC,
+            ),
+            (
+                Dmt,
+                Pipelined,
+                Fp32,
+                [0x3fe6975fdee66727, 0x3fe4d6c262ca539b],
+                &[
+                    ("dense + tower-module compute", 0, 0, 0),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 41486, 0, 31311),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 41715, 0, 31487),
+                    ("peer tower-output AlltoAll (fwd)", 8192, 4096, 0),
+                    ("peer tower-grad AlltoAll (bwd)", 8192, 4096, 0),
+                    ("intra-host gradient AlltoAll (bwd)", 73956, 0, 55820),
+                    ("tower-module intra-host AllReduce", 13376, 0, 20064),
+                    ("dense gradient AllReduce", 17476, 7646, 22937),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                DMT_PIPELINED_FP32,
+            ),
+            (
+                Dmt,
+                Pipelined,
+                Fp16,
+                [0x3fe6975f141a97c6, 0x3fe4d67fdfe5ed87],
+                &[
+                    ("dense + tower-module compute", 0, 0, 0),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 23048, 0, 17395),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 23175, 0, 17493),
+                    ("peer tower-output AlltoAll (fwd)", 4096, 2048, 0),
+                    ("peer tower-grad AlltoAll (bwd)", 4096, 2048, 0),
+                    ("intra-host gradient AlltoAll (bwd)", 36978, 0, 27910),
+                    ("tower-module intra-host AllReduce", 6688, 0, 10032),
+                    ("dense gradient AllReduce", 8740, 3824, 11471),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                DMT_PIPELINED,
+            ),
+            (
+                Dmt,
+                Pipelined,
+                Int8,
+                [0x3fe697526fc6dea9, 0x3fe4d56f4532e9c6],
+                &[
+                    ("dense + tower-module compute", 0, 0, 0),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 13845, 0, 10449),
+                    ("peer index distribution AlltoAll", 13312, 6656, 0),
+                    ("intra-host row fetch AlltoAll (fwd)", 13921, 0, 10508),
+                    ("peer tower-output AlltoAll (fwd)", 2064, 1032, 0),
+                    ("peer tower-grad AlltoAll (bwd)", 2064, 1032, 0),
+                    ("intra-host gradient AlltoAll (bwd)", 18521, 0, 13979),
+                    ("tower-module intra-host AllReduce", 3348, 0, 5022),
+                    ("dense gradient AllReduce", 4376, 1915, 5744),
+                    ("optimizer + host overhead", 0, 0, 0),
+                ],
+                DMT_PIPELINED,
+            ),
+        ];
+        for (mode, schedule, wire, losses, segments, nodes) in cases {
+            let cfg = quick(ModelArch::Dlrm)
+                .with_iterations(2)
+                .with_schedule(schedule)
+                .with_micro_batches(2)
+                .with_wire_precision(wire);
+            let (got_losses, got_segments, got_nodes) = observe(&cfg, mode);
+            let case = format!("{mode:?} {schedule:?} {wire}");
+            assert_eq!(got_losses, losses, "{case}: loss bits");
+            let got_segments: Vec<(&str, u64, u64, u64)> = got_segments
+                .iter()
+                .map(|(label, payload, cross, intra)| (label.as_str(), *payload, *cross, *intra))
+                .collect();
+            assert_eq!(got_segments, segments, "{case}: segment bytes");
+            assert_eq!(got_nodes, nodes, "{case}: rank 0 node labels");
+        }
+    }
+
     /// Loss bits of the DCN dense stack (the `CrossNet` backward inside
     /// `DenseStack`), which the DLRM golden fixture above never reaches.
     #[test]
