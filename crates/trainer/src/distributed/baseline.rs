@@ -11,28 +11,24 @@
 //!   transfers ride under micro-batch `b`'s compute, and the dense AllReduce
 //!   overlaps the embedding-gradient merges.
 //!
-//! When the configured wire precision is below FP32 the lowering inserts
-//! [`OpKind::Quantize`] nodes before the row-fetch and gradient issue nodes and
-//! [`OpKind::Dequantize`] nodes after the matching claim nodes (the codec packs
-//! the payloads into reduced-precision wire words); the dense AllReduce runs as
-//! a quantized-wire collective — the codec is part of the collective itself,
-//! NCCL-datatype-style, so no separate codec node appears around it.
+//! Its three `f32` collectives — row fetch, gradient return and the dense
+//! AllReduce — are declared once as exchange descriptions (`ROWS`, `GRADS`,
+//! `DENSE_AR`); the shared builders of the `exchange` module emit their issue
+//! and claim nodes and, below FP32 wire precision, the codec nodes around the
+//! two AlltoAlls.
 
 use super::config::{DistributedConfig, DistributedError, ScheduleMode};
+use super::exchange::{self, AllReduce, AllToAll, Transfer};
 use super::executor::{self, IterationStats, RankLowering};
 use super::export::RankExport;
-use super::graph::{decode_shards, encode_shards, IterationGraph, NodeMeta, OpKind};
+use super::graph::{IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
-use super::model::{
-    self, bags_for, flatten_grads, write_back_grads, DenseScratch, DenseStack, LookupRouting,
-    ShardedLookup,
-};
+use super::model::{self, bags_for, DenseScratch, DenseStack, LookupRouting, ShardedLookup};
 use super::RankComms;
 use dmt_comm::codec::WireFormat;
-use dmt_comm::{Backend, PendingOp, SharedMemoryBackend};
+use dmt_comm::{Backend, PendingOp};
 use dmt_commsim::SegmentKind;
 use dmt_data::Batch;
-use dmt_metrics::auc::roc_auc;
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_tensor::Tensor;
@@ -69,6 +65,7 @@ struct BaselineLowering {
     lookup: ShardedLookup,
     dense: DenseStack,
     dense_scratch: DenseScratch,
+    dense_ar: Option<PendingOp<Vec<f32>>>,
     adam: AdamOptimizer,
 }
 
@@ -104,45 +101,66 @@ impl BaselineLowering {
             lookup,
             dense,
             dense_scratch: DenseScratch::default(),
+            dense_ar: None,
             adam: AdamOptimizer::new(config.learning_rate),
         }
     }
 }
 
-/// Per-micro-batch pipeline state threaded between the graph's nodes. The
-/// staging fields (`replies`, `fetched`, `grad_bufs`, `incoming`) are how
-/// payloads cross node boundaries — and where the inserted `Quantize` /
-/// `Dequantize` nodes transcode them in place.
+/// Per-micro-batch pipeline state threaded between the graph's nodes. Payloads
+/// cross node boundaries through the [`Transfer`]s of the declared exchanges.
 #[derive(Default)]
 struct Mb {
     batch: Batch,
     routing: LookupRouting,
-    replies: Vec<Vec<f32>>,
-    fetched: Vec<Vec<f32>>,
-    grad_bufs: Vec<Vec<f32>>,
-    incoming: Vec<Vec<f32>>,
     idx_op: Option<PendingOp<Vec<Vec<u64>>>>,
-    rows_op: Option<PendingOp<Vec<Vec<f32>>>>,
-    grads_op: Option<PendingOp<Vec<Vec<f32>>>>,
+    rows: Transfer,
+    grads: Transfer,
 }
 
-/// Everything one lowered iteration mutates.
-struct Ctx<'a> {
-    low: &'a mut BaselineLowering,
-    global: &'a mut SharedMemoryBackend,
-    waits: &'a mut Vec<WaitEntry>,
-    mbs: Vec<Mb>,
-    allreduce: Option<PendingOp<Vec<f32>>>,
-    inv_m: f32,
-    loss_sum: f64,
-    scores: Vec<f32>,
-    labels: Vec<f32>,
-}
+type Ctx<'a> = exchange::Ctx<'a, BaselineLowering, Mb>;
 
 type Id = super::StageId;
 
-// Node builders: each emits one graph node for micro-batch `b`. The closures
-// capture only copies, so the same builders serve both schedule orderings.
+/// Row fetch: each owner's answered rows back to the requester, who knows each
+/// owner's element count from its routing.
+static ROWS: AllToAll<BaselineLowering, Mb> = AllToAll {
+    world: CommScope::Global,
+    kind: OpKind::RowExchange,
+    quantize: "quantize rows",
+    issue: "issue row fetch",
+    claim: "claim row fetch",
+    dequantize: "dequantize rows",
+    wait: "embedding row fetch AlltoAll (fwd)",
+    transfer: |mb| &mut mb.rows,
+    elements: |low, mb, owner| mb.routing.request_keys[owner].len() * low.n,
+};
+
+/// Embedding-row gradients back to the rows' owners.
+static GRADS: AllToAll<BaselineLowering, Mb> = AllToAll {
+    world: CommScope::Global,
+    kind: OpKind::GradExchange,
+    quantize: "quantize embedding grads",
+    issue: "issue embedding grads",
+    claim: "claim embedding grads",
+    dequantize: "dequantize embedding grads",
+    wait: "embedding gradient AlltoAll (bwd)",
+    transfer: |mb| &mut mb.grads,
+    elements: |low, mb, src| mb.routing.served_keys[src].len() * low.n,
+};
+
+static DENSE_AR: AllReduce<BaselineLowering, DenseStack> = AllReduce {
+    world: CommScope::Global,
+    issue: "issue dense AllReduce",
+    claim: "claim dense AllReduce",
+    wait: "dense gradient AllReduce",
+    module: |low| &mut low.dense,
+    op: |low| &mut low.dense_ar,
+};
+
+// Node builders of the compound nodes: each emits one graph node for
+// micro-batch `b`. The closures capture only copies, so the same builders
+// serve both schedule orderings.
 
 fn add_route<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
     g.add(
@@ -155,10 +173,10 @@ fn add_route<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
             let requests = {
                 let mb = &ctx.mbs[b];
                 let bags = bags_for(&mb.batch, &ctx.low.features);
-                ctx.low.lookup.route(ctx.global.world_size(), &bags)
+                ctx.low.lookup.route(ctx.comm.global.world_size(), &bags)
             };
             ctx.mbs[b].routing.request_keys = requests.clone();
-            ctx.mbs[b].idx_op = Some(ctx.global.all_to_all_indices_nonblocking(requests));
+            ctx.mbs[b].idx_op = Some(ctx.comm.global.all_to_all_indices_nonblocking(requests));
             Ok(())
         },
     )
@@ -180,91 +198,8 @@ fn add_answer<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) ->
                 SegmentKind::EmbeddingComm,
                 CommScope::Global,
             )?;
-            ctx.mbs[b].replies = ctx.low.lookup.answer(&incoming)?;
+            ctx.mbs[b].rows.send = ctx.low.lookup.answer(&incoming)?;
             ctx.mbs[b].routing.served_keys = incoming;
-            Ok(())
-        },
-    )
-}
-
-/// Inserted only at sub-FP32 precisions: encodes the staged reply rows into
-/// wire words before the exchange node sends them.
-fn add_quantize_rows<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Quantize,
-            label: "quantize rows",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let replies = std::mem::take(&mut ctx.mbs[b].replies);
-            ctx.mbs[b].replies = encode_shards(wire, replies);
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_rows<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::RowExchange,
-            label: "issue row fetch",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let replies = std::mem::take(&mut ctx.mbs[b].replies);
-            ctx.mbs[b].rows_op = Some(ctx.global.all_to_all_nonblocking(replies));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_rows<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::RowExchange,
-            label: "claim row fetch",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b].rows_op.take().expect("rows op issued");
-            ctx.mbs[b].fetched = wait_logged(
-                op,
-                ctx.waits,
-                "embedding row fetch AlltoAll (fwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::Global,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-/// Inserted only at sub-FP32 precisions: decodes the claimed wire words back to
-/// rows (the requester knows each owner's element count from its routing).
-fn add_dequantize_rows<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize rows",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let n = ctx.low.n;
-            let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
-            let keys = &ctx.mbs[b].routing.request_keys;
-            let decoded = decode_shards(wire, fetched, |owner| keys[owner].len() * n)?;
-            ctx.mbs[b].fetched = decoded;
             Ok(())
         },
     )
@@ -278,7 +213,7 @@ fn add_compute<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -
         },
         deps,
         move |ctx: &mut Ctx| {
-            let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
+            let fetched = std::mem::take(&mut ctx.mbs[b].rows.recv);
             // Exact per-sample weighting: Batch::split gives the last micro-batch
             // the remainder, so each contributes by sample count, not 1/M;
             // grad_scale pre-compensates the final 1/M. Under sync (M = 1) both
@@ -312,86 +247,7 @@ fn add_compute<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -
             ctx.loss_sum += loss * f64::from(weight);
             ctx.scores.extend_from_slice(&predictions);
             ctx.labels.extend_from_slice(&mb.batch.labels);
-            ctx.mbs[b].grad_bufs = grad_bufs;
-            Ok(())
-        },
-    )
-}
-
-fn add_quantize_grads<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Quantize,
-            label: "quantize embedding grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let bufs = std::mem::take(&mut ctx.mbs[b].grad_bufs);
-            ctx.mbs[b].grad_bufs = encode_shards(wire, bufs);
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::GradExchange,
-            label: "issue embedding grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let bufs = std::mem::take(&mut ctx.mbs[b].grad_bufs);
-            ctx.mbs[b].grads_op = Some(ctx.global.all_to_all_nonblocking(bufs));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::GradExchange,
-            label: "claim embedding grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b].grads_op.take().expect("grads op issued");
-            ctx.mbs[b].incoming = wait_logged(
-                op,
-                ctx.waits,
-                "embedding gradient AlltoAll (bwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::Global,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-fn add_dequantize_grads<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize embedding grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let n = ctx.low.n;
-            let incoming = std::mem::take(&mut ctx.mbs[b].incoming);
-            let keys = &ctx.mbs[b].routing.served_keys;
-            let decoded = decode_shards(wire, incoming, |src| keys[src].len() * n)?;
-            ctx.mbs[b].incoming = decoded;
+            ctx.mbs[b].grads.send = grad_bufs;
             Ok(())
         },
     )
@@ -405,7 +261,7 @@ fn add_merge<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
         },
         deps,
         move |ctx: &mut Ctx| {
-            let incoming = std::mem::take(&mut ctx.mbs[b].incoming);
+            let incoming = std::mem::take(&mut ctx.mbs[b].grads.recv);
             let routing = std::mem::take(&mut ctx.mbs[b].routing);
             ctx.low.lookup.merge_grads(&routing, incoming)?;
             Ok(())
@@ -413,94 +269,38 @@ fn add_merge<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
     )
 }
 
-fn add_allreduce_issue<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "issue dense AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let flat = flatten_grads(&mut ctx.low.dense);
-            ctx.allreduce = Some(ctx.global.all_reduce_cast_nonblocking(flat, wire));
-            Ok(())
-        },
-    )
-}
-
-fn add_allreduce_claim<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], world: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "claim dense AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.allreduce.take().expect("allreduce issued");
-            let flat = wait_logged(
-                op,
-                ctx.waits,
-                "dense gradient AllReduce",
-                SegmentKind::DenseSync,
-                CommScope::Global,
-            )?;
-            let scale = ctx.inv_m / world as f32;
-            write_back_grads(&mut ctx.low.dense, &flat, scale);
-            Ok(())
-        },
-    )
-}
-
-/// Emits the `answer → [quantize] → issue rows` chain for micro-batch `b` and
-/// returns the last node's id.
+/// Emits `answer → send rows` for micro-batch `b`.
 fn add_forward_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     dep: Id,
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_answer(g, &[dep], b);
-    if !wire.is_identity() {
-        prev = add_quantize_rows(g, &[prev], b, wire);
-    }
-    add_issue_rows(g, &[prev], b)
+    let answered = add_answer(g, &[dep], b);
+    ROWS.send(g, &[answered], b, wire)
 }
 
-/// Emits the `claim rows → [dequantize] → compute → [quantize] → issue grads`
-/// chain for micro-batch `b` and returns the last node's id.
+/// Emits `receive rows → compute → send grads` for micro-batch `b`.
 fn add_compute_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     dep: Id,
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_claim_rows(g, &[dep], b);
-    if !wire.is_identity() {
-        prev = add_dequantize_rows(g, &[prev], b, wire);
-    }
-    prev = add_compute(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_quantize_grads(g, &[prev], b, wire);
-    }
-    add_issue_grads(g, &[prev], b)
+    let fetched = ROWS.recv(g, &[dep], b, wire);
+    let computed = add_compute(g, &[fetched], b);
+    GRADS.send(g, &[computed], b, wire)
 }
 
-/// Emits the `claim grads → [dequantize] → merge` chain for micro-batch `b`.
+/// Emits `receive grads → merge` for micro-batch `b`.
 fn add_merge_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     deps: &[Id],
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_claim_grads(g, deps, b);
-    if !wire.is_identity() {
-        prev = add_dequantize_grads(g, &[prev], b, wire);
-    }
-    add_merge(g, &[prev], b)
+    let received = GRADS.recv(g, deps, b, wire);
+    add_merge(g, &[received], b)
 }
 
 impl RankLowering for BaselineLowering {
@@ -517,25 +317,11 @@ impl RankLowering for BaselineLowering {
         HasParameters::zero_grad(&mut self.dense);
         let m = mbs.len();
         let wire = self.wire;
-        let world = comm.global.world_size();
         let schedule = self.schedule;
-        let mut ctx = Ctx {
-            low: self,
-            global: &mut comm.global,
-            waits,
-            mbs: mbs
-                .into_iter()
-                .map(|batch| Mb {
-                    batch,
-                    ..Mb::default()
-                })
-                .collect(),
-            allreduce: None,
-            inv_m: 1.0 / m as f32,
-            loss_sum: 0.0,
-            scores: Vec::new(),
-            labels: Vec::new(),
-        };
+        let mut ctx = Ctx::new(self, comm, waits, mbs, |batch| Mb {
+            batch,
+            ..Mb::default()
+        });
 
         let mut g: IterationGraph<Ctx> = IterationGraph::new();
         match schedule {
@@ -547,8 +333,8 @@ impl RankLowering for BaselineLowering {
                 let issued = add_forward_chain(&mut g, route, 0, wire);
                 let computed = add_compute_chain(&mut g, issued, 0, wire);
                 let merged = add_merge_chain(&mut g, &[computed], 0, wire);
-                let ar = add_allreduce_issue(&mut g, &[merged], wire);
-                add_allreduce_claim(&mut g, &[ar], world);
+                let ar = DENSE_AR.issue(&mut g, &[merged], wire);
+                DENSE_AR.claim(&mut g, &[ar]);
             }
             // Overlapped order: index exchanges prefetched for every
             // micro-batch (TorchRec's input-dist prefetch), answer `b+1`
@@ -568,26 +354,16 @@ impl RankLowering for BaselineLowering {
                 for (b, &ready) in answered.iter().enumerate() {
                     computed.push(add_compute_chain(&mut g, ready, b, wire));
                 }
-                let ar = add_allreduce_issue(&mut g, &[computed[m - 1]], wire);
+                let ar = DENSE_AR.issue(&mut g, &[computed[m - 1]], wire);
                 let mut merges = Vec::with_capacity(m);
                 for (b, &issued) in computed.iter().enumerate() {
                     merges.push(add_merge_chain(&mut g, &[issued, ar], b, wire));
                 }
-                add_allreduce_claim(&mut g, &[ar, merges[m - 1]], world);
+                DENSE_AR.claim(&mut g, &[ar, merges[m - 1]]);
             }
         }
         g.run(&mut ctx)?;
-
-        let Ctx {
-            loss_sum,
-            scores,
-            labels,
-            ..
-        } = ctx;
-        Ok(IterationStats {
-            loss: loss_sum,
-            auc: roc_auc(&scores, &labels),
-        })
+        Ok(ctx.stats())
     }
 
     fn optimizer_step(&mut self) {

@@ -10,20 +10,19 @@
 //! exchange, an intra-host exchange and the global dense AllReduce can all be on
 //! the wire at once.
 //!
-//! Below FP32 wire precision, [`OpKind::Quantize`] / [`OpKind::Dequantize`]
-//! nodes wrap the intra-host row/gradient exchanges and both peer `f32`
-//! exchanges; the two AllReduces run as quantized-wire collectives. The peer
-//! *index* distribution always rides native `u64` width.
+//! Its six `f32` collectives — intra-host rows, peer outputs, peer gradients,
+//! intra-host gradients and the tower and dense AllReduces — are declared once
+//! as exchange descriptions; the shared builders of the `exchange` module emit
+//! their nodes and, below FP32 wire precision, the codec nodes around the four
+//! AlltoAlls. The peer *index* distribution always rides native `u64` width.
 
 use super::config::{DistributedConfig, DistributedError, ScheduleMode};
+use super::exchange::{self, AllReduce, AllToAll, Transfer};
 use super::executor::{self, IterationStats, RankLowering};
 use super::export::RankExport;
-use super::graph::{decode_shards, encode_shards, IterationGraph, NodeMeta, OpKind};
+use super::graph::{IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
-use super::model::{
-    flatten_grads, flatten_params, write_back_grads, DenseScratch, DenseStack, LookupRouting,
-    ShardedLookup,
-};
+use super::model::{flatten_params, DenseScratch, DenseStack, LookupRouting, ShardedLookup};
 use super::RankComms;
 use dmt_comm::codec::WireFormat;
 use dmt_comm::{Backend, PendingOp};
@@ -31,7 +30,6 @@ use dmt_commsim::SegmentKind;
 use dmt_core::tower::TowerModule;
 use dmt_core::{DlrmTowerModule, DlrmTowerScratch};
 use dmt_data::Batch;
-use dmt_metrics::auc::roc_auc;
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_tensor::Tensor;
@@ -107,7 +105,6 @@ struct DmtLowering {
     n: usize,
     num_dense: usize,
     local_batch: usize,
-    slots: usize,
     learning_rate: f32,
     lookup: ShardedLookup,
     tower: DlrmTowerModule,
@@ -121,6 +118,8 @@ struct DmtLowering {
     tower_grad: Tensor,
     dense: DenseStack,
     dense_scratch: DenseScratch,
+    tower_ar: Option<PendingOp<Vec<f32>>>,
+    dense_ar: Option<PendingOp<Vec<f32>>>,
     adam_dense: AdamOptimizer,
     adam_tower: AdamOptimizer,
 }
@@ -133,7 +132,6 @@ impl DmtLowering {
         let schema = &config.schema;
         let cluster = &config.cluster;
         let n = config.hyper.embedding_dim;
-        let slots = cluster.gpus_per_host();
         let layout = layout(config, rank)?;
         let (c, p, d) = (
             config.tower_ensemble_c,
@@ -146,7 +144,7 @@ impl DmtLowering {
             schema,
             layout.my_features.clone(),
             n,
-            slots,
+            cluster.gpus_per_host(),
             cluster.local_index(Rank(rank)),
         );
         // Tower module replicated across my host's ranks (same per-tower seed).
@@ -171,7 +169,6 @@ impl DmtLowering {
             n,
             num_dense: schema.num_dense,
             local_batch: config.local_batch,
-            slots,
             learning_rate: config.learning_rate,
             lookup,
             tower,
@@ -180,6 +177,8 @@ impl DmtLowering {
             tower_grad: Tensor::default(),
             dense,
             dense_scratch: DenseScratch::default(),
+            tower_ar: None,
+            dense_ar: None,
             adam_dense: AdamOptimizer::new(config.learning_rate),
             adam_tower: AdamOptimizer::new(config.learning_rate),
         })
@@ -194,74 +193,97 @@ struct TowerRecord {
     scratch: DlrmTowerScratch,
 }
 
-/// Per-micro-batch DMT pipeline state. The staging fields are how payloads
-/// cross node boundaries — and where the inserted `Quantize` / `Dequantize`
-/// nodes transcode them in place.
+/// Per-micro-batch DMT pipeline state. Payloads cross node boundaries through
+/// the [`Transfer`]s of the declared exchanges.
 #[derive(Default)]
 struct Mb {
     batch: Batch,
     routing: LookupRouting,
     tower_bags: Vec<Vec<Vec<usize>>>,
-    replies: Vec<Vec<f32>>,
-    fetched: Vec<Vec<f32>>,
-    out_sends: Vec<Vec<f32>>,
-    out_recv: Vec<Vec<f32>>,
-    grad_sends: Vec<Vec<f32>>,
-    grad_recv: Vec<Vec<f32>>,
-    grad_bufs: Vec<Vec<f32>>,
-    incoming: Vec<Vec<f32>>,
     peer_idx_op: Option<PendingOp<Vec<Vec<u64>>>>,
     intra_idx_op: Option<PendingOp<Vec<Vec<u64>>>>,
-    intra_rows_op: Option<PendingOp<Vec<Vec<f32>>>>,
-    peer_out_op: Option<PendingOp<Vec<Vec<f32>>>>,
-    peer_grad_op: Option<PendingOp<Vec<Vec<f32>>>>,
-    intra_grads_op: Option<PendingOp<Vec<Vec<f32>>>>,
+    rows: Transfer,
+    outputs: Transfer,
+    peer_grads: Transfer,
+    intra_grads: Transfer,
 }
 
-/// Everything one lowered DMT iteration mutates.
-struct Ctx<'a> {
-    low: &'a mut DmtLowering,
-    comm: &'a mut RankComms,
-    waits: &'a mut Vec<WaitEntry>,
-    mbs: Vec<Mb>,
-    tower_ar: Option<PendingOp<Vec<f32>>>,
-    dense_ar: Option<PendingOp<Vec<f32>>>,
-    inv_m: f32,
-    loss_sum: f64,
-    scores: Vec<f32>,
-    labels: Vec<f32>,
-}
+type Ctx<'a> = exchange::Ctx<'a, DmtLowering, Mb>;
 
 type Id = super::StageId;
 
-/// Selects a micro-batch's `Vec<Vec<f32>>` staging field — what the generic
-/// quantize/dequantize node builders transcode.
-type Stage = fn(&mut Mb) -> &mut Vec<Vec<f32>>;
+/// Intra-host row fetch: each owner's answered rows back to the requester,
+/// who knows each owner's element count from its routing.
+static ROWS: AllToAll<DmtLowering, Mb> = AllToAll {
+    world: CommScope::IntraHost,
+    kind: OpKind::RowExchange,
+    quantize: "quantize intra rows",
+    issue: "issue intra rows",
+    claim: "claim intra rows",
+    dequantize: "dequantize intra rows",
+    wait: "intra-host row fetch AlltoAll (fwd)",
+    transfer: |mb| &mut mb.rows,
+    elements: |low, mb, owner| mb.routing.request_keys[owner].len() * low.n,
+};
 
-/// Inserted only at sub-FP32 precisions: encodes a staged outgoing payload into
-/// wire words before its exchange node sends it.
-fn add_quantize<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-    stage: Stage,
-    label: &'static str,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Quantize,
-            label,
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let field = stage(&mut ctx.mbs[b]);
-            let payload = std::mem::take(field);
-            *field = encode_shards(wire, payload);
-            Ok(())
-        },
-    )
-}
+/// Compressed tower outputs back to each sample's host: tower `t` sends
+/// `mb_len × width(t)` values.
+static OUTPUTS: AllToAll<DmtLowering, Mb> = AllToAll {
+    world: CommScope::Peer,
+    kind: OpKind::OutputExchange,
+    quantize: "quantize peer outputs",
+    issue: "issue peer outputs",
+    claim: "claim peer outputs",
+    dequantize: "dequantize peer outputs",
+    wait: "peer tower-output AlltoAll (fwd)",
+    transfer: |mb| &mut mb.outputs,
+    elements: |low, mb, t| mb.batch.len() * low.layout.tower_widths[t],
+};
+
+/// The tower outputs' gradients back to this rank's tower: every source host
+/// sends `mb_len × width(mine)` values.
+static PEER_GRADS: AllToAll<DmtLowering, Mb> = AllToAll {
+    world: CommScope::Peer,
+    kind: OpKind::OutputExchange,
+    quantize: "quantize peer grads",
+    issue: "issue peer grads",
+    claim: "claim peer grads",
+    dequantize: "dequantize peer grads",
+    wait: "peer tower-grad AlltoAll (bwd)",
+    transfer: |mb| &mut mb.peer_grads,
+    elements: |low, mb, _| mb.batch.len() * low.layout.tower_widths[low.layout.my_host],
+};
+
+/// Embedding-row gradients back to the rows' intra-host owners.
+static INTRA_GRADS: AllToAll<DmtLowering, Mb> = AllToAll {
+    world: CommScope::IntraHost,
+    kind: OpKind::GradExchange,
+    quantize: "quantize intra grads",
+    issue: "issue intra grads",
+    claim: "claim intra grads",
+    dequantize: "dequantize intra grads",
+    wait: "intra-host gradient AlltoAll (bwd)",
+    transfer: |mb| &mut mb.intra_grads,
+    elements: |low, mb, src| mb.routing.served_keys[src].len() * low.n,
+};
+
+static TOWER_AR: AllReduce<DmtLowering, DlrmTowerModule> = AllReduce {
+    world: CommScope::IntraHost,
+    issue: "issue tower AllReduce",
+    claim: "claim tower AllReduce",
+    wait: "tower-module intra-host AllReduce",
+    module: |low| &mut low.tower,
+    op: |low| &mut low.tower_ar,
+};
+
+static DENSE_AR: AllReduce<DmtLowering, DenseStack> = AllReduce {
+    world: CommScope::Global,
+    issue: "issue dense AllReduce",
+    claim: "claim dense AllReduce",
+    wait: "dense gradient AllReduce",
+    module: |low| &mut low.dense,
+    op: |low| &mut low.dense_ar,
+};
 
 fn add_peer_route<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
     g.add(
@@ -336,69 +358,8 @@ fn add_answer<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) ->
                 SegmentKind::EmbeddingComm,
                 CommScope::IntraHost,
             )?;
-            ctx.mbs[b].replies = ctx.low.lookup.answer(&incoming)?;
+            ctx.mbs[b].rows.send = ctx.low.lookup.answer(&incoming)?;
             ctx.mbs[b].routing.served_keys = incoming;
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_rows<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::RowExchange,
-            label: "issue intra rows",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let replies = std::mem::take(&mut ctx.mbs[b].replies);
-            ctx.mbs[b].intra_rows_op = Some(ctx.comm.intra.all_to_all_nonblocking(replies));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_rows<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::RowExchange,
-            label: "claim intra rows",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b].intra_rows_op.take().expect("intra rows issued");
-            ctx.mbs[b].fetched = wait_logged(
-                op,
-                ctx.waits,
-                "intra-host row fetch AlltoAll (fwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::IntraHost,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-/// Inserted only at sub-FP32 precisions: decodes claimed row words (the
-/// requester knows each owner's element count from its routing).
-fn add_dequantize_rows<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize intra rows",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let n = ctx.low.n;
-            let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
-            let keys = &ctx.mbs[b].routing.request_keys;
-            let decoded = decode_shards(wire, fetched, |owner| keys[owner].len() * n)?;
-            ctx.mbs[b].fetched = decoded;
             Ok(())
         },
     )
@@ -412,7 +373,7 @@ fn add_tower_fwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
         },
         deps,
         move |ctx: &mut Ctx| {
-            let fetched = std::mem::take(&mut ctx.mbs[b].fetched);
+            let fetched = std::mem::take(&mut ctx.mbs[b].rows.recv);
             let low = &mut *ctx.low;
             let mb = &ctx.mbs[b];
             let record = &mut low.tower_records[b];
@@ -429,66 +390,7 @@ fn add_tower_fwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
                 .chunks_exact(mb.batch.len() * w_mine)
                 .map(<[f32]>::to_vec)
                 .collect();
-            ctx.mbs[b].out_sends = sends;
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_outputs<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::OutputExchange,
-            label: "issue peer outputs",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let sends = std::mem::take(&mut ctx.mbs[b].out_sends);
-            ctx.mbs[b].peer_out_op = Some(ctx.comm.peer.all_to_all_nonblocking(sends));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_outputs<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::OutputExchange,
-            label: "claim peer outputs",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b].peer_out_op.take().expect("peer out issued");
-            ctx.mbs[b].out_recv = wait_logged(
-                op,
-                ctx.waits,
-                "peer tower-output AlltoAll (fwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::Peer,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-fn add_dequantize_outputs<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize peer outputs",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let mb_len = ctx.mbs[b].batch.len();
-            let widths = &ctx.low.layout.tower_widths;
-            let received = std::mem::take(&mut ctx.mbs[b].out_recv);
-            let decoded = decode_shards(wire, received, |t| mb_len * widths[t])?;
-            ctx.mbs[b].out_recv = decoded;
+            ctx.mbs[b].outputs.send = sends;
             Ok(())
         },
     )
@@ -502,7 +404,7 @@ fn add_dense<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
         },
         deps,
         move |ctx: &mut Ctx| {
-            let received = std::mem::take(&mut ctx.mbs[b].out_recv);
+            let received = std::mem::take(&mut ctx.mbs[b].outputs.recv);
             let mb_len = ctx.mbs[b].batch.len();
             let tower_blocks: Vec<Tensor> = received
                 .into_iter()
@@ -537,66 +439,7 @@ fn add_dense<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
                 .dense_scratch
                 .feature_grad()
                 .split_cols(&low.layout.tower_widths)?;
-            ctx.mbs[b].grad_sends = grad_pieces.into_iter().map(Tensor::into_vec).collect();
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_peer_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::OutputExchange,
-            label: "issue peer grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let sends = std::mem::take(&mut ctx.mbs[b].grad_sends);
-            ctx.mbs[b].peer_grad_op = Some(ctx.comm.peer.all_to_all_nonblocking(sends));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_peer_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::OutputExchange,
-            label: "claim peer grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b].peer_grad_op.take().expect("peer grad issued");
-            ctx.mbs[b].grad_recv = wait_logged(
-                op,
-                ctx.waits,
-                "peer tower-grad AlltoAll (bwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::Peer,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-fn add_dequantize_peer_grads<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize peer grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let mb_len = ctx.mbs[b].batch.len();
-            let w_mine = ctx.low.layout.tower_widths[ctx.low.layout.my_host];
-            let received = std::mem::take(&mut ctx.mbs[b].grad_recv);
-            let decoded = decode_shards(wire, received, |_| mb_len * w_mine)?;
-            ctx.mbs[b].grad_recv = decoded;
+            ctx.mbs[b].peer_grads.send = grad_pieces.into_iter().map(Tensor::into_vec).collect();
             Ok(())
         },
     )
@@ -610,7 +453,7 @@ fn add_tower_bwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
         },
         deps,
         move |ctx: &mut Ctx| {
-            let received = std::mem::take(&mut ctx.mbs[b].grad_recv);
+            let received = std::mem::take(&mut ctx.mbs[b].peer_grads.recv);
             let mb_len = ctx.mbs[b].batch.len();
             let hosts = ctx.low.layout.hosts;
             let w_mine = ctx.low.layout.tower_widths[ctx.low.layout.my_host];
@@ -629,69 +472,7 @@ fn add_tower_bwd<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize)
             let grad_bufs = low
                 .lookup
                 .build_grad_bufs(&bags, &mb.routing, grad, ctx.inv_m);
-            ctx.mbs[b].grad_bufs = grad_bufs;
-            Ok(())
-        },
-    )
-}
-
-fn add_issue_intra_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::GradExchange,
-            label: "issue intra grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let bufs = std::mem::take(&mut ctx.mbs[b].grad_bufs);
-            ctx.mbs[b].intra_grads_op = Some(ctx.comm.intra.all_to_all_nonblocking(bufs));
-            Ok(())
-        },
-    )
-}
-
-fn add_claim_intra_grads<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::GradExchange,
-            label: "claim intra grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.mbs[b]
-                .intra_grads_op
-                .take()
-                .expect("intra grads issued");
-            ctx.mbs[b].incoming = wait_logged(
-                op,
-                ctx.waits,
-                "intra-host gradient AlltoAll (bwd)",
-                SegmentKind::EmbeddingComm,
-                CommScope::IntraHost,
-            )?;
-            Ok(())
-        },
-    )
-}
-
-fn add_dequantize_intra_grads<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    b: usize,
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::Dequantize,
-            label: "dequantize intra grads",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let n = ctx.low.n;
-            let incoming = std::mem::take(&mut ctx.mbs[b].incoming);
-            let keys = &ctx.mbs[b].routing.served_keys;
-            let decoded = decode_shards(wire, incoming, |src| keys[src].len() * n)?;
-            ctx.mbs[b].incoming = decoded;
+            ctx.mbs[b].intra_grads.send = grad_bufs;
             Ok(())
         },
     )
@@ -705,7 +486,7 @@ fn add_merge<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
         },
         deps,
         move |ctx: &mut Ctx| {
-            let incoming = std::mem::take(&mut ctx.mbs[b].incoming);
+            let incoming = std::mem::take(&mut ctx.mbs[b].intra_grads.recv);
             let routing = std::mem::take(&mut ctx.mbs[b].routing);
             ctx.low.lookup.merge_grads(&routing, incoming)?;
             Ok(())
@@ -713,197 +494,57 @@ fn add_merge<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
     )
 }
 
-// The AllReduces carry their codec inside the collective (`all_reduce_cast`,
-// NCCL-datatype-style), so no separate Quantize/Dequantize node wraps them.
-
-fn add_tower_ar_issue<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "issue tower AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let flat = flatten_grads(&mut ctx.low.tower);
-            ctx.tower_ar = Some(ctx.comm.intra.all_reduce_cast_nonblocking(flat, wire));
-            Ok(())
-        },
-    )
-}
-
-fn add_tower_ar_claim<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], slots: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "claim tower AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.tower_ar.take().expect("tower allreduce issued");
-            let flat = wait_logged(
-                op,
-                ctx.waits,
-                "tower-module intra-host AllReduce",
-                SegmentKind::DenseSync,
-                CommScope::IntraHost,
-            )?;
-            let scale = ctx.inv_m / slots as f32;
-            write_back_grads(&mut ctx.low.tower, &flat, scale);
-            Ok(())
-        },
-    )
-}
-
-fn add_dense_ar_issue<'g>(
-    g: &mut IterationGraph<'g, Ctx<'_>>,
-    deps: &[Id],
-    wire: WireFormat,
-) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "issue dense AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let flat = flatten_grads(&mut ctx.low.dense);
-            ctx.dense_ar = Some(ctx.comm.global.all_reduce_cast_nonblocking(flat, wire));
-            Ok(())
-        },
-    )
-}
-
-fn add_dense_ar_claim<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], world: usize) -> Id {
-    g.add(
-        NodeMeta {
-            kind: OpKind::AllReduce,
-            label: "claim dense AllReduce",
-        },
-        deps,
-        move |ctx: &mut Ctx| {
-            let op = ctx.dense_ar.take().expect("dense allreduce issued");
-            let flat = wait_logged(
-                op,
-                ctx.waits,
-                "dense gradient AllReduce",
-                SegmentKind::DenseSync,
-                CommScope::Global,
-            )?;
-            let scale = ctx.inv_m / world as f32;
-            write_back_grads(&mut ctx.low.dense, &flat, scale);
-            Ok(())
-        },
-    )
-}
-
-/// Emits the per-micro-batch forward chain `decode → answer → [quantize] →
-/// issue rows → claim rows → [dequantize] → tower fwd → [quantize] → issue
-/// outputs` and returns the last node's id.
+/// Emits the per-micro-batch forward chain `decode → answer → send rows →
+/// receive rows → tower fwd → send outputs` and returns the last node's id.
 fn add_forward_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     dep: Id,
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_decode(g, &[dep], b);
-    prev = add_answer(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_quantize(
-            g,
-            &[prev],
-            b,
-            wire,
-            |mb| &mut mb.replies,
-            "quantize intra rows",
-        );
-    }
-    prev = add_issue_rows(g, &[prev], b);
-    prev = add_claim_rows(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_dequantize_rows(g, &[prev], b, wire);
-    }
-    prev = add_tower_fwd(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_quantize(
-            g,
-            &[prev],
-            b,
-            wire,
-            |mb| &mut mb.out_sends,
-            "quantize peer outputs",
-        );
-    }
-    add_issue_outputs(g, &[prev], b)
+    let decoded = add_decode(g, &[dep], b);
+    let answered = add_answer(g, &[decoded], b);
+    let sent = ROWS.send(g, &[answered], b, wire);
+    let fetched = ROWS.recv(g, &[sent], b, wire);
+    let forwarded = add_tower_fwd(g, &[fetched], b);
+    OUTPUTS.send(g, &[forwarded], b, wire)
 }
 
-/// Emits `claim outputs → [dequantize] → dense fwd/bwd → [quantize] → issue
-/// peer grads` for micro-batch `b`.
+/// Emits `receive outputs → dense fwd/bwd → send peer grads` for micro-batch
+/// `b`.
 fn add_dense_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     dep: Id,
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_claim_outputs(g, &[dep], b);
-    if !wire.is_identity() {
-        prev = add_dequantize_outputs(g, &[prev], b, wire);
-    }
-    prev = add_dense(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_quantize(
-            g,
-            &[prev],
-            b,
-            wire,
-            |mb| &mut mb.grad_sends,
-            "quantize peer grads",
-        );
-    }
-    add_issue_peer_grads(g, &[prev], b)
+    let received = OUTPUTS.recv(g, &[dep], b, wire);
+    let densed = add_dense(g, &[received], b);
+    PEER_GRADS.send(g, &[densed], b, wire)
 }
 
-/// Emits `claim peer grads → [dequantize] → tower bwd → [quantize] → issue
-/// intra grads` for micro-batch `b`.
+/// Emits `receive peer grads → tower bwd → send intra grads` for micro-batch
+/// `b`.
 fn add_backward_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     dep: Id,
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_claim_peer_grads(g, &[dep], b);
-    if !wire.is_identity() {
-        prev = add_dequantize_peer_grads(g, &[prev], b, wire);
-    }
-    prev = add_tower_bwd(g, &[prev], b);
-    if !wire.is_identity() {
-        prev = add_quantize(
-            g,
-            &[prev],
-            b,
-            wire,
-            |mb| &mut mb.grad_bufs,
-            "quantize intra grads",
-        );
-    }
-    add_issue_intra_grads(g, &[prev], b)
+    let received = PEER_GRADS.recv(g, &[dep], b, wire);
+    let backed = add_tower_bwd(g, &[received], b);
+    INTRA_GRADS.send(g, &[backed], b, wire)
 }
 
-/// Emits `claim intra grads → [dequantize] → merge` for micro-batch `b`.
+/// Emits `receive intra grads → merge` for micro-batch `b`.
 fn add_merge_chain<'g>(
     g: &mut IterationGraph<'g, Ctx<'_>>,
     deps: &[Id],
     b: usize,
     wire: WireFormat,
 ) -> Id {
-    let mut prev = add_claim_intra_grads(g, deps, b);
-    if !wire.is_identity() {
-        prev = add_dequantize_intra_grads(g, &[prev], b, wire);
-    }
-    add_merge(g, &[prev], b)
+    let received = INTRA_GRADS.recv(g, deps, b, wire);
+    add_merge(g, &[received], b)
 }
 
 impl RankLowering for DmtLowering {
@@ -922,27 +563,11 @@ impl RankLowering for DmtLowering {
         let m = mbs.len();
         self.tower_records.resize_with(m, TowerRecord::default);
         let wire = self.wire;
-        let world = comm.global.world_size();
-        let slots = self.slots;
         let schedule = self.schedule;
-        let mut ctx = Ctx {
-            low: self,
-            comm,
-            waits,
-            mbs: mbs
-                .into_iter()
-                .map(|batch| Mb {
-                    batch,
-                    ..Mb::default()
-                })
-                .collect(),
-            tower_ar: None,
-            dense_ar: None,
-            inv_m: 1.0 / m as f32,
-            loss_sum: 0.0,
-            scores: Vec::new(),
-            labels: Vec::new(),
-        };
+        let mut ctx = Ctx::new(self, comm, waits, mbs, |batch| Mb {
+            batch,
+            ..Mb::default()
+        });
 
         let mut g: IterationGraph<Ctx> = IterationGraph::new();
         match schedule {
@@ -955,10 +580,10 @@ impl RankLowering for DmtLowering {
                 let densed = add_dense_chain(&mut g, forwarded, 0, wire);
                 let backed = add_backward_chain(&mut g, densed, 0, wire);
                 let merged = add_merge_chain(&mut g, &[backed], 0, wire);
-                let tower_ar = add_tower_ar_issue(&mut g, &[merged], wire);
-                let tower_done = add_tower_ar_claim(&mut g, &[tower_ar], slots);
-                let dense_ar = add_dense_ar_issue(&mut g, &[tower_done], wire);
-                add_dense_ar_claim(&mut g, &[dense_ar], world);
+                let tower_ar = TOWER_AR.issue(&mut g, &[merged], wire);
+                let tower_done = TOWER_AR.claim(&mut g, &[tower_ar]);
+                let dense_ar = DENSE_AR.issue(&mut g, &[tower_done], wire);
+                DENSE_AR.claim(&mut g, &[dense_ar]);
             }
             // Overlapped order: peer index exchanges prefetched for every
             // micro-batch; the forward chain (decode → answer → tower forward)
@@ -983,28 +608,18 @@ impl RankLowering for DmtLowering {
                 for (b, &dense) in densed.iter().enumerate() {
                     backed.push(add_backward_chain(&mut g, dense, b, wire));
                 }
-                let tower_ar = add_tower_ar_issue(&mut g, &[backed[m - 1]], wire);
-                let dense_ar = add_dense_ar_issue(&mut g, &[backed[m - 1]], wire);
+                let tower_ar = TOWER_AR.issue(&mut g, &[backed[m - 1]], wire);
+                let dense_ar = DENSE_AR.issue(&mut g, &[backed[m - 1]], wire);
                 let mut merges = Vec::with_capacity(m);
                 for (b, &issued) in backed.iter().enumerate() {
                     merges.push(add_merge_chain(&mut g, &[issued, dense_ar], b, wire));
                 }
-                add_tower_ar_claim(&mut g, &[tower_ar, merges[m - 1]], slots);
-                add_dense_ar_claim(&mut g, &[dense_ar], world);
+                TOWER_AR.claim(&mut g, &[tower_ar, merges[m - 1]]);
+                DENSE_AR.claim(&mut g, &[dense_ar]);
             }
         }
         g.run(&mut ctx)?;
-
-        let Ctx {
-            loss_sum,
-            scores,
-            labels,
-            ..
-        } = ctx;
-        Ok(IterationStats {
-            loss: loss_sum,
-            auc: roc_auc(&scores, &labels),
-        })
+        Ok(ctx.stats())
     }
 
     fn optimizer_step(&mut self) {

@@ -61,6 +61,7 @@ pub mod baseline;
 pub mod calibrate;
 pub mod config;
 pub mod dmt;
+mod exchange;
 mod executor;
 pub mod export;
 pub mod graph;
@@ -89,6 +90,22 @@ pub struct RankComms {
     pub intra: SharedMemoryBackend,
     /// The world of the same-slot ranks across hosts.
     pub peer: SharedMemoryBackend,
+}
+
+impl RankComms {
+    /// The communicator of `scope`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`CommScope::Local`], which names no communicator.
+    pub(crate) fn world(&mut self, scope: CommScope) -> &mut SharedMemoryBackend {
+        match scope {
+            CommScope::Global => &mut self.global,
+            CommScope::IntraHost => &mut self.intra,
+            CommScope::Peer => &mut self.peer,
+            CommScope::Local => panic!("local work rides no communicator"),
+        }
+    }
 }
 
 /// Runs the hybrid-parallel baseline for real and returns its measured profile.
