@@ -209,7 +209,7 @@ pub(crate) fn load_rank(
         }
     };
     Ok(RankModel {
-        answerer: ReplicatedAnswerer::with_precision(
+        answerer: ReplicatedAnswerer::new(
             features,
             &snapshot.tables,
             world,

@@ -43,42 +43,16 @@ impl ReplicatedAnswerer {
     /// Builds rank `me`'s answerer over a `world`-way sharding of `tables`:
     /// its primary shard plus a copy of every peer shard that
     /// [`replica_rank`]-placement assigns to `me` under replication factor
-    /// `replicas` on a `gpus_per_host`-wide host.
+    /// `replicas` on a `gpus_per_host`-wide host. Every shard is stored at
+    /// `precision`, so replication cost shrinks by the same factor as primary
+    /// storage. Failed-over answers stay bit-identical to the healthy ones — a
+    /// replica quantizes the exact snapshot rows its primary does.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] if a feature has no snapshot table or the
     /// table dimensions are inconsistent.
     pub fn new(
-        features: Vec<usize>,
-        tables: &[TableWeights],
-        world: usize,
-        me: usize,
-        replicas: usize,
-        gpus_per_host: usize,
-    ) -> Result<Self, ServeError> {
-        Self::with_precision(
-            features,
-            tables,
-            world,
-            me,
-            replicas,
-            gpus_per_host,
-            Precision::F32,
-        )
-    }
-
-    /// [`ReplicatedAnswerer::new`] at a chosen storage precision: both the
-    /// primary shard and every held replica shard are quantized at load time,
-    /// so replication cost shrinks by the same factor as primary storage.
-    /// Failed-over answers stay bit-identical to the healthy ones — a replica
-    /// quantizes the exact snapshot rows its primary does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Config`] if a feature has no snapshot table or the
-    /// table dimensions are inconsistent.
-    pub fn with_precision(
         features: Vec<usize>,
         tables: &[TableWeights],
         world: usize,
@@ -267,8 +241,10 @@ mod tests {
         let tables = tables(2, 32, 4);
         let world = 8;
         // Rank 5 replicates rank 1's shard under r=1, gpus_per_host=4.
-        let owner = ReplicatedAnswerer::new(vec![0, 1], &tables, world, 1, 0, 4).unwrap();
-        let holder = ReplicatedAnswerer::new(vec![0, 1], &tables, world, 5, 1, 4).unwrap();
+        let owner =
+            ReplicatedAnswerer::new(vec![0, 1], &tables, world, 1, 0, 4, Precision::F32).unwrap();
+        let holder =
+            ReplicatedAnswerer::new(vec![0, 1], &tables, world, 5, 1, 4, Precision::F32).unwrap();
         assert_eq!(holder.replicated_sources(), vec![1]);
         assert_eq!(holder.chain(1), &[1, 5]);
         // Rows 4..8 belong to shard 1 of 8 (32 rows → 4 per shard).
@@ -282,7 +258,8 @@ mod tests {
     #[test]
     fn uncovered_keys_empty_the_whole_reply() {
         let tables = tables(1, 32, 4);
-        let answerer = ReplicatedAnswerer::new(vec![0], &tables, 8, 5, 1, 4).unwrap();
+        let answerer =
+            ReplicatedAnswerer::new(vec![0], &tables, 8, 5, 1, 4, Precision::F32).unwrap();
         // Rank 5 holds shard 5 (primary) and shard 1 (the replica that
         // stride-4 placement assigns it); shard 0 is not held.
         let covered = vec![encode_key(0, 20)]; // row 20 → shard 5
@@ -297,11 +274,9 @@ mod tests {
         let world = 8;
         for precision in [Precision::Fp16, Precision::Int8] {
             let owner =
-                ReplicatedAnswerer::with_precision(vec![0, 1], &tables, world, 1, 0, 4, precision)
-                    .unwrap();
+                ReplicatedAnswerer::new(vec![0, 1], &tables, world, 1, 0, 4, precision).unwrap();
             let holder =
-                ReplicatedAnswerer::with_precision(vec![0, 1], &tables, world, 5, 1, 4, precision)
-                    .unwrap();
+                ReplicatedAnswerer::new(vec![0, 1], &tables, world, 5, 1, 4, precision).unwrap();
             let keys = vec![encode_key(0, 4), encode_key(0, 7), encode_key(1, 5)];
             let from_owner = owner.answer(std::slice::from_ref(&keys)).unwrap();
             let from_holder = holder.answer(&[keys]).unwrap();
@@ -317,12 +292,13 @@ mod tests {
     fn replica_bytes_count_only_peer_copies() {
         let tables = tables(2, 32, 4);
         // Four hosts of two GPUs, so up to three non-aliasing replicas exist.
-        let none = ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 0, 2).unwrap();
+        let none =
+            ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 0, 2, Precision::F32).unwrap();
         assert_eq!(none.replica_bytes(), 0);
-        let one = ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 1, 2).unwrap();
+        let one = ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 1, 2, Precision::F32).unwrap();
         // One peer shard: 2 features × 4 rows × 4 dims × 4 bytes.
         assert_eq!(one.replica_bytes(), 2 * 4 * 4 * 4);
-        let two = ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 2, 2).unwrap();
+        let two = ReplicatedAnswerer::new(vec![0, 1], &tables, 8, 0, 2, 2, Precision::F32).unwrap();
         assert_eq!(two.replica_bytes(), 2 * one.replica_bytes());
     }
 }

@@ -6,7 +6,7 @@
 //! owner — the invariant serving failover rests on.
 
 use dmt_nn::EmbeddingTable;
-use dmt_serve::{BatcherConfig, HotRowCache, MicroBatcher, ReplicatedAnswerer};
+use dmt_serve::{BatcherConfig, ComputePrecision, HotRowCache, MicroBatcher, ReplicatedAnswerer};
 use dmt_trainer::distributed::model::encode_key;
 use dmt_trainer::distributed::TableWeights;
 use proptest::prelude::*;
@@ -124,8 +124,9 @@ proptest! {
             .collect();
         let owner = (owner_sel % world as u64) as usize;
         let owner_answerer =
-            ReplicatedAnswerer::new(vec![0, 1], &tables, world, owner, replicas, gpus_per_host)
-                .unwrap();
+            ReplicatedAnswerer::new(
+                vec![0, 1], &tables, world, owner, replicas, gpus_per_host, ComputePrecision::F32,
+            ).unwrap();
         // Every key of the owner's shard slice, both features.
         let rows_per_shard = rows.div_ceil(world);
         let lo = (owner * rows_per_shard).min(rows);
@@ -138,7 +139,7 @@ proptest! {
         prop_assert_eq!(from_owner[0].len(), keys.len() * dim);
         for &holder in &owner_answerer.chain(owner)[1..] {
             let holder_answerer = ReplicatedAnswerer::new(
-                vec![0, 1], &tables, world, holder, replicas, gpus_per_host,
+                vec![0, 1], &tables, world, holder, replicas, gpus_per_host, ComputePrecision::F32,
             ).unwrap();
             let from_holder = holder_answerer.answer(std::slice::from_ref(&keys)).unwrap();
             for (a, b) in from_owner[0].iter().zip(&from_holder[0]) {
