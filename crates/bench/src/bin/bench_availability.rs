@@ -27,6 +27,7 @@
 
 use dmt_comm::{FabricProfile, FaultKind, FaultProfile};
 use dmt_data::{Query, ZipfRequestStream};
+use dmt_metrics::percentile;
 use dmt_models::ModelArch;
 use dmt_serve::{BatchConfig, ResilienceConfig, ServeConfig, ServingEngine};
 use dmt_topology::{ClusterTopology, HardwareGeneration};
@@ -92,14 +93,6 @@ struct AvailabilitySummary {
     replication_overhead: f64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 struct Phase {
     latencies_ms: Vec<f64>,
     wall_s: f64,
@@ -131,14 +124,12 @@ fn drive(
 }
 
 fn phase_entry(op: &str, shape: &str, phase: &Phase) -> AvailabilityResult {
-    let mut sorted = phase.latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
     AvailabilityResult {
         op: op.to_string(),
         shape: shape.to_string(),
         ns_per_iter: phase.wall_s * 1e9 / phase.requests.max(1) as f64,
-        p50_ms: percentile(&sorted, 0.50),
-        p99_ms: percentile(&sorted, 0.99),
+        p50_ms: percentile(&phase.latencies_ms, 50.0),
+        p99_ms: percentile(&phase.latencies_ms, 99.0),
         iters: phase.requests,
     }
 }

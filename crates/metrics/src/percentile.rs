@@ -16,10 +16,18 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
+    nearest_rank(&sorted(samples), p)
+}
+
+fn sorted(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted
+}
+
+/// The sample at index `⌈p/100 · n⌉ - 1` of non-empty, ascending `sorted`.
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.max(1) - 1]
 }
 
@@ -49,17 +57,12 @@ impl LatencyPercentiles {
         if samples.is_empty() {
             return None;
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let nearest = |p: f64| {
-            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-            sorted[rank.max(1) - 1]
-        };
+        let sorted = sorted(samples);
         Some(Self {
             count: sorted.len(),
-            p50: nearest(50.0),
-            p95: nearest(95.0),
-            p99: nearest(99.0),
+            p50: nearest_rank(&sorted, 50.0),
+            p95: nearest_rank(&sorted, 95.0),
+            p99: nearest_rank(&sorted, 99.0),
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
             min: sorted[0],
             max: sorted[sorted.len() - 1],
