@@ -1052,8 +1052,7 @@ mod tests {
         // (debug builds inflate compute ~20x and their timing noise with it);
         // `cargo test --release` runs it, and `bench_overlap` gates DMT's half
         // at its own operating point.
-        #[cfg(not(debug_assertions))]
-        {
+        if !cfg!(debug_assertions) {
             assert!(
                 pipe_base.wall_s < 0.95 * sync_base.wall_s,
                 "baseline: pipelined {:.1}ms !< sync {:.1}ms",
