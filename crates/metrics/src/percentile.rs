@@ -16,10 +16,10 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    nearest_rank(&sorted(samples), p)
+    nearest_rank(&ascending(samples), p)
 }
 
-fn sorted(samples: &[f64]) -> Vec<f64> {
+fn ascending(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     sorted
@@ -57,7 +57,7 @@ impl LatencyPercentiles {
         if samples.is_empty() {
             return None;
         }
-        let sorted = sorted(samples);
+        let sorted = ascending(samples);
         Some(Self {
             count: sorted.len(),
             p50: nearest_rank(&sorted, 50.0),
