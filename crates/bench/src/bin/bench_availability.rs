@@ -15,7 +15,7 @@
 //!   whole faulted stream (exactly one batch, the one in flight when the rank
 //!   dies, is allowed to fail).
 //!
-//! Results go to `BENCH_availability.json` (committed baseline, sixth `--pair`
+//! Results go to `BENCH_availability.json` (committed baseline, one `--pair`
 //! of the CI bench-regression gate). The gated rows are the healthy, failover
 //! steady-state and unreplicated configurations — all fabric-paced, so their
 //! timing is dominated by deterministic pacing sleeps, not scheduler noise; the

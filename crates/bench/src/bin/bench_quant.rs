@@ -14,8 +14,9 @@
 //!   dense weights run the f32 kernel, so they have no row of their own.
 //! * **Serving** (`serving_quant`): the full DMT serving path — quantized
 //!   shards, quantized hot-row cache, quantized dense/tower weights — under
-//!   the same paced fabric as `bench_serving`, so the gated timing is stable
-//!   on a shared CI box. An unpaced pass per precision is reported alongside
+//!   a fabric paced `FABRIC_SLOWDOWN`× slower than the cluster's, so the
+//!   gated timing is dominated by deterministic sleeps and stable on a shared
+//!   CI box. An unpaced pass per precision is reported alongside
 //!   (`ns_per_request_unpaced`, not gated) for the raw compute effect.
 //!
 //! Quality is asserted, not just reported: fp16 and int8 predictions on the
@@ -23,7 +24,7 @@
 //! deployment (labels drawn from the f32 model's own predictive
 //! distribution).
 //!
-//! Results go to `BENCH_quant.json` (committed baseline, eighth `--pair` of
+//! Results go to `BENCH_quant.json` (committed baseline, one `--pair` of
 //! the CI bench-regression gate). Run with
 //! `cargo run --release -p dmt-bench --bin bench_quant` (add `--quick` in CI;
 //! `--tiers` prints the kernel tiers of this machine and exits).
@@ -113,7 +114,8 @@ const LOOKUP_BATCH: usize = 512;
 /// GEMMs of the serving forward, [batch, in] × [in, out]: the tower shape
 /// and the widest layer of the single-rank server's over-arch.
 const GEMM_SHAPES: [(usize, usize, usize); 2] = [(64, 256, 128), (64, 383, 128)];
-/// Fabric slowdown of the gated serving rows (same as `bench_serving`).
+/// Fabric slowdown of the gated serving rows: stretches wire time so pacing,
+/// not scheduler noise, dominates their timing.
 const FABRIC_SLOWDOWN: f64 = 4_000.0;
 /// Admission batch size of the serving rows.
 const BATCH: usize = 64;

@@ -19,7 +19,7 @@
 //!    checks that shedding keeps the admitted traffic's p99 inside the SLO,
 //!    shedding low-priority traffic at least as hard as high.
 //!
-//! Results go to `BENCH_slo.json` (committed baseline, seventh `--pair` of the
+//! Results go to `BENCH_slo.json` (committed baseline, one `--pair` of the
 //! CI bench-regression gate). The gated rows are pacing-dominated — the stage
 //! link is throttled so batch service time is a deterministic sleep — so they
 //! are stable on a shared CI box; the sweep points and the shedding story ride

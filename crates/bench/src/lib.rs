@@ -21,20 +21,6 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Returns the value following `--<name>` on the command line, if present
-/// (e.g. `arg_value("wire-precision")` for `--wire-precision fp16`).
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// Directory where experiment JSON results are written.
 #[must_use]
 pub fn experiments_dir() -> PathBuf {

@@ -15,16 +15,18 @@
 //! * [`mann_whitney::mann_whitney_u`] — two-sided Mann–Whitney U test with the normal
 //!   approximation and tie correction.
 //!
-//! Beyond the statistics, this crate hosts the observability layer the whole
-//! workspace records onto:
+//! Beyond the statistics, this crate hosts the observability layer:
 //!
 //! * [`trace`] — a per-thread span recorder on the process-wide clock with a
 //!   Chrome-trace-event JSON exporter (Perfetto-viewable), plus a parser,
 //!   structural validator and a trace-side recomputation of the trainer's
-//!   hidden-communication fraction.
-//! * [`registry`] — process-wide counters, gauges and bounded log-bucketed
-//!   histograms (≤1% quantile error), exported as JSON or Prometheus-style
-//!   text.
+//!   hidden-communication fraction. The comm backends, the trainer's iteration
+//!   graphs and the serving request path all record onto it.
+//! * [`registry`] — counters, gauges and bounded log-bucketed histograms (≤1%
+//!   quantile error), exported as JSON or Prometheus-style text. Only
+//!   [`Histogram`] has program callers (the serving frontend's and load
+//!   harness's latency percentiles); [`Registry`], [`Counter`] and [`Gauge`]
+//!   are exercised by tests alone.
 //!
 //! # Example
 //!

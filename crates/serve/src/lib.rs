@@ -121,8 +121,9 @@ pub use request::{Priority, Request, ShedReason, NO_DEADLINE};
 pub use single::SingleRankServer;
 pub use stats::{ServeStats, StageStats};
 
-/// Storage/compute precision of a serving deployment's forward pass
-/// (re-export of [`dmt_tensor::Precision`]; see [`ServeConfig::precision`]).
+/// Precision of a serving deployment's forward pass (re-export of
+/// [`dmt_tensor::Precision`]; see [`ServeConfig::precision`] for what each
+/// value stores and which kernel it runs).
 pub use dmt_tensor::Precision as ComputePrecision;
 
 use dmt_comm::{CommError, FabricProfile, FaultProfile};
@@ -265,10 +266,13 @@ pub struct ServeConfig {
     pub resilience: ResilienceConfig,
     /// Deadline / queue-bound / priority policy.
     pub slo: SloConfig,
-    /// Storage/compute precision of the serving forward pass: embedding
-    /// shards, replica shards, hot-row cache entries and dense weights all
-    /// live at this precision ([`ComputePrecision::F32`] is the exact
-    /// bit-identical-to-training path).
+    /// Precision of the serving forward pass. Embedding shards, replica
+    /// shards and hot-row cache entries are stored at it. Dense and tower
+    /// weights differ by precision: [`ComputePrecision::Int8`] packs them for
+    /// the int8 GEMM, while [`ComputePrecision::Fp16`] is a storage precision
+    /// only — an fp16 dense weight is an f16-rounded f32 weight run by the f32
+    /// kernel. [`ComputePrecision::F32`] is the exact
+    /// bit-identical-to-training path.
     pub precision: ComputePrecision,
 }
 
@@ -316,7 +320,8 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the compute precision of the whole serving forward pass.
+    /// Overrides the precision of the whole serving forward pass (see
+    /// [`ServeConfig::precision`]).
     #[must_use]
     pub fn with_precision(mut self, precision: ComputePrecision) -> Self {
         self.precision = precision;

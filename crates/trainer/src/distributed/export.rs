@@ -330,11 +330,13 @@ struct Cursor<'a> {
 
 impl Cursor<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapshotError::Corrupt("unexpected end of stream".into()));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| SnapshotError::Corrupt("unexpected end of stream".into()))?;
+        let slice = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(slice)
     }
 
@@ -382,7 +384,7 @@ impl Cursor<'_> {
     }
 
     fn f32_list(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        let n = self.usize()?;
+        let n = self.count(4)?;
         self.f32_raw(n)
     }
 }
@@ -557,6 +559,28 @@ mod tests {
         let bytes = tiny_snapshot().to_bytes();
         for len in 0..bytes.len() {
             assert!(ModelSnapshot::from_bytes(&bytes[..len]).is_err(), "{len}");
+        }
+    }
+
+    #[test]
+    fn inflated_length_at_every_offset_fails_cleanly() {
+        // Overwrite every 8-byte window with a huge value. Where the window
+        // touches a count or length, the reader must return `Err`: never panic
+        // on a wrapped bounds check, never allocate in proportion to the forged
+        // value. Where it lands on a plain value (the seed, a geometry field,
+        // payload floats) the stream is still well formed, and the parse must
+        // then be faithful: it writes back the very bytes it read.
+        let clean = tiny_snapshot().to_bytes();
+        for huge in [u64::MAX, u64::MAX / 2, u64::MAX / 4, 1 << 40] {
+            for offset in 0..=clean.len() - 8 {
+                let mut bytes = clean.clone();
+                bytes[offset..offset + 8].copy_from_slice(&huge.to_le_bytes());
+                let parsed = std::panic::catch_unwind(|| ModelSnapshot::from_bytes(&bytes))
+                    .unwrap_or_else(|_| panic!("{huge:#x} at offset {offset} panicked"));
+                if let Ok(snapshot) = parsed {
+                    assert_eq!(snapshot.to_bytes(), bytes, "{huge:#x} at offset {offset}");
+                }
+            }
         }
     }
 

@@ -1013,7 +1013,8 @@ mod tests {
         // faster than sync and (b) expose a smaller fraction of its comm — and
         // DMT must hide a larger fraction than the baseline (its three
         // independent worlds overlap each other, not just the compute).
-        // See `bench_overlap` for the gated version of this claim.
+        // The repo benchmark's `train_dmt_paced` reports the same effect as
+        // `comm.hidden_fraction`.
         //
         // The operating point follows the host: each deployment's fabric is
         // slowed until its paced comm equals the compute an unthrottled sync
@@ -1050,8 +1051,7 @@ mod tests {
 
         // The wall-clock claim only holds where compute runs at release speed
         // (debug builds inflate compute ~20x and their timing noise with it);
-        // `cargo test --release` runs it, and `bench_overlap` gates DMT's half
-        // at its own operating point.
+        // CI runs this test under `cargo test --release`.
         if !cfg!(debug_assertions) {
             assert!(
                 pipe_base.wall_s < 0.95 * sync_base.wall_s,

@@ -258,6 +258,11 @@ fn dmt_serving_moves_fewer_cross_host_bytes_per_query() {
         let mut stream = ZipfRequestStream::new(snap.schema.clone(), 33, 1.1);
         let report = serve_stream(&mut engine, &stream_cfg, || stream.next_query()).unwrap();
         assert_eq!(report.requests, 192);
+        // A saturated closed loop fills every batch to `max_batch` before its
+        // deadline: one set of collectives per ⌈n/B⌉ batches, which is what
+        // batching amortizes.
+        assert_eq!(report.stats.batches, 192u64.div_ceil(64));
+        assert_eq!(report.size_closes, report.stats.batches);
         per_query.push(report.stats.cross_host_bytes_per_query());
         // DMT still pays intra-host lookups.
         assert!(report.stats.intra_host_bytes > 0);
