@@ -242,10 +242,12 @@ fn baseline_snapshot_reshards_onto_a_different_cluster() {
 fn dmt_serving_moves_fewer_cross_host_bytes_per_query() {
     let base_snap = snapshot(ExecutionMode::Baseline, ModelArch::Dlrm);
     let dmt_snap = snapshot(ExecutionMode::Dmt, ModelArch::Dlrm);
+    // The deadline is far beyond any run, so only the size trigger closes a
+    // batch however long the driver thread stalls.
     let stream_cfg = StreamConfig {
         num_requests: 192,
         inter_arrival_us: 0,
-        batcher: BatcherConfig::new(64, 50_000),
+        batcher: BatcherConfig::new(64, 60_000_000),
     };
     let mut per_query = Vec::new();
     for snap in [&base_snap, &dmt_snap] {
@@ -258,9 +260,8 @@ fn dmt_serving_moves_fewer_cross_host_bytes_per_query() {
         let mut stream = ZipfRequestStream::new(snap.schema.clone(), 33, 1.1);
         let report = serve_stream(&mut engine, &stream_cfg, || stream.next_query()).unwrap();
         assert_eq!(report.requests, 192);
-        // A saturated closed loop fills every batch to `max_batch` before its
-        // deadline: one set of collectives per ⌈n/B⌉ batches, which is what
-        // batching amortizes.
+        // A saturated closed loop fills every batch to `max_batch`: one set of
+        // collectives per ⌈n/B⌉ batches, which is what batching amortizes.
         assert_eq!(report.stats.batches, 192u64.div_ceil(64));
         assert_eq!(report.size_closes, report.stats.batches);
         per_query.push(report.stats.cross_host_bytes_per_query());
@@ -276,37 +277,45 @@ fn dmt_serving_moves_fewer_cross_host_bytes_per_query() {
 
 #[test]
 fn hot_row_cache_cuts_wire_bytes_on_skewed_traffic() {
-    let snap = snapshot(ExecutionMode::Baseline, ModelArch::Dlrm);
     let stream_cfg = StreamConfig {
         num_requests: 256,
         inter_arrival_us: 0,
         batcher: BatcherConfig::new(64, 50_000),
     };
-    let mut cross = Vec::new();
-    for cache_rows in [0usize, 8192] {
-        let config = ServeConfig::new(cluster_2x4()).with_batch(BatchConfig {
-            cache_rows,
-            ..BatchConfig::default()
-        });
-        let mut engine = ServingEngine::start(&snap, &config).unwrap();
-        let mut stream = ZipfRequestStream::new(snap.schema.clone(), 4, 1.2);
-        let report = serve_stream(&mut engine, &stream_cfg, || stream.next_query()).unwrap();
-        if cache_rows > 0 {
-            assert!(
-                report.stats.cache.hit_rate() > 0.2,
-                "zipf traffic should hit a warm cache (rate {:.2})",
-                report.stats.cache.hit_rate()
-            );
-            assert!(report.stats.cache.saved_bytes > 0);
+    for mode in [ExecutionMode::Baseline, ExecutionMode::Dmt] {
+        let snap = snapshot(mode, ModelArch::Dlrm);
+        let mut lookup_bytes = Vec::new();
+        for cache_rows in [0usize, 8192] {
+            let config = ServeConfig::new(cluster_2x4()).with_batch(BatchConfig {
+                cache_rows,
+                ..BatchConfig::default()
+            });
+            let mut engine = ServingEngine::start(&snap, &config).unwrap();
+            let mut stream = ZipfRequestStream::new(snap.schema.clone(), 4, 1.2);
+            let report = serve_stream(&mut engine, &stream_cfg, || stream.next_query()).unwrap();
+            if cache_rows > 0 {
+                assert!(
+                    report.stats.cache.hit_rate() > 0.2,
+                    "{mode:?}: zipf traffic should hit a warm cache (rate {:.2})",
+                    report.stats.cache.hit_rate()
+                );
+                assert!(report.stats.cache.saved_bytes > 0, "{mode:?}");
+            }
+            // The cache saves the bytes its row lookups travel: cross-host in
+            // the baseline, intra-host under DMT (whose cross-host traffic is
+            // tower outputs only).
+            lookup_bytes.push(match mode {
+                ExecutionMode::Baseline => report.stats.cross_host_bytes,
+                ExecutionMode::Dmt => report.stats.intra_host_bytes,
+            });
         }
-        cross.push(report.stats.cross_host_bytes);
+        assert!(
+            lookup_bytes[1] < lookup_bytes[0],
+            "{mode:?}: cache should cut lookup bytes: {} !< {}",
+            lookup_bytes[1],
+            lookup_bytes[0]
+        );
     }
-    assert!(
-        cross[1] < cross[0],
-        "cache should cut cross-host bytes: {} !< {}",
-        cross[1],
-        cross[0]
-    );
 }
 
 #[test]
