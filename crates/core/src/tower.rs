@@ -163,6 +163,24 @@ impl DlrmTowerModule {
         })
     }
 
+    /// Scalar parameters [`DlrmTowerModule::new`] would create for this
+    /// geometry — weights and biases of both branches — worked out without
+    /// building anything, so an untrusted geometry can be checked before it
+    /// is allocated for. `None` when the count overflows `usize`.
+    #[must_use]
+    pub fn param_count(
+        num_features: usize,
+        embedding_dim: usize,
+        c: usize,
+        p: usize,
+        d: usize,
+    ) -> Option<usize> {
+        let linear = |fan_in: usize, fan_out: usize| fan_in.checked_add(1)?.checked_mul(fan_out);
+        let flat = linear(num_features.checked_mul(embedding_dim)?, p.checked_mul(d)?)?;
+        let per_feature = linear(embedding_dim, c.checked_mul(d)?)?;
+        flat.checked_add(per_feature)
+    }
+
     /// Switches both ensemble branches' forward passes to the given storage
     /// precision ([`dmt_tensor::Precision::F32`] restores the exact kernels).
     pub fn quantize_weights(&mut self, precision: dmt_tensor::Precision) {
@@ -412,6 +430,20 @@ mod tests {
         assert_eq!(tm.output_dim(), 128);
         let tm = DlrmTowerModule::new(&mut rng(), 3, 64, 2, 1, 32).unwrap();
         assert_eq!(tm.output_dim(), 32 * (2 * 3 + 1));
+    }
+
+    #[test]
+    fn param_count_matches_the_built_module() {
+        for (f, n, c, p, d) in [(4, 128, 1, 0, 64), (4, 128, 0, 1, 128), (3, 64, 2, 1, 32)] {
+            let mut tm = DlrmTowerModule::new(&mut rng(), f, n, c, p, d).unwrap();
+            let mut built = 0;
+            tm.visit_parameters(&mut |param| built += param.len());
+            assert_eq!(DlrmTowerModule::param_count(f, n, c, p, d), Some(built));
+        }
+        assert_eq!(
+            DlrmTowerModule::param_count(13, 1 << 40, 0, 1, 1 << 40),
+            None
+        );
     }
 
     /// One forward + backward through the record-keeping API.

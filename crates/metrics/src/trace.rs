@@ -44,6 +44,7 @@
 //! | [`cat::COMM`] | comm backend | one collective's transfer interval (`dur` = paced elapsed) |
 //! | [`cat::NODE`] | trainer graph | one iteration-graph node execution |
 //! | [`cat::ITER`] | trainer executor | one rank's whole iteration |
+//! | [`cat::STEP`] | trainer executor | `batch generation` and `optimizer`, the iteration's work outside the graph |
 //! | [`cat::WAIT`] | trainer executor | accounting instant: measured blocked seconds of one collective wait |
 //! | [`cat::REQUEST`] | serving | async request lifecycle (admit → … → reply / shed), `id` = request sequence number |
 //! | [`cat::SERVE`] | serving | batch-scoped serving stage spans (lookup, dense, batch close) |
@@ -73,6 +74,9 @@ pub mod cat {
     pub const NODE: &str = "node";
     /// One full training iteration on a rank.
     pub const ITER: &str = "iteration";
+    /// Rank work of an iteration outside its graph: batch generation and
+    /// the optimizer step.
+    pub const STEP: &str = "step";
     /// Accounting instant carrying one collective wait's blocked seconds.
     pub const WAIT: &str = "wait";
     /// Async request-lifecycle events, `id` = request sequence number.

@@ -7,7 +7,7 @@
 //! models) rather than going through the dense optimizers.
 
 use crate::sharded::RowSource;
-use dmt_tensor::{prefetch_read, Tensor, TensorError};
+use dmt_tensor::{prefetch_read, prefetch_read_span, Tensor, TensorError};
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 use rayon::prelude::*;
@@ -312,9 +312,16 @@ impl EmbeddingTable {
     /// of the row), which is the memory-efficient variant used for large embedding
     /// tables in production trainers.
     pub fn apply_rowwise_adagrad(&mut self, learning_rate: f32, eps: f32) {
+        /// Rows between the one a prefetch asks for and the one updated: the
+        /// updates are a random-access scatter the hardware cannot predict.
+        const AHEAD: usize = 4;
         let grads = std::mem::take(&mut self.pending_grads);
         let dim = self.dim;
         for (slot, &row) in grads.indices.iter().enumerate() {
+            if let Some(&ahead) = grads.indices.get(slot + AHEAD) {
+                self.prefetch_row(ahead);
+                prefetch_read(&self.adagrad_state, ahead);
+            }
             let grad = &grads.grads[slot * dim..(slot + 1) * dim];
             let mean_sq = grad.iter().map(|g| g * g).sum::<f32>() / dim as f32;
             self.adagrad_state[row] += mean_sq;
@@ -450,7 +457,7 @@ impl RowSource for EmbeddingTable {
 
     #[inline]
     fn prefetch_row(&self, index: usize) {
-        prefetch_read(&self.weight, index * self.dim);
+        prefetch_read_span(&self.weight, index * self.dim, self.dim);
     }
 }
 

@@ -69,6 +69,23 @@ impl DenseModel {
                 (snapshot.tower_output_dim, units)
             }
         };
+        // Check the geometry against the weights before building for it: a
+        // forged width must not size an allocation.
+        let params = DenseStack::param_count(
+            &snapshot.schema,
+            snapshot.arch,
+            &snapshot.hyper,
+            unit_width,
+            num_units,
+        );
+        if params != Some(snapshot.dense_params.len()) {
+            return Err(ServeError::Config {
+                reason: format!(
+                    "snapshot geometry implies {params:?} dense parameters, it holds {}",
+                    snapshot.dense_params.len()
+                ),
+            });
+        }
         let mut stack = DenseStack::new(
             snapshot.seed,
             &snapshot.schema,
@@ -166,6 +183,18 @@ pub(crate) fn load_rank(
 ) -> Result<RankModel, ServeError> {
     use rand::SeedableRng;
     let dim = snapshot.hyper.embedding_dim;
+    // The geometry sizes the buffers below; check it against the data first.
+    if let Some(table) = snapshot.tables.iter().find(|t| t.dim != dim) {
+        return Err(ServeError::Config {
+            reason: format!(
+                "table {} has dimension {}, the snapshot's embedding_dim is {dim}",
+                table.feature, table.dim
+            ),
+        });
+    }
+    let dense = inline_dense
+        .then(|| DenseModel::load(snapshot, config.precision))
+        .transpose()?;
     let gpus = cluster.gpus_per_host();
     let (features, world, me, tower) = match snapshot.mode {
         ExecutionMode::Baseline => (
@@ -185,13 +214,26 @@ pub(crate) fn load_rank(
             );
             let host = cluster.host_of(Rank(rank));
             let slot = cluster.local_index(Rank(rank));
+            let weights = snapshot
+                .tower_params
+                .get(host)
+                .map_or(&[][..], Vec::as_slice);
+            let params = DlrmTowerModule::param_count(groups[host].len(), dim, c, p, d);
+            if params != Some(weights.len()) {
+                return Err(ServeError::Config {
+                    reason: format!(
+                        "tower {host} geometry implies {params:?} parameters, the snapshot holds {}",
+                        weights.len()
+                    ),
+                });
+            }
             // Geometry first (any rng — every parameter is overwritten).
             let mut rng = rand::rngs::StdRng::seed_from_u64(snapshot.seed);
             let mut module = DlrmTowerModule::new(&mut rng, groups[host].len(), dim, c, p, d)
                 .map_err(|e| ServeError::Config {
                     reason: e.to_string(),
                 })?;
-            load_params(&mut module, &snapshot.tower_params[host])?;
+            load_params(&mut module, weights)?;
             module.quantize_weights(config.precision);
             let tower = Tower {
                 module,
@@ -220,9 +262,7 @@ pub(crate) fn load_rank(
         )?,
         cache: HotRowCache::with_precision(config.batch.cache_rows, dim, config.precision),
         tower,
-        dense: inline_dense
-            .then(|| DenseModel::load(snapshot, config.precision))
-            .transpose()?,
+        dense,
         row_buf: Vec::new(),
         features: Tensor::default(),
     })
@@ -557,13 +597,14 @@ impl Fetcher<'_> {
     fn rows(&mut self, bags: &[&[Vec<usize>]]) -> Result<Fetch, ServeError> {
         let answerer = self.answerer;
         let (me, dim) = (self.backend.rank(), answerer.primary().dim());
-        let request_keys = answerer.primary().route(self.backend.world_size(), bags);
+        let routing = answerer.primary().route(self.backend.world_size(), bags);
 
         // Route each owner's bundle to its first live holder, peeling the
         // cache for anything not served from a local shard.
-        let mut dest: Vec<Option<usize>> = Vec::with_capacity(request_keys.len());
-        let mut bundles: Vec<Bundle> = Vec::with_capacity(request_keys.len());
-        for (owner, keys) in request_keys.iter().enumerate() {
+        let owners = routing.request_keys.len();
+        let mut dest: Vec<Option<usize>> = Vec::with_capacity(owners);
+        let mut bundles: Vec<Bundle> = Vec::with_capacity(owners);
+        for (owner, keys) in routing.request_keys.iter().enumerate() {
             let holder = self
                 .health
                 .first_live(answerer.chain(owner).iter().copied());
@@ -609,10 +650,6 @@ impl Fetcher<'_> {
             .collect();
         lost.sort_unstable();
         lost.dedup();
-        let routing = LookupRouting {
-            request_keys,
-            served_keys: Vec::new(),
-        };
         Ok((routing, bundles.into_iter().map(|b| b.rows).collect(), lost))
     }
 
@@ -672,5 +709,56 @@ impl Fetcher<'_> {
             bundle.resolved = true;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmt_models::ModelArch;
+    use dmt_topology::HardwareGeneration;
+    use dmt_trainer::distributed::{run_with_snapshot, DistributedConfig};
+
+    /// A snapshot whose geometry disagrees with the weights it carries is
+    /// refused before anything is built for it: each width forged to 2⁴⁰
+    /// returns `Err` from the rank loader instead of sizing an allocation —
+    /// with the dense stack inline, and for the DMT tower widths also on a
+    /// lookup-only rank, where the tower's own check must catch them.
+    #[test]
+    fn forged_snapshot_geometry_is_refused_before_building() {
+        const HUGE: usize = 1 << 40;
+        type Forgery = fn(&mut ModelSnapshot);
+        let baseline: &[(&str, Forgery)] = &[
+            ("embedding_dim", |s| s.hyper.embedding_dim = HUGE),
+            ("bottom hidden", |s| s.hyper.bottom_mlp_hidden[0] = HUGE),
+            ("over hidden", |s| s.hyper.over_mlp_hidden[0] = HUGE),
+            ("num_dense", |s| s.schema.num_dense = HUGE),
+        ];
+        let dmt: &[(&str, Forgery)] = &[
+            ("tower_output_dim", |s| s.tower_output_dim = HUGE),
+            ("tower_ensemble_p", |s| s.tower_ensemble_p = HUGE),
+            ("tower_ensemble_c", |s| s.tower_ensemble_c = HUGE),
+        ];
+        for (mode, hosts, forgeries, placements) in [
+            (ExecutionMode::Baseline, 1, baseline, &[true][..]),
+            (ExecutionMode::Dmt, 2, dmt, &[true, false][..]),
+        ] {
+            let cluster = ClusterTopology::new(HardwareGeneration::A100, hosts, 2).unwrap();
+            let cfg = DistributedConfig::quick(cluster.clone(), ModelArch::Dlrm).with_iterations(1);
+            let (_run, snapshot) = run_with_snapshot(&cfg, mode).unwrap();
+            let config = ServeConfig::new(cluster.clone());
+            assert!(load_rank(&snapshot, &cluster, 0, &config, true).is_ok());
+            for (field, forge) in forgeries {
+                let mut forged = snapshot.clone();
+                forge(&mut forged);
+                for &inline_dense in placements {
+                    let loaded = load_rank(&forged, &cluster, 0, &config, inline_dense);
+                    assert!(
+                        matches!(loaded, Err(ServeError::Config { .. })),
+                        "{mode:?}: forged {field} is refused (inline dense: {inline_dense})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //!   fast path).
 //! * [`gemm_at_b`] — `C += Aᵀ·B` without materializing `Aᵀ` (the `dW = xᵀ·dy` step of a
 //!   linear layer's backward pass).
-//! * [`gemm_a_bt`] — `C += A·Bᵀ` without materializing `Bᵀ` (the `dx = dy·Wᵀ` step).
+//! * [`gemm_a_bt`] — `C += A·Bᵀ` without materializing `Bᵀ` (the `dx = dy·Wᵀ` step);
+//!   below a reduction length of 32 the vector tiers pack `Bᵀ` into a reused
+//!   thread-local panel and run the lane-transposed small-k kernels (see
+//!   [`crate::simd`]), which keep the canonical dot's bits.
 //!
 //! The heavy lifting lives in [`crate::simd`]: AVX-512 / AVX2+FMA microkernels and a
 //! portable `f32::mul_add` fallback that executes the *same* per-element operation
@@ -231,6 +234,10 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, r: usize, n: usi
 /// dot product of row `i` of `A` with row `j` of `B`, so both operands stream
 /// row-major with unit stride. Every dot uses the canonical 16-lane layout and fold
 /// tree (see [`crate::simd`]), so SIMD, scalar and parallel results are identical.
+/// For `k < 32` the vector tiers transpose that layout across output columns (the
+/// small-k kernels), the same operations per element, after packing `Bᵀ` into a
+/// thread-local panel whose capacity is reused, so steady-state calls allocate
+/// nothing.
 ///
 /// # Panics
 ///
@@ -438,19 +445,38 @@ mod tests {
         });
     }
 
+    /// Every reduction length on both sides of the small-k switch
+    /// (`simd::SMALL_K`) and of the 16-lane canonical layout, against column
+    /// counts on both sides of every register width. Row 1 of `A` is all
+    /// `-0.0` over a positive first row of `B` and a `-0.0` output, so its
+    /// first dot is a sum of `-0` products that must come out `+0` (a kernel
+    /// multiplying instead of `fma(·, ·, +0)` keeps `-0`); row 2 times the
+    /// scaled second row of `B` makes subnormal products.
     #[test]
     fn a_bt_matches_explicit_transpose() {
+        let m = 3;
         on_every_tier(Family::F32, |tier| {
-            for &(m, k, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (33, 128, 130)] {
-                let a = fill(m * k, 7);
-                let b = fill(n * k, 8);
-                let expected = naive(&a, &transpose(&b, n, k), m, k, n);
-                let mut c = vec![0.0; m * n];
-                gemm_a_bt(&a, &b, &mut c, m, k, n);
-                assert_close(&c, &expected);
-                let mut c_scalar = vec![0.0; m * n];
-                with_tier(Tier::Scalar, || gemm_a_bt(&a, &b, &mut c_scalar, m, k, n));
-                assert_eq!(bits(&c), bits(&c_scalar), "{tier:?} ({m},{k},{n})");
+            for k in (0..=40).chain([48, 64, 128]) {
+                for n in [1, 13, 15, 16, 17, 19, 33, 48, 416] {
+                    let mut a = fill(m * k, 7);
+                    a[k..2 * k].fill(-0.0);
+                    a[2 * k..].iter_mut().for_each(|v| *v *= 1e-20);
+                    let mut b = fill(n * k, 8);
+                    b[..k].iter_mut().for_each(|v| *v = v.abs());
+                    if n > 1 {
+                        b[k..2 * k].iter_mut().for_each(|v| *v *= 1e-20);
+                    }
+                    let expected = naive(&a, &transpose(&b, n, k), m, k, n);
+                    let mut c = vec![-0.0; m * n];
+                    gemm_a_bt(&a, &b, &mut c, m, k, n);
+                    assert_close(&c, &expected);
+                    let mut c_scalar = vec![-0.0; m * n];
+                    with_tier(Tier::Scalar, || gemm_a_bt(&a, &b, &mut c_scalar, m, k, n));
+                    assert_eq!(bits(&c), bits(&c_scalar), "{tier:?} ({m},{k},{n})");
+                    if k > 0 {
+                        assert_eq!(c[n].to_bits(), 0.0f32.to_bits(), "{tier:?} -0 sum");
+                    }
+                }
             }
         });
     }

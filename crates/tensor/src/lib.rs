@@ -40,5 +40,5 @@ pub use isa::{with_tier, Tier};
 pub use pairwise::PairwiseScratch;
 pub use qgemm::{gemm_a_bt_q8, gemm_a_bt_q8_with, QGemmScratch, QuantizedBtMatrix};
 pub use quant::Precision;
-pub use simd::prefetch_read;
+pub use simd::{prefetch_read, prefetch_read_span};
 pub use tensor::{Tensor, TensorError};

@@ -170,12 +170,13 @@ fn add_route<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) -> 
         },
         deps,
         move |ctx: &mut Ctx| {
-            let requests = {
+            let routing = {
                 let mb = &ctx.mbs[b];
                 let bags = bags_for(&mb.batch, &ctx.low.features);
                 ctx.low.lookup.route(ctx.comm.global.world_size(), &bags)
             };
-            ctx.mbs[b].routing.request_keys = requests.clone();
+            let requests = routing.request_keys.clone();
+            ctx.mbs[b].routing = routing;
             ctx.mbs[b].idx_op = Some(ctx.comm.global.all_to_all_indices_nonblocking(requests));
             Ok(())
         },

@@ -328,11 +328,12 @@ fn add_decode<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) ->
                 ctx.low.layout.my_features.len(),
                 &vec![mb_len; incoming.len()],
             );
-            let requests = {
+            let routing = {
                 let bags: Vec<&[Vec<usize>]> = tower_bags.iter().map(Vec::as_slice).collect();
                 ctx.low.lookup.route(ctx.comm.intra.world_size(), &bags)
             };
-            ctx.mbs[b].routing.request_keys = requests.clone();
+            let requests = routing.request_keys.clone();
+            ctx.mbs[b].routing = routing;
             ctx.mbs[b].tower_bags = tower_bags;
             ctx.mbs[b].intra_idx_op = Some(ctx.comm.intra.all_to_all_indices_nonblocking(requests));
             Ok(())

@@ -74,7 +74,10 @@ pub(crate) fn run_rank<L: RankLowering>(
     for iter in 0..config.iterations {
         let _iter_span = trace::span(trace::cat::ITER, || format!("iteration {iter}"));
         let iter_start = Instant::now();
-        let batch = data.next_batch(config.local_batch);
+        let batch = {
+            let _span = trace::span(trace::cat::STEP, || "batch generation".to_string());
+            data.next_batch(config.local_batch)
+        };
         // m == 1 keeps the batch untouched — the sync schedule sees exactly the
         // bytes-for-bytes batch the pre-IR engine saw.
         let mbs = if m == 1 { vec![batch] } else { batch.split(m) };
@@ -125,7 +128,10 @@ pub(crate) fn run_rank<L: RankLowering>(
         aucs.push(stats.auc);
 
         let opt_start = Instant::now();
-        lowering.optimizer_step();
+        {
+            let _span = trace::span(trace::cat::STEP, || "optimizer".to_string());
+            lowering.optimizer_step();
+        }
         let opt_s = opt_start.elapsed().as_secs_f64();
 
         let iter_s = iter_start.elapsed().as_secs_f64();

@@ -161,7 +161,8 @@ pub fn decode_tower_streams(
 }
 
 /// Request-routing state of one in-flight fetch: which keys this rank asked each
-/// owner for, and which keys each source asked this rank for.
+/// owner for, where each of its bag entries sits among them, and which keys
+/// each source asked this rank for.
 ///
 /// Owned per micro-batch (several fetches may be in flight at once under the
 /// pipelined schedule). The routing also tells the wire codec how many `f32`
@@ -170,8 +171,35 @@ pub fn decode_tower_streams(
 pub struct LookupRouting {
     /// Requester side: per-owner sorted-unique request keys.
     pub request_keys: Vec<Vec<u64>>,
+    /// Requester side: `(owner, slot)` of every entry of the routed bags, in
+    /// (feature, sample, bag) order — `request_keys[owner][slot]` is the
+    /// entry's key. Pooling and the gradient build index this instead of
+    /// searching the keys.
+    pub entry_slots: Vec<(u32, u32)>,
     /// Owner side: per-source request keys (set once the index exchange lands).
     pub served_keys: Vec<Vec<u64>>,
+}
+
+/// Walks every bag entry of `bags` in (feature, sample, bag) order, calling
+/// `visit(pos, sample, owner, slot)` with the entry's slot in its owner's
+/// request keys, read from `routing`, which [`ShardedLookup::route`] built
+/// from these `bags`.
+fn for_each_requested(
+    bags: &[&[Vec<usize>]],
+    routing: &LookupRouting,
+    mut visit: impl FnMut(usize, usize, usize, usize),
+) {
+    let mut slots = routing.entry_slots.as_slice();
+    for (pos, per_sample) in bags.iter().enumerate() {
+        for (sample, bag) in per_sample.iter().enumerate() {
+            let (entries, rest) = slots.split_at(bag.len());
+            slots = rest;
+            for &(owner, slot) in entries {
+                visit(pos, sample, owner as usize, slot as usize);
+            }
+        }
+    }
+    debug_assert!(slots.is_empty(), "routing was built from other bags");
 }
 
 /// One rank's sharded view of a set of embedding tables.
@@ -224,49 +252,55 @@ impl<T> ShardedLookup<T> {
             .expect("feature served by this lookup")
     }
 
-    /// Walks every bag entry of `bags` in (feature, sample, bag) order, calling
-    /// `visit(pos, sample, owner, slot)` with the owner rank of the entry's row
-    /// and the row's slot in that owner's request keys.
-    fn for_each_requested(
-        &self,
-        bags: &[&[Vec<usize>]],
-        routing: &LookupRouting,
-        mut visit: impl FnMut(usize, usize, usize, usize),
-    ) {
-        for (pos, per_sample) in bags.iter().enumerate() {
-            let (shard, feature) = (&self.shards[pos], self.features[pos]);
-            for (sample, bag) in per_sample.iter().enumerate() {
-                for &raw in bag {
-                    let row = raw % shard.num_embeddings();
-                    let owner = shard.owner_of(row);
-                    let slot = routing.request_keys[owner]
-                        .binary_search(&encode_key(feature, row))
-                        .expect("row was requested");
-                    visit(pos, sample, owner, slot);
-                }
-            }
-        }
-    }
-
     // --- Protocol phases ----------------------------------------------------
 
     /// Phase 1 (requester): routes each distinct (feature, row) of `bags` to its
-    /// owner shard as sorted-unique keys — the payload of the index AlltoAll.
-    pub fn route(&self, world: usize, bags: &[&[Vec<usize>]]) -> Vec<Vec<u64>> {
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); world];
+    /// owner shard as sorted-unique keys — the payload of the index AlltoAll —
+    /// and records every bag entry's `(owner, slot)` among them
+    /// ([`LookupRouting::entry_slots`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bags` hold 2³² or more entries.
+    #[must_use]
+    pub fn route(&self, world: usize, bags: &[&[Vec<usize>]]) -> LookupRouting {
+        let entries: usize = bags.iter().flat_map(|b| b.iter()).map(Vec::len).sum();
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "route: 2^32 or more bag entries"
+        );
+        let mut request_keys: Vec<Vec<u64>> = vec![Vec::new(); world];
+        let mut entry_slots = vec![(0u32, 0u32); entries];
+        // One feature's entries per owner, packed as `row << 32 | entry` (rows
+        // fit 32 bits, as in `encode_key`): sorting the words orders them by
+        // row, so each owner's keys come out sorted and deduplicated feature
+        // by feature (features ascend), and every entry learns its slot.
+        let mut by_owner: Vec<Vec<u64>> = vec![Vec::new(); world];
+        let mut entry = 0u64;
         for ((per_sample, shard), &feature) in bags.iter().zip(&self.shards).zip(&self.features) {
-            for bag in per_sample.iter() {
-                for &raw in bag {
-                    let row = raw % shard.num_embeddings();
-                    requests[shard.owner_of(row)].push(encode_key(feature, row));
+            for &raw in per_sample.iter().flatten() {
+                let row = raw % shard.num_embeddings();
+                by_owner[shard.owner_of(row)].push((row as u64) << 32 | entry);
+                entry += 1;
+            }
+            for (owner, (words, keys)) in by_owner.iter_mut().zip(&mut request_keys).enumerate() {
+                words.sort_unstable();
+                for &word in words.iter() {
+                    let key = encode_key(feature, (word >> 32) as usize);
+                    if keys.last() != Some(&key) {
+                        keys.push(key);
+                    }
+                    entry_slots[(word & 0xFFFF_FFFF) as usize] =
+                        (owner as u32, keys.len() as u32 - 1);
                 }
+                words.clear();
             }
         }
-        for keys in &mut requests {
-            keys.sort_unstable();
-            keys.dedup();
+        LookupRouting {
+            request_keys,
+            entry_slots,
+            served_keys: Vec::new(),
         }
-        requests
     }
 
     /// Phase 3 (requester): pools fetched rows into the `[samples, features ·
@@ -283,7 +317,7 @@ impl<T> ShardedLookup<T> {
         let width = bags.len() * dim;
         out.reset_to_shape(&[bags.first().map_or(0, |b| b.len()), width]);
         let data = out.data_mut();
-        self.for_each_requested(bags, routing, |pos, sample, owner, slot| {
+        for_each_requested(bags, routing, |pos, sample, owner, slot| {
             let dst = &mut data[sample * width + pos * dim..][..dim];
             for (d, v) in dst.iter_mut().zip(&fetched[owner][slot * dim..][..dim]) {
                 *d += v;
@@ -433,7 +467,7 @@ impl ShardedLookup<EmbeddingTable> {
             .iter()
             .map(|keys| vec![0.0f32; keys.len() * dim])
             .collect();
-        self.for_each_requested(bags, routing, |pos, sample, owner, slot| {
+        for_each_requested(bags, routing, |pos, sample, owner, slot| {
             let src = &grads.data()[sample * width + pos * dim..][..dim];
             for (d, v) in grad_bufs[owner][slot * dim..][..dim].iter_mut().zip(src) {
                 *d += v * scale;
@@ -647,6 +681,47 @@ impl DenseStack {
             over,
             unit_width,
         }
+    }
+
+    /// Scalar parameters [`DenseStack::new`] would create for this geometry,
+    /// worked out without building anything, so an untrusted geometry (a
+    /// snapshot's) can be checked before it is allocated for. `None` when the
+    /// count overflows `usize`.
+    #[must_use]
+    pub fn param_count(
+        schema: &DatasetSchema,
+        arch: ModelArch,
+        hyper: &ModelHyperparams,
+        unit_width: usize,
+        num_units: usize,
+    ) -> Option<usize> {
+        /// Weights and biases of an MLP with these layer widths.
+        fn mlp(sizes: &[usize]) -> Option<usize> {
+            sizes.windows(2).try_fold(0usize, |sum, pair| {
+                sum.checked_add(pair[0].checked_add(1)?.checked_mul(pair[1])?)
+            })
+        }
+        let bottom = [
+            &[schema.num_dense][..],
+            &hyper.bottom_mlp_hidden,
+            &[unit_width],
+        ]
+        .concat();
+        let (interaction, over_input) = match arch {
+            ModelArch::Dlrm => {
+                let pairs = num_units.checked_mul(num_units.saturating_sub(1))? / 2;
+                (0, unit_width.checked_add(pairs)?)
+            }
+            ModelArch::Dcn => {
+                let width = unit_width.checked_mul(num_units)?;
+                let layer = width.checked_add(1)?.checked_mul(width)?;
+                (layer.checked_mul(hyper.cross_layers.max(1))?, width)
+            }
+        };
+        let over = [&[over_input][..], &hyper.over_mlp_hidden, &[1]].concat();
+        mlp(&bottom)?
+            .checked_add(interaction)?
+            .checked_add(mlp(&over)?)
     }
 
     /// One training step over a local (micro-)batch: the serving forward
@@ -937,6 +1012,81 @@ mod tests {
     }
 
     #[test]
+    fn param_count_matches_the_built_stack() {
+        let schema = tiny_schema();
+        let hyper = ModelHyperparams::tiny();
+        for arch in [ModelArch::Dlrm, ModelArch::Dcn] {
+            for (unit_width, num_units) in [(hyper.embedding_dim, schema.num_sparse() + 1), (16, 3)]
+            {
+                let mut stack = DenseStack::new(1, &schema, arch, &hyper, unit_width, num_units);
+                let built = flatten_params(&mut stack).len();
+                let counted = DenseStack::param_count(&schema, arch, &hyper, unit_width, num_units);
+                assert_eq!(counted, Some(built), "{arch:?} {unit_width}x{num_units}");
+            }
+            let huge = DenseStack::param_count(&schema, arch, &hyper, 1 << 40, 1 << 40);
+            assert_eq!(huge, None, "{arch:?}");
+        }
+    }
+
+    /// The route's inverse names, for every bag entry, the slot a binary
+    /// search of its owner's keys finds; the keys are each owner's
+    /// sorted-unique requests. Bags repeat rows, hold empty bags and
+    /// out-of-range rows, and never touch the middle owner.
+    #[test]
+    fn route_inverse_matches_a_binary_search_of_the_keys() {
+        let schema = tiny_schema();
+        let features: Vec<usize> = (0..schema.num_sparse()).collect();
+        let world = 3;
+        let lookup = ShardedLookup::new(5, &schema, features.clone(), 4, world, 0);
+        let samples = 7;
+        let bags: Vec<Vec<Vec<usize>>> = lookup
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(f, shard)| {
+                let n = shard.num_embeddings();
+                let (rps, low, high) = (n.div_ceil(world), n.div_ceil(world) - 1, n - 1);
+                (0..samples)
+                    .map(|s| match (s + f) % 4 {
+                        0 => Vec::new(),
+                        1 => vec![low, 0, low, high],
+                        2 => vec![high, n + low, 2 * rps, 0, 0],
+                        _ => vec![(s * 31 + f) % rps, high],
+                    })
+                    .collect()
+            })
+            .collect();
+        let bag_slices: Vec<&[Vec<usize>]> = bags.iter().map(Vec::as_slice).collect();
+        let routing = lookup.route(world, &bag_slices);
+
+        assert!(
+            routing.request_keys[1].is_empty(),
+            "the middle owner is never asked"
+        );
+        let mut want = Vec::new();
+        let mut want_keys: Vec<Vec<u64>> = vec![Vec::new(); world];
+        for (shard, (&feature, per_sample)) in
+            lookup.shards().iter().zip(features.iter().zip(&bags))
+        {
+            for &raw in per_sample.iter().flatten() {
+                let row = raw % shard.num_embeddings();
+                let owner = shard.owner_of(row);
+                want_keys[owner].push(encode_key(feature, row));
+                let slot = routing.request_keys[owner]
+                    .binary_search(&encode_key(feature, row))
+                    .expect("row was requested");
+                want.push((owner as u32, slot as u32));
+            }
+        }
+        for keys in &mut want_keys {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        assert_eq!(routing.request_keys, want_keys);
+        assert_eq!(routing.entry_slots, want);
+    }
+
+    #[test]
     fn pool_local_matches_the_routed_protocol_bit_identically() {
         let schema = tiny_schema();
         let features: Vec<usize> = (0..schema.num_sparse()).collect();
@@ -959,11 +1109,8 @@ mod tests {
         let bag_slices: Vec<&[Vec<usize>]> = bags.iter().map(|b| b.as_slice()).collect();
 
         // Reference: the full route → answer → pool protocol plus concat.
-        let request_keys = lookup.route(1, &bag_slices);
-        let routing = LookupRouting {
-            served_keys: request_keys.clone(),
-            request_keys,
-        };
+        let mut routing = lookup.route(1, &bag_slices);
+        routing.served_keys = routing.request_keys.clone();
         let fetched = lookup.answer(&routing.served_keys).unwrap();
         let mut reference = Tensor::default();
         lookup

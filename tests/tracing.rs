@@ -168,6 +168,47 @@ fn pipelined_dmt_trace_recomputes_the_measured_hidden_comm_fraction() {
     );
 }
 
+/// The rank work outside the iteration graph is traced: on a 2×2 DMT run
+/// every rank carries one `batch generation` and one `optimizer` span per
+/// iteration, each inside one of that rank's iteration spans.
+#[test]
+fn dmt_batch_generation_and_optimizer_spans_are_traced() {
+    let iterations = 2usize;
+    let cluster = ClusterTopology::new(HardwareGeneration::A100, 2, 2).unwrap();
+    let cfg = DistributedConfig::quick(cluster, ModelArch::Dlrm).with_iterations(iterations);
+    let (run, events) = record(|| run_dmt(&cfg));
+    run.unwrap();
+    let parsed = round_trip_through_disk(&events);
+    trace::validate_trace(&parsed).expect("trace is structurally valid");
+    let iteration_spans: Vec<&trace::ParsedEvent> = parsed
+        .iter()
+        .filter(|e| e.ph == "X" && e.cat == trace::cat::ITER)
+        .collect();
+    for name in ["batch generation", "optimizer"] {
+        let spans: Vec<&trace::ParsedEvent> = parsed
+            .iter()
+            .filter(|e| e.ph == "X" && e.cat == trace::cat::STEP && e.name == name)
+            .collect();
+        assert_eq!(
+            spans.len(),
+            iterations * cfg.cluster.world_size(),
+            "one `{name}` span per rank and iteration"
+        );
+        for span in spans {
+            assert!(
+                iteration_spans
+                    .iter()
+                    .any(|it| (it.pid, it.tid) == (span.pid, span.tid)
+                        && it.ts_us <= span.ts_us
+                        && span.ts_us + span.dur_us <= it.ts_us + it.dur_us),
+                "`{name}` at {} µs on lane {} lies inside an iteration",
+                span.ts_us,
+                span.tid
+            );
+        }
+    }
+}
+
 /// Every request admitted into the staged pipeline closes its async lifecycle
 /// span; sheds are visible as instants. The trace accounts for all traffic.
 #[test]
