@@ -122,6 +122,10 @@ struct DmtLowering {
     dense_ar: Option<PendingOp<Vec<f32>>>,
     adam_dense: AdamOptimizer,
     adam_tower: AdamOptimizer,
+    /// The last iteration's decoded tower bags, one set per micro-batch: the
+    /// next decode refills their capacity instead of allocating a `Vec` per
+    /// bag (and freeing it at the end of the iteration).
+    spare_bags: Vec<Vec<Vec<Vec<usize>>>>,
 }
 
 impl DmtLowering {
@@ -181,6 +185,7 @@ impl DmtLowering {
             dense_ar: None,
             adam_dense: AdamOptimizer::new(config.learning_rate),
             adam_tower: AdamOptimizer::new(config.learning_rate),
+            spare_bags: Vec::new(),
         })
     }
 }
@@ -323,10 +328,12 @@ fn add_decode<'g>(g: &mut IterationGraph<'g, Ctx<'_>>, deps: &[Id], b: usize) ->
             )?;
             let mb_len = ctx.mbs[b].batch.len();
             // Training sources all carry the same micro-batch length.
-            let tower_bags = super::model::decode_tower_streams(
+            let mut tower_bags = ctx.low.spare_bags.pop().unwrap_or_default();
+            super::model::decode_tower_streams_into(
                 &incoming,
                 ctx.low.layout.my_features.len(),
                 &vec![mb_len; incoming.len()],
+                &mut tower_bags,
             );
             let routing = {
                 let bags: Vec<&[Vec<usize>]> = tower_bags.iter().map(Vec::as_slice).collect();
@@ -620,6 +627,9 @@ impl RankLowering for DmtLowering {
             }
         }
         g.run(&mut ctx)?;
+        for mb in &mut ctx.mbs {
+            ctx.low.spare_bags.push(std::mem::take(&mut mb.tower_bags));
+        }
         Ok(ctx.stats())
     }
 

@@ -138,26 +138,40 @@ pub fn decode_tower_streams(
     num_features: usize,
     src_counts: &[usize],
 ) -> Vec<Vec<Vec<usize>>> {
-    let tower_batch: usize = src_counts.iter().sum();
-    let mut tower_bags: Vec<Vec<Vec<usize>>> = vec![Vec::with_capacity(tower_batch); num_features];
+    let mut tower_bags = Vec::new();
+    decode_tower_streams_into(incoming, num_features, src_counts, &mut tower_bags);
+    tower_bags
+}
+
+/// [`decode_tower_streams`] into `tower_bags`, reusing the bag `Vec`s it
+/// already holds: training decodes into the previous iteration's bags, so
+/// its steady state allocates and frees no bag.
+pub(crate) fn decode_tower_streams_into(
+    incoming: &[Vec<u64>],
+    num_features: usize,
+    src_counts: &[usize],
+    tower_bags: &mut Vec<Vec<Vec<usize>>>,
+) {
+    let tower_batch: usize = incoming.iter().zip(src_counts).map(|(_, &b)| b).sum();
+    tower_bags.resize_with(num_features, Vec::new);
+    for bags in tower_bags.iter_mut() {
+        bags.resize_with(tower_batch, Vec::new);
+    }
+    let mut first = 0usize;
     for (stream, &b) in incoming.iter().zip(src_counts) {
         let mut cursor = 0usize;
         for bags in tower_bags.iter_mut() {
-            for _ in 0..b {
+            for bag in &mut bags[first..first + b] {
                 let len = stream[cursor] as usize;
                 cursor += 1;
-                bags.push(
-                    stream[cursor..cursor + len]
-                        .iter()
-                        .map(|&v| v as usize)
-                        .collect(),
-                );
+                bag.clear();
+                bag.extend(stream[cursor..cursor + len].iter().map(|&v| v as usize));
                 cursor += len;
             }
         }
         debug_assert_eq!(cursor, stream.len());
+        first += b;
     }
-    tower_bags
 }
 
 /// Request-routing state of one in-flight fetch: which keys this rank asked each
@@ -1025,6 +1039,38 @@ mod tests {
             }
             let huge = DenseStack::param_count(&schema, arch, &hyper, 1 << 40, 1 << 40);
             assert_eq!(huge, None, "{arch:?}");
+        }
+    }
+
+    /// Decoding into a buffer left over from a different batch (more
+    /// features, more samples, stale bags) gives exactly the fresh decode.
+    #[test]
+    fn decode_into_reused_bags_matches_a_fresh_decode() {
+        let table: Vec<Vec<Vec<usize>>> = (0..3)
+            .map(|f| {
+                (0..5)
+                    .map(|s| (0..(f + s) % 3).map(|j| f * 100 + s * 10 + j).collect())
+                    .collect()
+            })
+            .collect();
+        let stream = |group: &[usize], samples: usize| {
+            let groups = [group.to_vec()];
+            encode_tower_streams(&groups, samples, |f, s| &table[f][s]).remove(0)
+        };
+        let mut reused = decode_tower_streams(&[stream(&[0, 1, 2], 5)], 3, &[5]);
+        for samples in [3, 5] {
+            let incoming = [stream(&[0, 2], samples), stream(&[0, 2], samples)];
+            decode_tower_streams_into(&incoming, 2, &[samples, samples], &mut reused);
+            assert_eq!(
+                reused,
+                decode_tower_streams(&incoming, 2, &[samples, samples])
+            );
+            for (pos, &f) in [0, 2].iter().enumerate() {
+                for (i, bag) in reused[pos].iter().enumerate() {
+                    assert_eq!(bag, &table[f][i % samples], "feature {f} sample {i}");
+                }
+                assert_eq!(reused[pos].len(), 2 * samples);
+            }
         }
     }
 
