@@ -236,8 +236,9 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, r: usize, n: usi
 /// tree (see [`crate::simd`]), so SIMD, scalar and parallel results are identical.
 /// For `k < 32` the vector tiers transpose that layout across output columns (the
 /// small-k kernels), the same operations per element, after packing `Bᵀ` into a
-/// thread-local panel whose capacity is reused, so steady-state calls allocate
-/// nothing.
+/// thread-local panel whose capacity is reused, so steady-state calls below the
+/// thread-split cutoff allocate nothing. A call split across threads packs one
+/// panel per row band, on the stand-in's fresh threads.
 ///
 /// # Panics
 ///
@@ -445,22 +446,36 @@ mod tests {
         });
     }
 
-    /// Every reduction length on both sides of the small-k switch
-    /// (`simd::SMALL_K`) and of the 16-lane canonical layout, against column
-    /// counts on both sides of every register width. Row 1 of `A` is all
+    /// Ragged shapes around the register tiles, then every reduction length
+    /// on both sides of the small-k switch (`simd::SMALL_K`) and of the
+    /// 16-lane canonical layout, against column counts on both sides of every
+    /// register width, at 3 and 6 rows (the latter fills the dot kernel's
+    /// 4-row tile and leaves a tail). Row 1 of `A` is all
     /// `-0.0` over a positive first row of `B` and a `-0.0` output, so its
     /// first dot is a sum of `-0` products that must come out `+0` (a kernel
     /// multiplying instead of `fma(·, ·, +0)` keeps `-0`); row 2 times the
     /// scaled second row of `B` makes subnormal products.
     #[test]
     fn a_bt_matches_explicit_transpose() {
-        let m = 3;
         on_every_tier(Family::F32, |tier| {
-            for k in (0..=40).chain([48, 64, 128]) {
+            for &(m, k, n) in &[(1, 1, 1), (6, 5, 4), (64, 65, 63), (33, 128, 130)] {
+                let a = fill(m * k, 7);
+                let b = fill(n * k, 8);
+                let expected = naive(&a, &transpose(&b, n, k), m, k, n);
+                let mut c = vec![0.0; m * n];
+                gemm_a_bt(&a, &b, &mut c, m, k, n);
+                assert_close(&c, &expected);
+                let mut c_scalar = vec![0.0; m * n];
+                with_tier(Tier::Scalar, || gemm_a_bt(&a, &b, &mut c_scalar, m, k, n));
+                assert_eq!(bits(&c), bits(&c_scalar), "{tier:?} ({m},{k},{n})");
+            }
+            // m = 6 also runs the dot kernel's 4-row tile at every k.
+            let sweep = (0..=40).chain([48, 64, 128]);
+            for (m, k) in sweep.flat_map(|k| [(3, k), (6, k)]) {
                 for n in [1, 13, 15, 16, 17, 19, 33, 48, 416] {
                     let mut a = fill(m * k, 7);
                     a[k..2 * k].fill(-0.0);
-                    a[2 * k..].iter_mut().for_each(|v| *v *= 1e-20);
+                    a[2 * k..3 * k].iter_mut().for_each(|v| *v *= 1e-20);
                     let mut b = fill(n * k, 8);
                     b[..k].iter_mut().for_each(|v| *v = v.abs());
                     if n > 1 {

@@ -25,8 +25,9 @@
 //!   identical in all three.
 //! * **Small-k dot kernels** (`A·Bᵀ` with `k < 32`, the vector tiers
 //!   only): below 32 every canonical lane holds at most one product, so the
-//!   layout can be transposed. `Bᵀ` is packed once per call into a
-//!   thread-local panel; a register then holds 16 (AVX-512) or 8 (AVX2)
+//!   layout can be transposed. `Bᵀ` is packed into a thread-local panel
+//!   (once per call, or once per row band when the call splits across
+//!   threads); a register then holds 16 (AVX-512) or 8 (AVX2)
 //!   output *columns*, lane `l` of the canonical accumulator becomes the
 //!   vector `fma(a[i,l], Bᵀ[l, j..], +0)` (an fma with `+0`, not a multiply:
 //!   the two differ on a `-0` product), the fold tree runs element-wise
@@ -671,7 +672,9 @@ fn packed_stride(n: usize) -> usize {
 #[cfg(target_arch = "x86_64")]
 thread_local! {
     /// The small-k kernels' packed `Bᵀ` panel, `[k, packed_stride(n)]`.
-    /// Capacity is kept across calls, so the steady state allocates nothing.
+    /// Capacity is kept across calls on one thread, so serial steady-state
+    /// calls allocate nothing (the rayon stand-in's split runs each band on a
+    /// fresh thread, which allocates its own panel).
     static PACKED_BT: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 

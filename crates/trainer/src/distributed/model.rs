@@ -198,22 +198,28 @@ pub struct LookupRouting {
 /// `visit(pos, sample, owner, slot)` with the entry's slot in its owner's
 /// request keys, read from `routing`, which [`ShardedLookup::route`] built
 /// from these `bags`.
+///
+/// # Panics
+///
+/// Panics if `routing` holds more or fewer entries than `bags`, i.e. it was
+/// routed from other bags.
 fn for_each_requested(
     bags: &[&[Vec<usize>]],
     routing: &LookupRouting,
     mut visit: impl FnMut(usize, usize, usize, usize),
 ) {
+    const MISMATCH: &str = "routing was built from other bags (entry count differs)";
     let mut slots = routing.entry_slots.as_slice();
     for (pos, per_sample) in bags.iter().enumerate() {
         for (sample, bag) in per_sample.iter().enumerate() {
-            let (entries, rest) = slots.split_at(bag.len());
+            let (entries, rest) = slots.split_at_checked(bag.len()).expect(MISMATCH);
             slots = rest;
             for &(owner, slot) in entries {
                 visit(pos, sample, owner as usize, slot as usize);
             }
         }
     }
-    debug_assert!(slots.is_empty(), "routing was built from other bags");
+    assert!(slots.is_empty(), "{MISMATCH}");
 }
 
 /// One rank's sharded view of a set of embedding tables.
@@ -1130,6 +1136,40 @@ mod tests {
         }
         assert_eq!(routing.request_keys, want_keys);
         assert_eq!(routing.entry_slots, want);
+    }
+
+    /// A routing pooled against bags with one entry more or one fewer than
+    /// those it was routed from is refused by name, in any build profile.
+    #[test]
+    fn pooling_refuses_a_routing_of_other_bags() {
+        let schema = tiny_schema();
+        let features: Vec<usize> = (0..schema.num_sparse()).collect();
+        let dim = 4;
+        let lookup = ShardedLookup::new(3, &schema, features.clone(), dim, 1, 0);
+        let bags: Vec<Vec<Vec<usize>>> = features.iter().map(|&f| vec![vec![f, 1]]).collect();
+        let bag_slices: Vec<&[Vec<usize>]> = bags.iter().map(Vec::as_slice).collect();
+        let routing = lookup.route(1, &bag_slices);
+        let fetched = vec![vec![0.0; routing.request_keys[0].len() * dim]];
+        for extra in [true, false] {
+            let mut other = bags.clone();
+            if extra {
+                other[0][0].push(0);
+            } else {
+                other[0][0].pop();
+            }
+            let other_slices: Vec<&[Vec<usize>]> = other.iter().map(Vec::as_slice).collect();
+            let err = std::panic::catch_unwind(|| {
+                let mut out = Tensor::zeros(&[1, features.len() * dim]);
+                lookup.pool_into(&other_slices, &routing, &fetched, &mut out)
+            })
+            .expect_err("a mismatched routing must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("routing was built from other bags"), "{msg}");
+        }
     }
 
     #[test]
