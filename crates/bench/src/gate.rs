@@ -2,8 +2,8 @@
 //! baseline and fail on throughput regressions.
 //!
 //! Both files are JSON arrays of objects carrying at least `op` (string), `shape`
-//! (string) and `ns_per_iter` (number) — the schema `bench_kernels` and
-//! `bench_distributed` emit. Entries are matched on `(op, shape)`; an entry whose
+//! (string) and `ns_per_iter` (number) — the schema `bench_kernels`,
+//! `bench_slo` and `bench_quant` emit. Entries are matched on `(op, shape)`; an entry whose
 //! fresh throughput (`1 / ns_per_iter`) falls below `1 - max_regression` of the
 //! baseline's is a regression. Ops present only on one side are reported but do not
 //! fail the gate (benchmarks legitimately gain and drop configurations — e.g. the
@@ -81,9 +81,9 @@ impl GateReport {
 
 /// Parses a benchmark results file into gate entries.
 ///
-/// Rows without an `ns_per_iter` field are *summary rows* (several trackers
-/// append a run-level summary object after their gated entries — see
-/// `bench_availability` / `bench_slo`) and are skipped, not errors.
+/// Rows without an `ns_per_iter` field are *summary rows* (a tracker may
+/// append a run-level summary object after its gated entries — see
+/// `bench_slo`) and are skipped, not errors.
 ///
 /// # Errors
 ///

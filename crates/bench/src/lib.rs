@@ -1,10 +1,12 @@
-//! Shared helpers for the DMT experiment binaries and benches.
+//! Shared helpers for the DMT experiment binaries and bench trackers.
 //!
-//! Every binary in this crate regenerates one table or figure of the paper (see
-//! `DESIGN.md` for the full index). They share a tiny CLI convention:
+//! Every `fig*` / `table*` binary in this crate regenerates one figure or table
+//! of the paper (README, "Figure / table reproduction binaries"); the `bench_*`
+//! trackers write the committed `BENCH_*.json` baselines that `bench_gate`
+//! compares (see [`gate`]). They share a tiny CLI convention:
 //!
 //! * `--quick` — run a reduced configuration (fewer seeds / steps / scales) suitable
-//!   for CI; the default is the full configuration described in `EXPERIMENTS.md`.
+//!   for CI; the default is the full configuration.
 //! * results are printed as human-readable tables **and** written as JSON to
 //!   `target/experiments/<name>.json` for later comparison.
 

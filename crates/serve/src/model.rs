@@ -721,23 +721,24 @@ mod tests {
 
     /// A snapshot whose geometry disagrees with the weights it carries is
     /// refused before anything is built for it: each width forged to 2⁴⁰
-    /// returns `Err` from the rank loader instead of sizing an allocation —
-    /// with the dense stack inline, and for the DMT tower widths also on a
-    /// lookup-only rank, where the tower's own check must catch them.
+    /// returns `Err` from the rank loader instead of sizing an allocation, and
+    /// one forged to `usize::MAX` returns `Err` instead of overflowing the
+    /// geometry arithmetic — with the dense stack inline, and for the DMT
+    /// tower widths also on a lookup-only rank, where the tower's own check
+    /// must catch them.
     #[test]
     fn forged_snapshot_geometry_is_refused_before_building() {
-        const HUGE: usize = 1 << 40;
-        type Forgery = fn(&mut ModelSnapshot);
+        type Forgery = fn(&mut ModelSnapshot, usize);
         let baseline: &[(&str, Forgery)] = &[
-            ("embedding_dim", |s| s.hyper.embedding_dim = HUGE),
-            ("bottom hidden", |s| s.hyper.bottom_mlp_hidden[0] = HUGE),
-            ("over hidden", |s| s.hyper.over_mlp_hidden[0] = HUGE),
-            ("num_dense", |s| s.schema.num_dense = HUGE),
+            ("embedding_dim", |s, v| s.hyper.embedding_dim = v),
+            ("bottom hidden", |s, v| s.hyper.bottom_mlp_hidden[0] = v),
+            ("over hidden", |s, v| s.hyper.over_mlp_hidden[0] = v),
+            ("num_dense", |s, v| s.schema.num_dense = v),
         ];
         let dmt: &[(&str, Forgery)] = &[
-            ("tower_output_dim", |s| s.tower_output_dim = HUGE),
-            ("tower_ensemble_p", |s| s.tower_ensemble_p = HUGE),
-            ("tower_ensemble_c", |s| s.tower_ensemble_c = HUGE),
+            ("tower_output_dim", |s, v| s.tower_output_dim = v),
+            ("tower_ensemble_p", |s, v| s.tower_ensemble_p = v),
+            ("tower_ensemble_c", |s, v| s.tower_ensemble_c = v),
         ];
         for (mode, hosts, forgeries, placements) in [
             (ExecutionMode::Baseline, 1, baseline, &[true][..]),
@@ -749,14 +750,16 @@ mod tests {
             let config = ServeConfig::new(cluster.clone());
             assert!(load_rank(&snapshot, &cluster, 0, &config, true).is_ok());
             for (field, forge) in forgeries {
-                let mut forged = snapshot.clone();
-                forge(&mut forged);
-                for &inline_dense in placements {
-                    let loaded = load_rank(&forged, &cluster, 0, &config, inline_dense);
-                    assert!(
-                        matches!(loaded, Err(ServeError::Config { .. })),
-                        "{mode:?}: forged {field} is refused (inline dense: {inline_dense})"
-                    );
+                for value in [1 << 40, usize::MAX] {
+                    let mut forged = snapshot.clone();
+                    forge(&mut forged, value);
+                    for &inline_dense in placements {
+                        let loaded = load_rank(&forged, &cluster, 0, &config, inline_dense);
+                        assert!(
+                            matches!(loaded, Err(ServeError::Config { .. })),
+                            "{mode:?}: forged {field} = {value} is refused (inline dense: {inline_dense})"
+                        );
+                    }
                 }
             }
         }

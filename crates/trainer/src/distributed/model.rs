@@ -91,17 +91,30 @@ pub fn tower_groups(num_sparse: usize, towers: usize) -> Result<Vec<Vec<usize>>,
     Ok(groups)
 }
 
-/// Compressed output width of each tower: `D · (c · F_t + p)` per group.
+/// Ensemble projections of one tower over `features` features: `c · F_t + p`,
+/// saturating at `usize::MAX` (a snapshot's `c`/`p` are untrusted).
+fn tower_units(features: usize, c: usize, p: usize) -> usize {
+    c.saturating_mul(features).saturating_add(p)
+}
+
+/// Compressed output width of each tower: `D · (c · F_t + p)` per group,
+/// saturating at `usize::MAX`, so a forged geometry fails the loaders'
+/// parameter-count check instead of overflowing.
 #[must_use]
 pub fn tower_widths(groups: &[Vec<usize>], c: usize, p: usize, d: usize) -> Vec<usize> {
-    groups.iter().map(|g| d * (c * g.len() + p)).collect()
+    groups
+        .iter()
+        .map(|g| d.saturating_mul(tower_units(g.len(), c, p)))
+        .collect()
 }
 
 /// Interaction units of the DMT dense stack: every tower's ensemble projections
-/// plus the dense unit.
+/// plus the dense unit, saturating at `usize::MAX` like [`tower_widths`].
 #[must_use]
 pub fn tower_num_units(groups: &[Vec<usize>], c: usize, p: usize) -> usize {
-    groups.iter().map(|g| c * g.len() + p).sum::<usize>() + 1
+    groups.iter().fold(1, |units, g| {
+        units.saturating_add(tower_units(g.len(), c, p))
+    })
 }
 
 /// Encodes `samples` local samples as per-tower peer index streams — the SPTT

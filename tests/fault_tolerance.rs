@@ -80,41 +80,93 @@ fn assert_bit_identical(served: &[f32], reference: &[f32], what: &str) {
 
 /// The headline guarantee: kill one rank of a replicated 2×4 cluster and the
 /// surviving ranks keep answering, bit-identical to the training-side model,
-/// with the dead rank's shard served from its replica.
+/// with the dead rank's shard served from its replica — whether the rank dies
+/// in the first batch or mid-stream behind a warm hot-row cache.
 #[test]
 fn killed_rank_fails_over_bit_identically() {
     let snapshot = baseline_snapshot();
-    // Rank 3 dies before its first collective.
-    let config = ServeConfig::new(cluster_2x4()).with_resilience(ResilienceConfig {
-        replicas: 1,
-        faults: FaultProfile::new(11).with_event(3, 0, FaultKind::Down),
-        op_timeout: Some(Duration::from_millis(250)),
-        down_after: 1,
-        ..ResilienceConfig::default()
-    });
-    let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
+    // (healthy 32-query batches served before the kill, per-rank cache rows).
+    // A replicated baseline batch issues 4 collectives per rank (index and row
+    // exchange, twice) and a healthy stream retries none, so rank 3 dies at
+    // the first collective of the batch after the healthy ones.
+    for (healthy, cache_rows) in [(0, BatchConfig::default().cache_rows), (4, 4096)] {
+        let config = ServeConfig::new(cluster_2x4())
+            .with_batch(BatchConfig {
+                cache_rows,
+                ..BatchConfig::default()
+            })
+            .with_resilience(ResilienceConfig {
+                replicas: 1,
+                faults: FaultProfile::new(11).with_event(3, 4 * healthy, FaultKind::Down),
+                op_timeout: Some(Duration::from_millis(250)),
+                down_after: 1,
+                ..ResilienceConfig::default()
+            });
+        let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
+        for seed in 0..healthy {
+            let batch = queries(&snapshot, 100 + seed, 32);
+            let reference = reference_predictions(&snapshot, &batch);
+            let served = engine.submit(batch).unwrap();
+            assert_bit_identical(&served, &reference, "healthy batch");
+        }
 
-    // The batch in flight when the rank dies fails — with a *fault* error, not
-    // a poisoned engine.
-    let err = engine.submit(queries(&snapshot, 1, 32)).unwrap_err();
-    assert!(err.is_fault(), "rank death surfaced as {err}");
-    assert_eq!(engine.dead_ranks(), vec![3]);
+        // The batch in flight when the rank dies fails — with a *fault* error,
+        // not a poisoned engine.
+        let err = engine.submit(queries(&snapshot, 1, 32)).unwrap_err();
+        assert!(err.is_fault(), "rank death surfaced as {err}");
+        assert_eq!(engine.dead_ranks(), vec![3]);
 
-    // Every later batch is answered by the 7 survivors: 28 queries = 4 per
-    // rank, the quad-aligned sub-batch size bit-identity requires.
-    for seed in 2..6 {
-        let batch = queries(&snapshot, seed, 28);
-        let reference = reference_predictions(&snapshot, &batch);
-        let served = engine.submit(batch).unwrap();
-        assert_bit_identical(&served, &reference, "post-failover batch");
+        // Every later batch is answered by the 7 survivors: 28 queries = 4 per
+        // rank, the quad-aligned sub-batch size bit-identity requires.
+        for seed in 2..6 {
+            let batch = queries(&snapshot, seed, 28);
+            let reference = reference_predictions(&snapshot, &batch);
+            let served = engine.submit(batch).unwrap();
+            assert_bit_identical(&served, &reference, "post-failover batch");
+        }
+        let stats = engine.shutdown();
+        assert!(
+            stats.failovers > 0,
+            "rank 3's shard must have been served by its replica (healthy batches: {healthy})"
+        );
+        assert!(stats.replica_bytes > 0, "replication capacity is accounted");
+        assert_eq!(stats.degraded_answers, 0, "nothing was zero-filled");
     }
-    let stats = engine.shutdown();
-    assert!(
-        stats.failovers > 0,
-        "rank 3's shard must have been served by its replica"
+}
+
+/// Replication adds storage, not traffic: with every rank healthy, the same
+/// stream served with one replica per shard and with none gives bit-identical
+/// predictions over identical wire bytes; only the replica copies differ.
+#[test]
+fn replication_adds_storage_not_traffic() {
+    let snapshot = baseline_snapshot();
+    let serve = |replicas: usize| {
+        let config = ServeConfig::new(cluster_2x4())
+            .with_batch(BatchConfig {
+                cache_rows: 4096,
+                ..BatchConfig::default()
+            })
+            .with_resilience(ResilienceConfig {
+                replicas,
+                ..ResilienceConfig::default()
+            });
+        let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
+        let mut stream = ZipfRequestStream::new(snapshot.schema.clone(), 1234, 1.1);
+        let preds: Vec<f32> = (0..6)
+            .flat_map(|_| engine.submit(stream.next_queries(32)).unwrap())
+            .collect();
+        (preds, engine.shutdown())
+    };
+    let (preds_r1, r1) = serve(1);
+    let (preds_r0, r0) = serve(0);
+    assert_bit_identical(&preds_r1, &preds_r0, "r = 1 against r = 0");
+    assert_eq!(
+        (r1.payload_bytes, r1.cross_host_bytes, r1.intra_host_bytes),
+        (r0.payload_bytes, r0.cross_host_bytes, r0.intra_host_bytes),
+        "payload, cross-host and intra-host bytes"
     );
-    assert!(stats.replica_bytes > 0, "replication capacity is accounted");
-    assert_eq!(stats.degraded_answers, 0, "nothing was zero-filled");
+    assert!(r1.replica_bytes > 0, "r = 1 holds replica copies");
+    assert_eq!(r0.replica_bytes, 0, "r = 0 holds none");
 }
 
 /// Failover composes with a pooled dense stage and the asynchronous front:
