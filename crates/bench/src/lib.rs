@@ -1,9 +1,9 @@
-//! Shared helpers for the DMT experiment binaries and bench trackers.
+//! Shared helpers for the DMT experiment binaries.
 //!
 //! Every `fig*` / `table*` binary in this crate regenerates one figure or table
-//! of the paper (README, "Figure / table reproduction binaries"); the `bench_*`
-//! trackers write the committed `BENCH_*.json` baselines that `bench_gate`
-//! compares (see [`gate`]). They share a tiny CLI convention:
+//! of the paper (README, "Figure / table reproduction binaries"). Performance
+//! is measured by the repo benchmark under `benchmark/`, not here. The binaries
+//! share a tiny CLI convention:
 //!
 //! * `--quick` — run a reduced configuration (fewer seeds / steps / scales) suitable
 //!   for CI; the default is the full configuration.
@@ -11,8 +11,6 @@
 //!   `target/experiments/<name>.json` for later comparison.
 
 #![deny(missing_docs)]
-
-pub mod gate;
 
 use serde::Serialize;
 use std::path::PathBuf;

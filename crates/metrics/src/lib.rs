@@ -10,8 +10,8 @@
 //! * [`stats`] — mean, standard deviation, median and empirical CDFs.
 //! * [`fn@percentile`] — nearest-rank latency percentiles (p50/p95/p99), shared by the
 //!   `dmt-serve` request path and the trainer's wall-time reporting.
-//! * [`rate::ThroughputWindow`] — counted-work-over-wall-time accounting, shared by the
-//!   serving load harness and the trainer's iteration-rate reporting.
+//! * [`rate::ThroughputWindow`] — counted-work-over-wall-time accounting for the
+//!   serving load harness.
 //! * [`mann_whitney::mann_whitney_u`] — two-sided Mann–Whitney U test with the normal
 //!   approximation and tie correction.
 //!

@@ -1,12 +1,10 @@
-//! A counted window of work against wall time — the accounting vocabulary
-//! shared by the serving harness (`dmt-serve` request throughput) and the
-//! trainer's `MeasuredRun` iteration-rate reporting.
+//! A counted window of work against wall time — the accounting vocabulary of
+//! the serving harness (`dmt-serve` request throughput).
 //!
-//! Both sides of the system quote throughput the same way: `count` completed
-//! units over `wall_s` seconds, with the derived per-second rate and
-//! nanoseconds-per-unit forms the bench gate consumes. Keeping the conversion
-//! in one place means a serving QPS figure and a training iterations/s figure
-//! can never disagree about rounding or zero-window handling.
+//! Throughput is quoted one way: `count` completed units over `wall_s`
+//! seconds, with the derived per-second rate and nanoseconds-per-unit forms.
+//! Keeping the conversion in one place means two throughput figures can never
+//! disagree about rounding or zero-window handling.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +33,7 @@ impl ThroughputWindow {
         self.count as f64 / self.wall_s
     }
 
-    /// Nanoseconds per work unit (the bench gate's `ns_per_iter` form); 0 for
-    /// an empty window.
+    /// Nanoseconds per work unit; 0 for an empty window.
     #[must_use]
     pub fn ns_per_item(&self) -> f64 {
         if self.count == 0 {

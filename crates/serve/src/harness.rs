@@ -1,5 +1,5 @@
-//! The open-loop load harness: controlled arrival processes, sojourn-time
-//! latency, and rate sweeps for capacity-under-SLO measurement.
+//! The open-loop load harness: controlled arrival processes and sojourn-time
+//! latency.
 //!
 //! A load generator's arrival discipline decides what its latency numbers
 //! mean. A **closed-loop** driver only offers the next request after an
@@ -18,12 +18,7 @@
 //!   anchored to *scheduled* arrivals, so a driver that falls behind cannot
 //!   silently relax the measurement.
 //! * [`ArrivalProcess::Closed`] — a fixed number of always-busy clients; the
-//!   saturation-throughput probe that anchors a sweep's rate grid.
-//!
-//! [`sweep_rates`] runs one fresh engine per offered rate and
-//! [`max_qps_under_slo`] reads the capacity off the sweep: the highest offered
-//! rate whose admitted-traffic p99 sojourn still meets the SLO — the serving
-//! capacity number `bench_slo` reports and CI gates.
+//!   saturation-throughput probe that anchors an offered rate.
 
 use crate::pipeline::Pipeline;
 use crate::request::{Priority, Request, NO_DEADLINE};
@@ -67,7 +62,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The same discipline re-rated to `qps` (closed loops are rate-free and
-    /// pass through unchanged) — how a sweep walks one process over its grid.
+    /// pass through unchanged).
     #[must_use]
     pub fn at_qps(self, qps: f64) -> Self {
         match self {
@@ -344,50 +339,6 @@ fn stalled(admitted: usize, completed: usize) -> ServeError {
     }
 }
 
-/// Runs one fresh engine per offered rate (`template.arrivals` re-rated via
-/// [`ArrivalProcess::at_qps`]) — the latency-vs-throughput sweep. Engines are
-/// rebuilt per point so no queue state or accounting leaks across rates.
-///
-/// # Errors
-///
-/// Surfaces the first engine-construction or pipeline failure.
-pub fn sweep_rates<E, S, Q>(
-    rates_qps: &[f64],
-    template: &LoadConfig,
-    mut engine_for: E,
-    mut stream_for: S,
-) -> Result<Vec<LoadReport>, ServeError>
-where
-    E: FnMut() -> Result<Pipeline, ServeError>,
-    S: FnMut() -> Q,
-    Q: FnMut() -> Vec<Query>,
-{
-    rates_qps
-        .iter()
-        .map(|&qps| {
-            let mut engine = engine_for()?;
-            let config = LoadConfig {
-                arrivals: template.arrivals.at_qps(qps),
-                ..template.clone()
-            };
-            run_load(&mut engine, &config, stream_for())
-        })
-        .collect()
-}
-
-/// Reads the serving capacity off a sweep: the highest *offered* rate whose
-/// admitted-traffic p99 sojourn meets `p99_slo_s`. `None` if no point does.
-#[must_use]
-pub fn max_qps_under_slo(reports: &[LoadReport], p99_slo_s: f64) -> Option<f64> {
-    reports
-        .iter()
-        .filter(|r| r.completed > 0 && r.sojourn.p99 <= p99_slo_s)
-        .map(|r| r.offered_qps)
-        .fold(None, |best, qps| {
-            Some(best.map_or(qps, |b: f64| b.max(qps)))
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,31 +403,5 @@ mod tests {
         // Interleaved: the first 20 requests already carry more than one class.
         let head: std::collections::HashSet<_> = (0..20).map(|i| config.priority_of(i)).collect();
         assert!(head.len() > 1);
-    }
-
-    #[test]
-    fn capacity_reads_the_highest_compliant_rate() {
-        let mk = |qps: f64, p99: f64| LoadReport {
-            offered: 100,
-            admitted: 100,
-            completed: 100,
-            shed_by_class: [0; 3],
-            offered_qps: qps,
-            rate: ThroughputWindow::new(100, 1.0),
-            sojourn: LatencyPercentiles {
-                count: 100,
-                p50: p99 / 2.0,
-                p95: p99,
-                p99,
-                mean: p99 / 2.0,
-                min: 0.0,
-                max: p99,
-            },
-            deadline_misses: 0,
-            stats: StageStats::default(),
-        };
-        let reports = vec![mk(100.0, 0.01), mk(200.0, 0.02), mk(400.0, 0.09)];
-        assert_eq!(max_qps_under_slo(&reports, 0.025), Some(200.0));
-        assert_eq!(max_qps_under_slo(&reports, 0.001), None);
     }
 }

@@ -58,8 +58,8 @@
 //!   [`dmt_comm::FaultProfile`] injection.
 //! * [`harness`] drives any placement open- or closed-loop ([`run_load`]):
 //!   Poisson or periodic arrivals at controlled rates, **sojourn-time**
-//!   latency (queueing included), and rate sweeps for max-QPS-under-SLO
-//!   capacity measurement; [`serve_stream`] is the same harness over a
+//!   latency (queueing included) and per-class shedding counts;
+//!   [`serve_stream`] is the same harness over a
 //!   [`ServingEngine`] with per-stream batching.
 //!
 //! Accounting is kept once ([`stats`]): bytes are what the comm backends'
@@ -111,9 +111,7 @@ pub use batcher::{BatcherConfig, MicroBatcher};
 pub use cache::{CacheStats, HotRowCache};
 pub use engine::ServingEngine;
 pub use frontend::{serve_stream, ServeReport, StreamConfig};
-pub use harness::{
-    max_qps_under_slo, run_load, sweep_rates, ArrivalProcess, LoadConfig, LoadReport,
-};
+pub use harness::{run_load, ArrivalProcess, LoadConfig, LoadReport};
 pub use health::HealthView;
 pub use pipeline::{CompletedRequest, Pipeline, StagePools, StagedEngine};
 pub use replica::ReplicatedAnswerer;

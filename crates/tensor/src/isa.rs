@@ -1,6 +1,6 @@
 //! The one SIMD dispatch layer of this crate: one instruction-set probe, one
 //! tier type, one table of what each kernel family needs per tier, and one
-//! scoped override for tests and benches.
+//! scoped override for tests.
 //!
 //! # The table
 //!
@@ -22,7 +22,7 @@
 //! supports for the family, or the tier forced by an enclosing [`with_tier`].
 //! Every tier of every family is bit-identical to its scalar tier by
 //! construction, so forcing one changes which instructions run, never a
-//! result; it exists so tests and benches can run each tier on one host. It
+//! result; it exists so tests can run each tier on one host. It
 //! is not reachable from configuration, environment or command line.
 
 use std::cell::Cell;

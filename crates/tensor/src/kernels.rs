@@ -72,7 +72,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
 /// `C += A·B` on the dispatched microkernel, never fanning out across threads.
 ///
 /// [`gemm`] normally chooses between this and the parallel path by problem size; the
-/// explicit entry point exists so benches can compare serial against the parallel
+/// explicit entry point exists so tests can compare serial against the parallel
 /// dispatcher (results are bit-identical either way).
 ///
 /// # Panics
@@ -264,12 +264,12 @@ pub fn gemm_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     }
 }
 
-/// Reference triple-loop `C += A·B`, kept for differential tests and benches.
+/// Reference triple-loop `C += A·B`, kept for differential tests.
 ///
 /// This is the seed implementation [`crate::Tensor::matmul`] shipped with; the
-/// dispatched kernels are validated against it to `≤ 1e-4` relative error and benched
-/// against it for the naive-vs-SIMD comparison. Like every other kernel here it now
-/// accumulates into a caller-owned output instead of allocating one.
+/// dispatched kernels are validated against it to `≤ 1e-4` relative error. Like
+/// every other kernel here it now accumulates into a caller-owned output instead of
+/// allocating one.
 ///
 /// # Panics
 ///

@@ -205,10 +205,11 @@ fn quantized_serving_quality_deltas_are_bounded() {
         let stats = engine.stats();
         assert!(stats.table_resident_bytes > 0);
         if !precision.is_f32() {
-            // Quantized shards must actually be resident in reduced precision.
+            // Quantized shards must actually be resident in reduced precision:
+            // fp16 halves every row, int8 quarters it plus a per-row scale.
             assert!(
-                stats.table_resident_bytes < reference_table_bytes(&snapshot),
-                "{precision}: tables not stored quantized"
+                stats.table_resident_bytes * 2 <= reference_table_bytes(&snapshot),
+                "{precision}: tables not stored at half the f32 bytes or less"
             );
         }
         preds
