@@ -937,12 +937,6 @@ impl SharedMemoryBackend {
         self.core.floats.down_ranks()
     }
 
-    /// Link class from this rank to group member `other`.
-    #[must_use]
-    pub fn link_to(&self, other: usize) -> LinkKind {
-        self.core.links[other]
-    }
-
     /// Whether this handle has spawned its nonblocking helper thread.
     #[must_use]
     pub fn has_helper(&self) -> bool {

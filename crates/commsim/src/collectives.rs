@@ -43,12 +43,6 @@ pub struct CollectiveEstimate {
 }
 
 impl CollectiveEstimate {
-    /// Algorithm bandwidth: input bytes per rank divided by time (GB/s).
-    #[must_use]
-    pub fn alg_bandwidth_gbs(&self) -> f64 {
-        self.bytes_per_rank as f64 / self.time_s / 1e9
-    }
-
     /// Bus bandwidth in GB/s following the `nccl-tests` convention, which is what the
     /// paper's Figure 5 plots.
     ///

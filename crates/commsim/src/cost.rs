@@ -50,9 +50,6 @@ pub struct CostModel {
     /// NVLink fabric. Used by the distributed engine's calibration to mirror a
     /// slowed-down emulated fabric.
     intra_host_scale: f64,
-    /// Multiplier on the per-collective launch overhead (useful for sensitivity
-    /// studies; `1.0` by default).
-    overhead_scale: f64,
 }
 
 impl CostModel {
@@ -63,7 +60,6 @@ impl CostModel {
             cluster,
             cross_host_scale: 1.0,
             intra_host_scale: 1.0,
-            overhead_scale: 1.0,
         }
     }
 
@@ -89,18 +85,6 @@ impl CostModel {
     pub fn with_intra_host_scale(mut self, scale: f64) -> Self {
         assert!(scale > 0.0, "intra-host scale must be positive");
         self.intra_host_scale = scale;
-        self
-    }
-
-    /// Scales the per-collective launch overhead by `scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is negative.
-    #[must_use]
-    pub fn with_overhead_scale(mut self, scale: f64) -> Self {
-        assert!(scale >= 0.0, "overhead scale must be non-negative");
-        self.overhead_scale = scale;
         self
     }
 
@@ -167,7 +151,7 @@ impl CostModel {
     /// Fixed launch/software overhead per collective, in seconds.
     #[must_use]
     pub fn launch_overhead(&self) -> f64 {
-        COLLECTIVE_LAUNCH_OVERHEAD_S * self.overhead_scale
+        COLLECTIVE_LAUNCH_OVERHEAD_S
     }
 
     /// Per-message wire latency between members of `group` (the worst link class).

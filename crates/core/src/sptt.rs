@@ -179,16 +179,6 @@ impl SpttPlan {
         self.feature_to_tower[f]
     }
 
-    /// The rank hosting feature `f`'s table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[must_use]
-    pub fn rank_of_feature(&self, f: usize) -> Rank {
-        self.feature_to_rank[f]
-    }
-
     /// Features owned by tower `t`.
     #[must_use]
     pub fn features_of_tower(&self, t: TowerId) -> Vec<usize> {

@@ -2,7 +2,7 @@
 //! the serving harness (`dmt-serve` request throughput).
 //!
 //! Throughput is quoted one way: `count` completed units over `wall_s`
-//! seconds, with the derived per-second rate and nanoseconds-per-unit forms.
+//! seconds, with the derived per-second rate.
 //! Keeping the conversion in one place means two throughput figures can never
 //! disagree about rounding or zero-window handling.
 
@@ -32,15 +32,6 @@ impl ThroughputWindow {
         }
         self.count as f64 / self.wall_s
     }
-
-    /// Nanoseconds per work unit; 0 for an empty window.
-    #[must_use]
-    pub fn ns_per_item(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.wall_s * 1e9 / self.count as f64
-    }
 }
 
 #[cfg(test)]
@@ -51,14 +42,11 @@ mod tests {
     fn rate_and_ns_are_reciprocal() {
         let w = ThroughputWindow::new(500, 2.0);
         assert_eq!(w.per_second(), 250.0);
-        assert!((w.ns_per_item() - 4e6).abs() < 1e-6);
-        assert!((w.per_second() * w.ns_per_item() - 1e9).abs() < 1e-3);
     }
 
     #[test]
     fn empty_or_zero_windows_are_zero_not_nan() {
         assert_eq!(ThroughputWindow::new(0, 1.0).per_second(), 0.0);
-        assert_eq!(ThroughputWindow::new(0, 1.0).ns_per_item(), 0.0);
         assert_eq!(ThroughputWindow::new(5, 0.0).per_second(), 0.0);
     }
 }

@@ -478,22 +478,6 @@ pub fn span(cat: &'static str, name: impl FnOnce() -> String) -> Option<Span> {
     })
 }
 
-/// Opens a span on an explicit lane (for events that must land on a lane the
-/// calling thread does not own).
-#[must_use]
-pub fn span_on(track: Track, cat: &'static str, name: impl FnOnce() -> String) -> Option<Span> {
-    if !tracing_enabled() {
-        return None;
-    }
-    Some(Span {
-        name: name(),
-        cat,
-        track,
-        start_s: clock_s(),
-        args: Vec::new(),
-    })
-}
-
 /// Drains every thread's buffered events (threads keep recording into their
 /// now-empty buffers). Event order within one thread is preserved; order
 /// across threads is unspecified — consumers sort by timestamp or sequence

@@ -1,9 +1,14 @@
 //! Recommendation models (DLRM, DCN, XLRM) and their DMT variants.
 //!
-//! Two views of each model coexist, mirroring how the paper evaluates:
+//! Three pieces, mirroring how the paper evaluates:
 //!
-//! * [`RecommendationModel`] — a *trainable* CPU implementation (embedding tables,
-//!   bottom MLP, dot-product or CrossNet interaction, over-arch) used for the quality
+//! * [`DenseStack`] — the dense half every model shares: bottom MLP, dot-product or
+//!   CrossNet interaction, over-arch and BCE loss. The Tower Module (§3.2) changes
+//!   only what feeds the interaction, so the baseline and every DMT variant run this
+//!   one implementation, as do the distributed trainer's ranks and the serving
+//!   workers.
+//! * [`RecommendationModel`] — a *trainable* CPU model (embedding tables and an
+//!   optional tower stage in front of a [`DenseStack`]) used for the quality
 //!   experiments (Tables 2–6). Building it with a [`dmt_core::TowerPartition`] and a
 //!   [`dmt_core::DmtConfig`] produces the DMT variant: per-tower embeddings pass
 //!   through a tower module before the global interaction, exactly the hierarchical
@@ -38,9 +43,11 @@
 #![deny(missing_docs)]
 
 pub mod analytic;
+pub mod dense;
 pub mod hyper;
 pub mod model;
 
 pub use analytic::PaperScaleSpec;
+pub use dense::{DenseScratch, DenseStack};
 pub use hyper::{ModelArch, ModelHyperparams};
 pub use model::{ModelError, RecommendationModel, TrainStepStats};

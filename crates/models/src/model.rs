@@ -1,16 +1,13 @@
 //! Trainable recommendation models (baseline and DMT variants).
 
+use crate::dense::{DenseScratch, DenseStack};
 use crate::hyper::{ModelArch, ModelHyperparams};
 use dmt_core::tower::{DcnTowerModule, DlrmTowerModule, TowerModule};
 use dmt_core::{DmtConfig, DmtError, TowerModuleKind, TowerPartition};
 use dmt_data::{Batch, DatasetSchema};
-use dmt_nn::activation::scalar_sigmoid;
 use dmt_nn::param::HasParameters;
-use dmt_nn::{
-    AdamOptimizer, BceWithLogitsLoss, CrossNet, CrossNetScratch, DotInteraction, EmbeddingTable,
-    Mlp, MlpScratch, Optimizer, Parameter,
-};
-use dmt_tensor::{PairwiseScratch, Tensor, TensorError};
+use dmt_nn::{AdamOptimizer, EmbeddingTable, Optimizer, Parameter};
+use dmt_tensor::{Tensor, TensorError};
 use rand::Rng;
 use std::fmt;
 
@@ -144,33 +141,18 @@ struct TowerStage {
     outputs: Vec<Tensor>,
 }
 
-/// The feature interaction between the bottom MLP and the over-arch.
-enum Interaction {
-    /// DLRM: pairwise dots of the units, concatenated after the dense unit.
-    Dot(DotInteraction),
-    /// DCN: a CrossNet over the concatenated units.
-    Cross(CrossNet),
-}
-
-/// What the last forward left for the backward pass.
+/// The dense stack's inputs from the last feature build, which the backward
+/// pass reads back.
 #[derive(Default)]
-struct Activations {
+struct Features {
     dense_input: Tensor,
-    dense_repr: Tensor,
-    bottom: MlpScratch,
     embs: Vec<Tensor>,
-    feature_block: Tensor,
-    units: Tensor,
-    interaction: Tensor,
-    panel: PairwiseScratch,
-    over_input: Tensor,
-    logits: Tensor,
-    over: MlpScratch,
-    cross: CrossNetScratch,
+    block: Tensor,
 }
 
-/// A trainable recommendation model: embedding tables, bottom MLP, (optional) tower
-/// stage, feature interaction, over-arch and BCE loss.
+/// A trainable recommendation model: embedding tables and an (optional) tower
+/// stage feeding the shared [`DenseStack`] (bottom MLP, feature interaction,
+/// over-arch and BCE loss).
 ///
 /// Construct with [`RecommendationModel::baseline`] for the single-tower baseline or
 /// [`RecommendationModel::dmt`] for a Disaggregated Multi-Tower variant.
@@ -178,14 +160,11 @@ pub struct RecommendationModel {
     hyper: ModelHyperparams,
     schema: DatasetSchema,
     tables: Vec<EmbeddingTable>,
-    bottom_mlp: Mlp,
     towers: Option<TowerStage>,
-    interaction: Interaction,
-    over_mlp: Mlp,
+    dense: DenseStack,
+    scratch: DenseScratch,
     adam: AdamOptimizer,
-    /// Interaction unit width (N for baselines, D for tower-module models).
-    unit_width: usize,
-    acts: Activations,
+    features: Features,
 }
 
 impl RecommendationModel {
@@ -293,52 +272,18 @@ impl RecommendationModel {
                 t.modules.iter().map(|m| m.output_dim() / unit_width).sum()
             });
         let num_units = feature_units + 1; // +1 for the dense representation.
-
-        // Bottom MLP: dense features -> unit width.
-        let mut bottom_sizes = vec![schema.num_dense];
-        bottom_sizes.extend(&hyper.bottom_mlp_hidden);
-        bottom_sizes.push(unit_width);
-        let bottom_mlp = Mlp::new(rng, &bottom_sizes);
-
-        // Interaction + over-arch input width.
-        let (interaction, over_input) = match arch {
-            ModelArch::Dlrm => {
-                let dot = DotInteraction::new(num_units, unit_width);
-                let over_input = unit_width + dot.output_dim();
-                (Interaction::Dot(dot), over_input)
-            }
-            ModelArch::Dcn => {
-                let width = unit_width * num_units;
-                let cross = CrossNet::new(rng, width, hyper.cross_layers.max(1));
-                (Interaction::Cross(cross), width)
-            }
-        };
-        let mut over_sizes = vec![over_input];
-        over_sizes.extend(&hyper.over_mlp_hidden);
-        over_sizes.push(1);
-        let over_mlp = Mlp::new(rng, &over_sizes);
+        let dense = DenseStack::from_rng(rng, schema, arch, hyper, unit_width, num_units);
 
         Ok(Self {
             hyper: hyper.clone(),
             schema: schema.clone(),
             tables,
-            bottom_mlp,
             towers,
-            interaction,
-            over_mlp,
+            dense,
+            scratch: DenseScratch::default(),
             adam: AdamOptimizer::new(1e-3),
-            unit_width,
-            acts: Activations::default(),
+            features: Features::default(),
         })
-    }
-
-    /// The model's interaction architecture.
-    #[must_use]
-    pub fn arch(&self) -> ModelArch {
-        match self.interaction {
-            Interaction::Dot(_) => ModelArch::Dlrm,
-            Interaction::Cross(_) => ModelArch::Dcn,
-        }
     }
 
     /// Whether this is a DMT (multi-tower) variant.
@@ -380,24 +325,13 @@ impl RecommendationModel {
             .towers
             .as_ref()
             .map_or(0, |t| t.modules.iter().map(|m| m.flops_per_sample()).sum());
-        let interaction = match &self.interaction {
-            Interaction::Dot(dot) => dot.flops_per_sample(),
-            Interaction::Cross(cross) => cross.flops_per_sample(),
-        };
-        self.bottom_mlp.flops_per_sample()
-            + lookup
-            + towers
-            + interaction
-            + self.over_mlp.flops_per_sample()
+        lookup + towers + self.dense.flops_per_sample()
     }
 
-    /// Runs the forward pass and returns the logits tensor (shape `[batch, 1]`).
-    /// Its activations stay in the model for the backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the batch does not match the schema.
-    pub fn forward(&mut self, batch: &Batch) -> Result<Tensor, ModelError> {
+    /// Builds the dense stack's inputs for `batch`: the dense-feature matrix
+    /// and the feature block (pooled embeddings, through the tower stage for
+    /// DMT). Every record the backward pass needs stays in the model.
+    fn build_features(&mut self, batch: &Batch) -> Result<(), ModelError> {
         if batch.sparse.len() != self.schema.num_sparse() {
             return Err(ModelError::SchemaMismatch {
                 reason: format!(
@@ -407,11 +341,9 @@ impl RecommendationModel {
                 ),
             });
         }
-        let a = &mut self.acts;
+        let a = &mut self.features;
         let dense_shape = vec![batch.len(), self.schema.num_dense];
         a.dense_input = Tensor::from_vec(dense_shape, batch.dense_flat())?;
-        self.bottom_mlp
-            .forward_into(&a.dense_input, &mut a.dense_repr, &mut a.bottom)?;
 
         // Embedding lookups, one tensor per feature.
         a.embs.clear();
@@ -433,22 +365,8 @@ impl RecommendationModel {
             }
             None => a.embs.iter().collect(),
         };
-        Tensor::concat_cols_into(&features, &mut a.feature_block)?;
-
-        // Interaction over [dense_repr | feature_block].
-        Tensor::concat_cols_into(&[&a.dense_repr, &a.feature_block], &mut a.units)?;
-        match &self.interaction {
-            Interaction::Dot(dot) => {
-                dot.forward_into(&a.units, &mut a.interaction, &mut a.panel)?;
-                Tensor::concat_cols_into(&[&a.dense_repr, &a.interaction], &mut a.over_input)?;
-            }
-            Interaction::Cross(cross) => {
-                cross.forward_into(&a.units, &mut a.over_input, &mut a.cross)?
-            }
-        }
-        self.over_mlp
-            .forward_into(&a.over_input, &mut a.logits, &mut a.over)?;
-        Ok(a.logits.clone())
+        Tensor::concat_cols_into(&features, &mut a.block)?;
+        Ok(())
     }
 
     /// Runs forward + backward + optimizer updates for one batch and returns the loss
@@ -466,11 +384,17 @@ impl RecommendationModel {
         learning_rate: f32,
     ) -> Result<TrainStepStats, ModelError> {
         self.zero_grad();
-        let logits = self.forward(batch)?;
-        let mut grad_logits = Tensor::default();
-        let loss =
-            BceWithLogitsLoss.forward_backward_into(&logits, &batch.labels, &mut grad_logits)?;
-        self.backward(&grad_logits)?;
+        self.build_features(batch)?;
+        let (f, mut predictions) = (&self.features, Vec::new());
+        let loss = self.dense.forward_backward(
+            &f.dense_input,
+            &f.block,
+            &batch.labels,
+            1.0,
+            &mut predictions,
+            &mut self.scratch,
+        )?;
+        self.backward()?;
 
         // Dense update (Adam is `Copy`, so temporarily move it out to satisfy the
         // borrow checker).
@@ -482,7 +406,6 @@ impl RecommendationModel {
         for table in &mut self.tables {
             table.apply_rowwise_adagrad(learning_rate, 1e-8);
         }
-        let predictions = logits.data().iter().map(|&z| scalar_sigmoid(z)).collect();
         Ok(TrainStepStats { loss, predictions })
     }
 
@@ -492,8 +415,15 @@ impl RecommendationModel {
     ///
     /// Returns [`ModelError`] if the batch does not match the schema.
     pub fn predict(&mut self, batch: &Batch) -> Result<Vec<f32>, ModelError> {
-        let logits = self.forward(batch)?;
-        Ok(logits.data().iter().map(|&z| scalar_sigmoid(z)).collect())
+        self.build_features(batch)?;
+        let (f, mut predictions) = (&self.features, Vec::new());
+        self.dense.forward_infer(
+            &f.dense_input,
+            &f.block,
+            &mut predictions,
+            &mut self.scratch,
+        )?;
+        Ok(predictions)
     }
 
     /// Mean rows of each embedding table — the feature-affinity probe the Tower
@@ -510,37 +440,16 @@ impl RecommendationModel {
             .collect()
     }
 
-    /// Backward pass over the last forward's activations.
-    fn backward(&mut self, grad_logits: &Tensor) -> Result<(), ModelError> {
-        let (a, w) = (&mut self.acts, self.unit_width);
-        let (mut grad_over, mut grad_units) = (Tensor::default(), Tensor::default());
-        let (mut grad_dense, mut piece) = (Tensor::default(), Tensor::default());
-        self.over_mlp
-            .backward_into(&a.over_input, &mut a.over, grad_logits, &mut grad_over)?;
-        match &mut self.interaction {
-            Interaction::Dot(dot) => {
-                grad_over.cols_into(w, dot.output_dim(), &mut piece)?;
-                dot.backward_into(&a.units, &piece, &mut grad_units, &mut a.panel)?;
-                grad_units.cols_into(0, w, &mut grad_dense)?;
-                // The over-arch also read `dense_repr` directly.
-                grad_over.cols_into(0, w, &mut piece)?;
-                grad_dense.axpy(1.0, &piece)?;
-            }
-            Interaction::Cross(cross) => {
-                cross.backward_into(&a.units, &mut a.cross, &grad_over, &mut grad_units)?;
-                grad_units.cols_into(0, w, &mut grad_dense)?;
-            }
-        }
-        self.bottom_mlp
-            .backward_into(&a.dense_input, &mut a.bottom, &grad_dense, &mut piece)?;
-
+    /// Backward pass of the tower stage and the tables, from the feature-block
+    /// gradient the last [`DenseStack::forward_backward`] left.
+    fn backward(&mut self) -> Result<(), ModelError> {
         // Undo the tower stage (or identity) to get per-feature embedding gradients.
+        let (grad_block, mut piece) = (self.scratch.feature_grad(), Tensor::default());
         let n = self.hyper.embedding_dim;
-        let mut widths = vec![w];
         let feature_grads: Vec<Tensor> = match &mut self.towers {
             Some(stage) => {
-                widths.extend(stage.modules.iter().map(|m| m.output_dim()));
-                let tower_grads = grad_units.split_cols(&widths)?.into_iter().skip(1);
+                let widths: Vec<usize> = stage.modules.iter().map(|m| m.output_dim()).collect();
+                let tower_grads = grad_block.split_cols(&widths)?;
                 let mut per_feature: Vec<Option<Tensor>> = vec![None; self.tables.len()];
                 let groups = stage.partition.groups().iter().zip(&stage.inputs);
                 for ((group, input), (module, grad)) in
@@ -556,14 +465,7 @@ impl RecommendationModel {
                     .map(|g| g.expect("every feature receives a gradient"))
                     .collect()
             }
-            None => {
-                widths.extend(std::iter::repeat_n(n, self.tables.len()));
-                grad_units
-                    .split_cols(&widths)?
-                    .into_iter()
-                    .skip(1)
-                    .collect()
-            }
+            None => grad_block.split_cols(&vec![n; self.tables.len()])?,
         };
         for (table, grad) in self.tables.iter_mut().zip(feature_grads) {
             table.backward(&grad)?;
@@ -583,16 +485,12 @@ impl RecommendationModel {
 
 impl HasParameters for RecommendationModel {
     fn visit_parameters(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        self.bottom_mlp.visit_parameters(visitor);
         if let Some(stage) = &mut self.towers {
             for module in &mut stage.modules {
                 module.visit(visitor);
             }
         }
-        if let Interaction::Cross(cross) = &mut self.interaction {
-            cross.visit_parameters(visitor);
-        }
-        self.over_mlp.visit_parameters(visitor);
+        self.dense.visit_parameters(visitor);
     }
 }
 
@@ -642,8 +540,7 @@ mod tests {
             let mut model = baseline(arch);
             let mut data = SyntheticClickDataset::new(schema(), 2);
             let batch = data.next_batch(16);
-            let logits = model.forward(&batch).unwrap();
-            assert_eq!(logits.shape(), &[16, 1]);
+            assert_eq!(model.predict(&batch).unwrap().len(), 16);
             assert!(!model.is_dmt());
             assert_eq!(model.num_towers(), 1);
         }
@@ -660,8 +557,7 @@ mod tests {
                 let mut model = dmt_model(arch, kind, 4);
                 let mut data = SyntheticClickDataset::new(schema(), 2);
                 let batch = data.next_batch(8);
-                let logits = model.forward(&batch).unwrap();
-                assert_eq!(logits.shape(), &[8, 1], "{arch:?} {kind:?}");
+                assert_eq!(model.predict(&batch).unwrap().len(), 8, "{arch:?} {kind:?}");
                 assert!(model.is_dmt());
                 assert_eq!(model.num_towers(), 4);
             }
@@ -683,7 +579,8 @@ mod tests {
     }
 
     /// Loss bits of three `train_step`s for each dense path this model trains:
-    /// DLRM and DCN baselines, and DMT with DLRM and DCN tower modules.
+    /// DLRM and DCN baselines, DMT with DLRM and DCN tower modules, and
+    /// SPTT-only pass-through towers.
     #[test]
     fn train_step_losses_match_the_recorded_bits() {
         let models = [
@@ -706,6 +603,10 @@ mod tests {
             (
                 dmt_model(ModelArch::Dcn, TowerModuleKind::DcnCross, 4),
                 [0x3fe632637d6f1f72, 0x3fe6c348a72d328d, 0x3fe36d0522cf75ec],
+            ),
+            (
+                dmt_model(ModelArch::Dlrm, TowerModuleKind::PassThrough, 4),
+                [0x3fe75e4fe27df6c6, 0x3fe59f1495846644, 0x3fe39ed5bfb2fefa],
             ),
         ];
         for (i, (mut model, golden)) in models.into_iter().enumerate() {
@@ -789,7 +690,7 @@ mod tests {
         let mut data = SyntheticClickDataset::new(other_schema, 1);
         let batch = data.next_batch(4);
         assert!(matches!(
-            model.forward(&batch),
+            model.predict(&batch),
             Err(ModelError::SchemaMismatch { .. })
         ));
     }

@@ -61,17 +61,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// The same discipline re-rated to `qps` (closed loops are rate-free and
-    /// pass through unchanged).
-    #[must_use]
-    pub fn at_qps(self, qps: f64) -> Self {
-        match self {
-            ArrivalProcess::Closed { clients } => ArrivalProcess::Closed { clients },
-            ArrivalProcess::Periodic { .. } => ArrivalProcess::Periodic { qps },
-            ArrivalProcess::Poisson { seed, .. } => ArrivalProcess::Poisson { qps, seed },
-        }
-    }
-
     /// The first `n` arrival offsets in microseconds from the run's start.
     /// Closed loops have no schedule (arrivals are completion-driven) and
     /// return all zeros.
@@ -375,19 +364,6 @@ mod tests {
             .schedule(2_000),
             a
         );
-    }
-
-    #[test]
-    fn at_qps_rerates_open_loops_only() {
-        let closed = ArrivalProcess::Closed { clients: 4 }.at_qps(99.0);
-        assert_eq!(closed, ArrivalProcess::Closed { clients: 4 });
-        match (ArrivalProcess::Poisson { qps: 1.0, seed: 3 }).at_qps(50.0) {
-            ArrivalProcess::Poisson { qps, seed } => {
-                assert_eq!(qps, 50.0);
-                assert_eq!(seed, 3);
-            }
-            other => panic!("expected Poisson, got {other:?}"),
-        }
     }
 
     #[test]

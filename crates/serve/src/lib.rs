@@ -68,8 +68,8 @@
 //!
 //! Served predictions are **bit-identical** to a forward pass through the
 //! training-side model over the same sub-batches: the stages reuse the
-//! trainer's `ShardedLookup` protocol and `DenseStack` float path rather than
-//! reimplementing them (see the workspace `serving` tests).
+//! trainer's `ShardedLookup` protocol and the `dmt_models::DenseStack` float
+//! path rather than reimplementing them (see the workspace `serving` tests).
 //!
 //! # Example
 //!

@@ -31,9 +31,10 @@ use dmt_comm::{
 use dmt_core::tower::TowerModule;
 use dmt_core::{DlrmTowerModule, DlrmTowerScratch};
 use dmt_data::Query;
+use dmt_models::{DenseScratch, DenseStack};
 use dmt_tensor::{Precision, Tensor};
 use dmt_topology::{ClusterTopology, Rank};
-use dmt_trainer::distributed::model::{self, load_params, DenseScratch, DenseStack, LookupRouting};
+use dmt_trainer::distributed::model::{self, load_params, LookupRouting};
 use dmt_trainer::distributed::{build_comms, ExecutionMode, ModelSnapshot};
 
 /// Every serving collective runs through the fault-injection wrapper; with

@@ -23,12 +23,13 @@ use super::executor::{self, IterationStats, RankLowering};
 use super::export::RankExport;
 use super::graph::{IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
-use super::model::{self, bags_for, DenseScratch, DenseStack, LookupRouting, ShardedLookup};
+use super::model::{self, bags_for, LookupRouting, ShardedLookup};
 use super::RankComms;
 use dmt_comm::codec::WireFormat;
 use dmt_comm::{Backend, PendingOp};
 use dmt_commsim::SegmentKind;
 use dmt_data::Batch;
+use dmt_models::{DenseScratch, DenseStack};
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_tensor::Tensor;

@@ -22,7 +22,7 @@ use super::executor::{self, IterationStats, RankLowering};
 use super::export::RankExport;
 use super::graph::{IterationGraph, NodeMeta, OpKind};
 use super::measure::{wait_logged, CommScope, RankOutcome, WaitEntry};
-use super::model::{flatten_params, DenseScratch, DenseStack, LookupRouting, ShardedLookup};
+use super::model::{flatten_params, LookupRouting, ShardedLookup};
 use super::RankComms;
 use dmt_comm::codec::WireFormat;
 use dmt_comm::{Backend, PendingOp};
@@ -30,6 +30,7 @@ use dmt_commsim::SegmentKind;
 use dmt_core::tower::TowerModule;
 use dmt_core::{DlrmTowerModule, DlrmTowerScratch};
 use dmt_data::Batch;
+use dmt_models::{DenseScratch, DenseStack};
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_tensor::Tensor;

@@ -6,17 +6,17 @@
 
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::reference_predictions;
 use dmt_comm::{FaultKind, FaultProfile};
 use dmt_data::{Query, ZipfRequestStream};
 use dmt_models::ModelArch;
-use dmt_nn::EmbeddingTable;
 use dmt_serve::{
     BatchConfig, DegradedPolicy, Pipeline, Request, ResilienceConfig, ServeConfig, ServeError,
     ServingEngine, StagePools,
 };
-use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
-use dmt_trainer::distributed::model::{load_params, DenseStack};
 use dmt_trainer::distributed::{
     run_with_snapshot, DistributedConfig, ExecutionMode, ModelSnapshot,
 };
@@ -33,38 +33,6 @@ fn baseline_snapshot() -> ModelSnapshot {
 
 fn queries(snapshot: &ModelSnapshot, seed: u64, n: usize) -> Vec<Query> {
     ZipfRequestStream::new(snapshot.schema.clone(), seed, 1.1).next_queries(n)
-}
-
-/// Training-side baseline reference: full tables pooled locally, one forward
-/// pass over the whole batch.
-fn reference_predictions(snapshot: &ModelSnapshot, queries: &[Query]) -> Vec<f32> {
-    let schema = &snapshot.schema;
-    let n = snapshot.hyper.embedding_dim;
-    let b = queries.len();
-    let mut pooled: Vec<Tensor> = Vec::with_capacity(schema.num_sparse());
-    for f in 0..schema.num_sparse() {
-        let table = snapshot.table(f).expect("snapshot covers every feature");
-        let mut full = EmbeddingTable::from_weights(table.rows, table.dim, table.data.clone());
-        let bags: Vec<Vec<usize>> = queries.iter().map(|q| q.sparse[f].clone()).collect();
-        pooled.push(full.forward(&bags).unwrap());
-    }
-    let refs: Vec<&Tensor> = pooled.iter().collect();
-    let feature_block = Tensor::concat_cols(&refs).unwrap();
-    let dense_input = Tensor::from_vec(
-        vec![b, schema.num_dense],
-        queries.iter().flat_map(|q| q.dense.clone()).collect(),
-    )
-    .unwrap();
-    let mut dense = DenseStack::new(
-        snapshot.seed,
-        schema,
-        snapshot.arch,
-        &snapshot.hyper,
-        n,
-        schema.num_sparse() + 1,
-    );
-    load_params(&mut dense, &snapshot.dense_params).unwrap();
-    dense.forward(&dense_input, &feature_block).unwrap()
 }
 
 fn assert_bit_identical(served: &[f32], reference: &[f32], what: &str) {

@@ -4,16 +4,16 @@
 //! *admitted* traffic inside the deadline budget at well past saturation, by
 //! shedding (fast, observable, priority-ordered) instead of queueing.
 
+mod common;
+
+use common::reference_predictions;
 use dmt_data::{Query, ZipfRequestStream};
 use dmt_models::ModelArch;
-use dmt_nn::EmbeddingTable;
 use dmt_serve::{
     run_load, ArrivalProcess, BatchConfig, LoadConfig, Pipeline, Priority, Request, ServeConfig,
     ServeError, ServingEngine, ShedReason, SloConfig, StagePools, StagedEngine, NO_DEADLINE,
 };
-use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
-use dmt_trainer::distributed::model::{load_params, DenseStack};
 use dmt_trainer::distributed::{
     run_with_snapshot, DistributedConfig, ExecutionMode, ModelSnapshot,
 };
@@ -44,38 +44,6 @@ fn baseline_snapshot() -> ModelSnapshot {
     let cfg = DistributedConfig::quick(cluster_2x4(), ModelArch::Dlrm).with_iterations(3);
     let (_, snapshot) = run_with_snapshot(&cfg, ExecutionMode::Baseline).unwrap();
     snapshot
-}
-
-/// Training-side baseline reference: full tables pooled locally, one forward
-/// pass over the whole batch.
-fn reference_predictions(snapshot: &ModelSnapshot, queries: &[Query]) -> Vec<f32> {
-    let schema = &snapshot.schema;
-    let n = snapshot.hyper.embedding_dim;
-    let b = queries.len();
-    let mut pooled: Vec<Tensor> = Vec::with_capacity(schema.num_sparse());
-    for f in 0..schema.num_sparse() {
-        let table = snapshot.table(f).expect("snapshot covers every feature");
-        let mut full = EmbeddingTable::from_weights(table.rows, table.dim, table.data.clone());
-        let bags: Vec<Vec<usize>> = queries.iter().map(|q| q.sparse[f].clone()).collect();
-        pooled.push(full.forward(&bags).unwrap());
-    }
-    let refs: Vec<&Tensor> = pooled.iter().collect();
-    let feature_block = Tensor::concat_cols(&refs).unwrap();
-    let dense_input = Tensor::from_vec(
-        vec![b, schema.num_dense],
-        queries.iter().flat_map(|q| q.dense.clone()).collect(),
-    )
-    .unwrap();
-    let mut dense = DenseStack::new(
-        snapshot.seed,
-        schema,
-        snapshot.arch,
-        &snapshot.hyper,
-        n,
-        schema.num_sparse() + 1,
-    );
-    load_params(&mut dense, &snapshot.dense_params).unwrap();
-    dense.forward(&dense_input, &feature_block).unwrap()
 }
 
 /// A staged config with the given SLO knobs over the test cluster.

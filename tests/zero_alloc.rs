@@ -19,13 +19,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmt_core::{DlrmTowerModule, DlrmTowerScratch, TowerModule};
 use dmt_data::{DatasetSchema, SyntheticClickDataset, ZipfRequestStream};
-use dmt_models::{ModelArch, ModelHyperparams};
+use dmt_models::{DenseScratch, DenseStack, ModelArch, ModelHyperparams};
 use dmt_nn::param::HasParameters;
 use dmt_nn::{AdamOptimizer, Optimizer};
 use dmt_serve::{ComputePrecision, HotRowCache, SingleRankServer};
 use dmt_tensor::Tensor;
 use dmt_topology::{ClusterTopology, HardwareGeneration};
-use dmt_trainer::distributed::model::{DenseScratch, DenseStack};
 use dmt_trainer::distributed::{run_with_snapshot, DistributedConfig, ExecutionMode};
 use rand::SeedableRng;
 
