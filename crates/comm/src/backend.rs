@@ -2,8 +2,8 @@
 //!
 //! A [`Backend`] is one rank's handle into a communicator world: the same set of
 //! operations NCCL exposes to a training framework, restricted to what recommendation
-//! training needs (AlltoAll for embedding exchange, AllReduce for gradient sync,
-//! ReduceScatter / AllGather for sharded optimizers, Barrier for phase alignment).
+//! training and serving run (AlltoAll for embedding exchange, AllReduce for gradient
+//! sync, Barrier for phase alignment).
 //!
 //! All operations are **collective**: every rank of the world must call the same
 //! operation in the same order, or the world deadlocks — exactly the contract a real
@@ -24,10 +24,6 @@ pub enum CommOp {
     AllToAllIndices,
     /// Elementwise sum of equal-length buffers, every rank receives the result.
     AllReduce,
-    /// Elementwise sum, each rank keeps one `1/W` shard of the result.
-    ReduceScatter,
-    /// Concatenation of every rank's shard, every rank receives the result.
-    AllGather,
     /// Synchronization only; no payload.
     Barrier,
 }
@@ -38,8 +34,6 @@ impl fmt::Display for CommOp {
             CommOp::AllToAll => "all_to_all",
             CommOp::AllToAllIndices => "all_to_all_indices",
             CommOp::AllReduce => "all_reduce",
-            CommOp::ReduceScatter => "reduce_scatter",
-            CommOp::AllGather => "all_gather",
             CommOp::Barrier => "barrier",
         };
         write!(f, "{name}")
@@ -49,7 +43,7 @@ impl fmt::Display for CommOp {
 /// One executed collective, as observed by one rank.
 ///
 /// Byte counts follow the *wire accounting* of a bandwidth-optimal schedule (direct
-/// pairwise sends for AlltoAll, a ring for the reduction family), split by the link
+/// pairwise sends for AlltoAll, a ring for AllReduce), split by the link
 /// class each byte crosses in the mapped cluster topology. This is what makes measured
 /// volumes directly comparable with the analytical cost model in `dmt-commsim`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,10 +82,10 @@ impl OpRecord {
 
 /// Errors surfaced by collective calls.
 ///
-/// The shared-memory implementation detects cross-rank shape errors
-/// ([`CommError::LengthMismatch`], [`CommError::IndivisibleBuffer`]) *after* the
-/// rendezvous, so every rank of the world observes the same error and nobody
-/// deadlocks. [`CommError::ShardCountMismatch`] is different: it is local
+/// The shared-memory implementation detects the cross-rank shape error
+/// ([`CommError::LengthMismatch`]) *after* the rendezvous, so every rank of the
+/// world observes the same error and nobody deadlocks.
+/// [`CommError::ShardCountMismatch`] is different: it is local
 /// validation of the caller's own arguments, returned *before* entering the
 /// collective — a rank receiving it must treat the world as dead (abort it, e.g.
 /// `SharedMemoryBackend::abort`) rather than proceed, since its peers are already
@@ -121,13 +115,6 @@ pub enum CommError {
         op: CommOp,
         /// Buffer lengths deposited by each rank, in rank order.
         lengths: Vec<usize>,
-    },
-    /// A ReduceScatter buffer length was not divisible by the world size.
-    IndivisibleBuffer {
-        /// Buffer length in elements.
-        len: usize,
-        /// World size.
-        world_size: usize,
     },
     /// The world was poisoned (a peer rank died or called `abort`) while this op was
     /// in flight. Surfaced through [`PendingOp`] handles instead of the panic the
@@ -187,12 +174,6 @@ impl fmt::Display for CommError {
             }
             CommError::LengthMismatch { op, lengths } => {
                 write!(f, "{op} buffer lengths differ across ranks: {lengths:?}")
-            }
-            CommError::IndivisibleBuffer { len, world_size } => {
-                write!(
-                    f,
-                    "reduce_scatter buffer of {len} elements is not divisible by world size {world_size}"
-                )
             }
             CommError::Aborted => {
                 write!(f, "collective aborted: a peer rank exited mid-iteration")
@@ -269,28 +250,9 @@ pub trait Backend {
     /// rank observes the same error.
     fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CommError>;
 
-    /// Elementwise sum of every rank's `buf`; rank `r` receives the `r`-th of `W`
-    /// equal shards of the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::IndivisibleBuffer`] if `buf.len()` is not divisible by the
-    /// world size, or [`CommError::LengthMismatch`] if ranks disagree on the length.
-    fn reduce_scatter(&mut self, buf: &[f32]) -> Result<Vec<f32>, CommError>;
-
-    /// Concatenation of every rank's `shard` in rank order, received by every rank.
-    /// Shards may have different lengths (an AllGatherV).
-    ///
-    /// # Errors
-    ///
-    /// Implementations may surface transport errors; the shared-memory backend never
-    /// fails an all_gather.
-    fn all_gather(&mut self, shard: &[f32]) -> Result<Vec<f32>, CommError>;
-
     /// [`Backend::all_reduce`] with the operands carried at `wire` precision: each
     /// rank's contribution is rounded through the [`crate::codec`] once before it
-    /// is combined, and implementations with a native quantized path (the
-    /// shared-memory backend) move — and account — only the encoded bytes.
+    /// is combined, and only the encoded bytes move — and are accounted.
     /// Accumulation stays in `f32` (one rounding per contribution, rank-ordered
     /// fold), so results remain bit-identical across runs. `WireFormat::Fp32` is
     /// exactly [`Backend::all_reduce`].
@@ -303,13 +265,7 @@ pub trait Backend {
         &mut self,
         buf: &mut [f32],
         wire: crate::codec::WireFormat,
-    ) -> Result<(), CommError> {
-        // Default: apply the codec's rounding, move full-precision bytes. This is
-        // value-identical to the native path (each contribution is rounded once,
-        // then folded in rank order); only the byte accounting differs.
-        crate::codec::round_trip(wire, buf);
-        self.all_reduce(buf)
-    }
+    ) -> Result<(), CommError>;
 
     /// Returns the records of every collective executed since the last drain, in
     /// execution order, clearing the log.
@@ -320,55 +276,31 @@ pub trait Backend {
 
     // --- Nonblocking variants -------------------------------------------------
     //
-    // Each `*_nonblocking` method issues the collective and returns a completion
-    // handle immediately; compute performed before `wait()` overlaps the transfer.
-    // Ordering contract: on one backend handle, collectives run in *issue order*
-    // (like ops on a CUDA stream), so a world stays deadlock-free as long as every
-    // rank issues the same sequence — the same contract the blocking API has.
-    // Errors (including cross-rank shape mismatches and `CommError::Aborted`) are
-    // delivered through the handle; a rank receiving one must treat the world as
-    // dead and abort it. The default implementations run the blocking op inline and
-    // return an already-completed handle, so implementing them is optional.
+    // The collectives the pipelined training schedule overlaps with compute — the
+    // two AlltoAlls and the AllReduce — also come in a `*_nonblocking` form that
+    // issues the collective and returns a completion handle immediately; compute
+    // performed before `wait()` overlaps the transfer. Ordering contract: on one
+    // backend handle, collectives run in *issue order* (like ops on a CUDA
+    // stream), blocking calls included, so a world stays deadlock-free as long as
+    // every rank issues the same sequence — the same contract the blocking API
+    // has. Errors (including cross-rank shape mismatches and `CommError::Aborted`)
+    // are delivered through the handle; a rank receiving one must treat the world
+    // as dead and abort it.
 
     /// Nonblocking [`Backend::all_to_all`].
-    fn all_to_all_nonblocking(&mut self, sends: Vec<Vec<f32>>) -> PendingOp<Vec<Vec<f32>>> {
-        PendingOp::ready(self.all_to_all(sends))
-    }
+    fn all_to_all_nonblocking(&mut self, sends: Vec<Vec<f32>>) -> PendingOp<Vec<Vec<f32>>>;
 
     /// Nonblocking [`Backend::all_to_all_indices`].
-    fn all_to_all_indices_nonblocking(&mut self, sends: Vec<Vec<u64>>) -> PendingOp<Vec<Vec<u64>>> {
-        PendingOp::ready(self.all_to_all_indices(sends))
-    }
+    fn all_to_all_indices_nonblocking(&mut self, sends: Vec<Vec<u64>>) -> PendingOp<Vec<Vec<u64>>>;
 
-    /// Nonblocking [`Backend::all_reduce`]. Takes the buffer by value (the transfer
-    /// owns it while in flight) and returns the reduced buffer through the handle.
-    fn all_reduce_nonblocking(&mut self, mut buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        PendingOp::ready(self.all_reduce(&mut buf).map(|()| buf))
-    }
-
-    /// Nonblocking [`Backend::all_reduce_cast`].
+    /// Nonblocking [`Backend::all_reduce_cast`]. Takes the buffer by value (the
+    /// transfer owns it while in flight) and returns the reduced buffer through the
+    /// handle; `WireFormat::Fp32` is the nonblocking [`Backend::all_reduce`].
     fn all_reduce_cast_nonblocking(
         &mut self,
-        mut buf: Vec<f32>,
+        buf: Vec<f32>,
         wire: crate::codec::WireFormat,
-    ) -> PendingOp<Vec<f32>> {
-        PendingOp::ready(self.all_reduce_cast(&mut buf, wire).map(|()| buf))
-    }
-
-    /// Nonblocking [`Backend::reduce_scatter`].
-    fn reduce_scatter_nonblocking(&mut self, buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        PendingOp::ready(self.reduce_scatter(&buf))
-    }
-
-    /// Nonblocking [`Backend::all_gather`].
-    fn all_gather_nonblocking(&mut self, shard: Vec<f32>) -> PendingOp<Vec<f32>> {
-        PendingOp::ready(self.all_gather(&shard))
-    }
-
-    /// Nonblocking [`Backend::barrier`].
-    fn barrier_nonblocking(&mut self) -> PendingOp<()> {
-        PendingOp::ready(self.barrier())
-    }
+    ) -> PendingOp<Vec<f32>>;
 }
 
 #[cfg(test)]
@@ -389,9 +321,9 @@ mod tests {
         };
         assert!(e.to_string().contains('3'));
         assert!(e.to_string().contains('8'));
-        let e = CommError::IndivisibleBuffer {
-            len: 10,
-            world_size: 4,
+        let e = CommError::LengthMismatch {
+            op: CommOp::AllReduce,
+            lengths: vec![10, 4],
         };
         assert!(e.to_string().contains("10"));
     }

@@ -226,19 +226,6 @@ pub fn decode(format: WireFormat, words: Vec<f32>, elements: usize) -> Result<Ve
     }
 }
 
-/// Rounds `values` through the codec in place (encode → decode) without moving
-/// any bytes: the precision loss a quantized transfer would apply, used by the
-/// default [`crate::Backend::all_reduce_cast`] when a transport has no native
-/// quantized path.
-pub fn round_trip(format: WireFormat, values: &mut [f32]) {
-    if format.is_identity() || values.is_empty() {
-        return;
-    }
-    let decoded = decode(format, encode(format, values.to_vec()), values.len())
-        .expect("round_trip encodes and decodes the same buffer");
-    values.copy_from_slice(&decoded);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +340,5 @@ mod tests {
         assert_eq!(WireFormat::Fp32.encoded_bytes(1000), 4000);
         assert_eq!(WireFormat::Fp16.encoded_bytes(1000), 2000);
         assert_eq!(WireFormat::Int8.encoded_bytes(1000), 4 + 1000);
-    }
-
-    #[test]
-    fn round_trip_matches_encode_decode() {
-        let values = vec![0.1f32, -3.7, 100.25, 0.0];
-        let mut rounded = values.clone();
-        round_trip(WireFormat::Fp16, &mut rounded);
-        let via_codec = decode(WireFormat::Fp16, encode(WireFormat::Fp16, values), 4).unwrap();
-        for (a, b) in rounded.iter().zip(&via_codec) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

@@ -227,17 +227,6 @@ impl<B: Backend> FaultInjectingBackend<B> {
         &mut self.inner
     }
 
-    /// Unwraps, returning the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    /// The fault profile driving this wrapper.
-    #[must_use]
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
     /// Collectives issued through this handle so far (the next op's index).
     #[must_use]
     pub fn ops_issued(&self) -> u64 {
@@ -305,16 +294,6 @@ impl<B: Backend> Backend for FaultInjectingBackend<B> {
         self.inner.all_reduce_cast(buf, wire)
     }
 
-    fn reduce_scatter(&mut self, buf: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.precheck(CommOp::ReduceScatter)?;
-        self.inner.reduce_scatter(buf)
-    }
-
-    fn all_gather(&mut self, shard: &[f32]) -> Result<Vec<f32>, CommError> {
-        self.precheck(CommOp::AllGather)?;
-        self.inner.all_gather(shard)
-    }
-
     fn drain_records(&mut self) -> Vec<OpRecord> {
         self.inner.drain_records()
     }
@@ -333,13 +312,6 @@ impl<B: Backend> Backend for FaultInjectingBackend<B> {
         }
     }
 
-    fn all_reduce_nonblocking(&mut self, buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        match self.precheck(CommOp::AllReduce) {
-            Ok(()) => self.inner.all_reduce_nonblocking(buf),
-            Err(e) => PendingOp::ready(Err(e)),
-        }
-    }
-
     fn all_reduce_cast_nonblocking(
         &mut self,
         buf: Vec<f32>,
@@ -347,27 +319,6 @@ impl<B: Backend> Backend for FaultInjectingBackend<B> {
     ) -> PendingOp<Vec<f32>> {
         match self.precheck(CommOp::AllReduce) {
             Ok(()) => self.inner.all_reduce_cast_nonblocking(buf, wire),
-            Err(e) => PendingOp::ready(Err(e)),
-        }
-    }
-
-    fn reduce_scatter_nonblocking(&mut self, buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        match self.precheck(CommOp::ReduceScatter) {
-            Ok(()) => self.inner.reduce_scatter_nonblocking(buf),
-            Err(e) => PendingOp::ready(Err(e)),
-        }
-    }
-
-    fn all_gather_nonblocking(&mut self, shard: Vec<f32>) -> PendingOp<Vec<f32>> {
-        match self.precheck(CommOp::AllGather) {
-            Ok(()) => self.inner.all_gather_nonblocking(shard),
-            Err(e) => PendingOp::ready(Err(e)),
-        }
-    }
-
-    fn barrier_nonblocking(&mut self) -> PendingOp<()> {
-        match self.precheck(CommOp::Barrier) {
-            Ok(()) => self.inner.barrier_nonblocking(),
             Err(e) => PendingOp::ready(Err(e)),
         }
     }
@@ -500,6 +451,7 @@ mod tests {
 
     #[test]
     fn transparent_wrapper_delegates_everything() {
+        use crate::codec::WireFormat;
         let mut b = FaultInjectingBackend::new(
             SharedMemoryComm::handles(1).unwrap().pop().unwrap(),
             FaultProfile::none(),
@@ -508,11 +460,27 @@ mod tests {
         assert_eq!(b.world_size(), 1);
         let out = b.all_to_all(vec![vec![1.0, 2.0]]).unwrap();
         assert_eq!(out, vec![vec![1.0, 2.0]]);
-        assert_eq!(b.all_gather(&[4.0]).unwrap(), vec![4.0]);
+        let ids = b.all_to_all_indices(vec![vec![7, 8]]).unwrap();
+        assert_eq!(ids, vec![vec![7, 8]]);
+        let mut buf = vec![4.0];
+        b.all_reduce(&mut buf).unwrap();
+        assert_eq!(buf, vec![4.0]);
+        b.all_reduce_cast(&mut buf, WireFormat::Fp16).unwrap();
+        assert_eq!(buf, vec![4.0]);
         b.barrier().unwrap();
-        assert_eq!(b.ops_issued(), 3);
-        assert_eq!(b.drain_records().len(), 3);
-        assert!(b.profile().is_none());
-        let _inner = b.into_inner();
+        let rows = b.all_to_all_nonblocking(vec![vec![3.0]]).wait().unwrap();
+        assert_eq!(rows, vec![vec![3.0]]);
+        let ids = b
+            .all_to_all_indices_nonblocking(vec![vec![9]])
+            .wait()
+            .unwrap();
+        assert_eq!(ids, vec![vec![9]]);
+        let reduced = b
+            .all_reduce_cast_nonblocking(vec![5.0], WireFormat::Int8)
+            .wait()
+            .unwrap();
+        assert!((reduced[0] - 5.0).abs() <= WireFormat::Int8.max_abs_error(5.0));
+        assert_eq!(b.ops_issued(), 8);
+        assert_eq!(b.drain_records().len(), 8);
     }
 }

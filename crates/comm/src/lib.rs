@@ -22,7 +22,8 @@
 //!   modeled link bandwidths, so measured wall-clock time reflects the topology
 //!   instead of the host's memcpy speed.
 //!
-//! Every collective also exists in a `*_nonblocking` form returning a
+//! The collectives pipelined training overlaps with compute — both AlltoAlls and
+//! the AllReduce — also exist in a `*_nonblocking` form returning a
 //! [`PendingOp`] completion handle (`wait()` / `is_complete()` / `try_complete()`):
 //! the shared-memory implementation runs the transfer — including its fabric
 //! pacing — on a helper thread, so rank compute issued between `issue` and `wait`

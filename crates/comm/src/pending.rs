@@ -79,8 +79,8 @@ impl<T> PendingOp<T> {
         )
     }
 
-    /// An already-completed handle — what a backend without a real nonblocking path
-    /// returns after running the collective synchronously.
+    /// An already-completed handle — what a wrapper returns for an op it refused
+    /// before issue (an injected fault).
     #[must_use]
     pub fn ready(result: Result<T, CommError>) -> Self {
         let (op, completer) = Self::channel();

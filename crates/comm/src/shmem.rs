@@ -26,6 +26,7 @@
 //! ([`comm_clock_s`]), making per-op overlap measurable after the fact.
 
 use crate::backend::{Backend, CommError, CommOp, OpRecord};
+use crate::codec::{self, WireFormat};
 use crate::fabric::FabricProfile;
 use crate::pending::PendingOp;
 use dmt_topology::{ClusterTopology, LinkKind, ProcessGroup};
@@ -380,15 +381,6 @@ impl SharedMemoryComm {
     }
 }
 
-/// Wire bytes a rank pushes in a flat-ring schedule moving `per_rank_bytes` of useful
-/// payload: `bytes * (W-1)/W * multiplier` to its ring successor.
-fn ring_bytes(per_rank_bytes: u64, world: usize, multiplier: u64) -> u64 {
-    if world <= 1 {
-        return 0;
-    }
-    multiplier * per_rank_bytes * (world as u64 - 1) / world as u64
-}
-
 /// Everything needed to *run* a collective for one rank — shared verbatim between
 /// the rank's own thread (blocking path) and its helper thread (nonblocking path),
 /// so both paths execute the identical data plane.
@@ -419,16 +411,6 @@ impl OpCore {
         *self.timeout.lock().expect("timeout lock poisoned")
     }
 
-    /// Returns [`CommError::RankDown`] naming the first rank whose contribution is
-    /// an empty placeholder (it was marked down, so `T::default()` stood in).
-    /// The reduction family calls this before touching payloads: a reduction needs
-    /// every rank's contribution, so a dead peer is an error, not an empty shard.
-    fn reject_down_contribution<U>(all: &[Vec<U>]) -> Result<(), CommError> {
-        if let Some(rank) = all.iter().position(Vec::is_empty) {
-            return Err(CommError::RankDown { rank });
-        }
-        Ok(())
-    }
     /// Splits per-destination byte counts into (cross-host, intra-host) totals.
     fn classify(&self, per_dest_bytes: impl Iterator<Item = (usize, u64)>) -> (u64, u64) {
         let mut cross = 0;
@@ -443,13 +425,15 @@ impl OpCore {
         (cross, intra)
     }
 
-    /// Ring-successor byte classification for the reduction family.
-    fn classify_ring(&self, wire_bytes: u64) -> (u64, u64) {
-        if self.world <= 1 || wire_bytes == 0 {
+    /// (cross-host, intra-host) bytes this rank pushes to its ring successor in a
+    /// flat-ring AllReduce (reduce-scatter then all-gather) of `payload` bytes:
+    /// `2 * payload * (W-1)/W`.
+    fn classify_ring(&self, payload: u64) -> (u64, u64) {
+        if self.world <= 1 {
             return (0, 0);
         }
-        let successor = (self.rank + 1) % self.world;
-        match self.links[successor] {
+        let wire_bytes = 2 * payload * (self.world as u64 - 1) / self.world as u64;
+        match self.links[(self.rank + 1) % self.world] {
             LinkKind::Local => (0, 0),
             LinkKind::IntraHost => (0, wire_bytes),
             LinkKind::CrossHost => (wire_bytes, 0),
@@ -526,103 +510,65 @@ impl OpCore {
         Ok(())
     }
 
-    fn all_to_all(
+    /// The AlltoAll data plane, over either payload type: `rendezvous` carries
+    /// the rank's send matrix, and each element is `size_of::<T>()` bytes on the
+    /// wire.
+    fn all_to_all<T: Clone + Default>(
         &self,
-        sends: Vec<Vec<f32>>,
+        rendezvous: &Rendezvous<Vec<Vec<T>>>,
+        op: CommOp,
+        sends: Vec<Vec<T>>,
         issued_at: Instant,
-    ) -> Result<Vec<Vec<f32>>, CommError> {
+    ) -> Result<Vec<Vec<T>>, CommError> {
         if sends.len() != self.world {
             return Err(CommError::ShardCountMismatch {
                 got: sends.len(),
                 expected: self.world,
             });
         }
-        let payload: u64 = sends.iter().map(|s| 4 * s.len() as u64).sum();
+        let width = std::mem::size_of::<T>() as u64;
+        let payload: u64 = sends.iter().map(|s| width * s.len() as u64).sum();
         let (cross, intra) = self.classify(
             sends
                 .iter()
                 .enumerate()
-                .map(|(d, s)| (d, 4 * s.len() as u64)),
+                .map(|(d, s)| (d, width * s.len() as u64)),
         );
-        let (all, transfer_start) =
-            self.floats
-                .exchange(self.rank, sends, CommOp::AllToAll, self.op_timeout())?;
+        let (all, transfer_start) = rendezvous.exchange(self.rank, sends, op, self.op_timeout())?;
         // A rank marked down contributes an empty placeholder; its shard to every
         // destination reads as empty (the caller's failover layer re-fetches).
-        let received: Vec<Vec<f32>> = all
+        let received: Vec<Vec<T>> = all
             .iter()
             .map(|from| from.get(self.rank).cloned().unwrap_or_default())
             .collect();
-        self.finish(
-            CommOp::AllToAll,
-            payload,
-            cross,
-            intra,
-            transfer_start,
-            issued_at,
-        );
+        self.finish(op, payload, cross, intra, transfer_start, issued_at);
         Ok(received)
     }
 
-    fn all_to_all_indices(
-        &self,
-        sends: Vec<Vec<u64>>,
-        issued_at: Instant,
-    ) -> Result<Vec<Vec<u64>>, CommError> {
-        if sends.len() != self.world {
-            return Err(CommError::ShardCountMismatch {
-                got: sends.len(),
-                expected: self.world,
-            });
-        }
-        let payload: u64 = sends.iter().map(|s| 8 * s.len() as u64).sum();
-        let (cross, intra) = self.classify(
-            sends
-                .iter()
-                .enumerate()
-                .map(|(d, s)| (d, 8 * s.len() as u64)),
-        );
-        let (all, transfer_start) =
-            self.indices
-                .exchange(self.rank, sends, CommOp::AllToAllIndices, self.op_timeout())?;
-        let received: Vec<Vec<u64>> = all
-            .iter()
-            .map(|from| from.get(self.rank).cloned().unwrap_or_default())
-            .collect();
-        self.finish(
-            CommOp::AllToAllIndices,
-            payload,
-            cross,
-            intra,
-            transfer_start,
-            issued_at,
-        );
-        Ok(received)
-    }
-
-    /// Quantized AllReduce: each rank deposits its contribution *encoded* at
-    /// `wire` precision, every rank decodes all contributions and folds them in
-    /// rank order at `f32`. One rounding per contribution — the semantics of a
-    /// quantized-wire collective with full-precision accumulation — and the byte
-    /// accounting (and fabric pacing) sees only the encoded ring traffic.
-    fn all_reduce_cast(
+    /// The AllReduce data plane: each rank deposits its contribution *encoded*
+    /// at `wire` precision, every rank decodes all contributions and folds them
+    /// in rank order at `f32` — bit-identical to a serial left-to-right fold. One
+    /// rounding per contribution (none at `Fp32`, which folds the deposited
+    /// buffers in place of a decoded copy), and the byte accounting (and fabric
+    /// pacing) sees only the encoded ring traffic.
+    fn all_reduce(
         &self,
         buf: Vec<f32>,
-        wire: crate::codec::WireFormat,
+        wire: WireFormat,
         issued_at: Instant,
     ) -> Result<Vec<f32>, CommError> {
-        if wire.is_identity() {
-            return self.all_reduce(buf, issued_at);
-        }
         let len = buf.len();
-        let encoded = crate::codec::encode(wire, buf);
         let (all, transfer_start) = self.floats.exchange(
             self.rank,
-            vec![encoded],
+            vec![codec::encode(wire, buf)],
             CommOp::AllReduce,
             self.op_timeout(),
         )?;
-        Self::reject_down_contribution(&all)?;
+        // A reduction needs every contribution: a rank marked down deposited an
+        // empty placeholder, which fails the collective instead of reading as zeros.
+        if let Some(rank) = all.iter().position(Vec::is_empty) {
+            return Err(CommError::RankDown { rank });
+        }
         // Ranks must agree on the element count; encoded word counts are a pure
         // function of it, so checking them keeps the error symmetric.
         let lengths: Vec<usize> = all.iter().map(|from| from[0].len()).collect();
@@ -634,13 +580,19 @@ impl OpCore {
         }
         let mut out = vec![0.0f32; len];
         for from in all.iter() {
-            let contribution = crate::codec::decode(wire, from[0].clone(), len)?;
-            for (acc, v) in out.iter_mut().zip(&contribution) {
+            let decoded;
+            let contribution = if wire.is_identity() {
+                &from[0]
+            } else {
+                decoded = codec::decode(wire, from[0].clone(), len)?;
+                &decoded
+            };
+            for (acc, v) in out.iter_mut().zip(contribution) {
                 *acc += v;
             }
         }
         let payload = wire.encoded_bytes(len);
-        let (cross, intra) = self.classify_ring(ring_bytes(payload, self.world, 2));
+        let (cross, intra) = self.classify_ring(payload);
         self.finish(
             CommOp::AllReduce,
             payload,
@@ -650,108 +602,6 @@ impl OpCore {
             issued_at,
         );
         Ok(out)
-    }
-
-    fn all_reduce(&self, buf: Vec<f32>, issued_at: Instant) -> Result<Vec<f32>, CommError> {
-        let len = buf.len();
-        let (all, transfer_start) =
-            self.floats
-                .exchange(self.rank, vec![buf], CommOp::AllReduce, self.op_timeout())?;
-        Self::reject_down_contribution(&all)?;
-        let lengths: Vec<usize> = all.iter().map(|from| from[0].len()).collect();
-        if lengths.iter().any(|&l| l != len) {
-            return Err(CommError::LengthMismatch {
-                op: CommOp::AllReduce,
-                lengths,
-            });
-        }
-        // Rank-ordered fold: bit-identical to a serial reference on every rank.
-        let mut out = vec![0.0f32; len];
-        for from in all.iter() {
-            for (acc, v) in out.iter_mut().zip(&from[0]) {
-                *acc += v;
-            }
-        }
-        let payload = 4 * len as u64;
-        let (cross, intra) = self.classify_ring(ring_bytes(payload, self.world, 2));
-        self.finish(
-            CommOp::AllReduce,
-            payload,
-            cross,
-            intra,
-            transfer_start,
-            issued_at,
-        );
-        Ok(out)
-    }
-
-    fn reduce_scatter(&self, buf: Vec<f32>, issued_at: Instant) -> Result<Vec<f32>, CommError> {
-        let len = buf.len();
-        let (all, transfer_start) = self.floats.exchange(
-            self.rank,
-            vec![buf],
-            CommOp::ReduceScatter,
-            self.op_timeout(),
-        )?;
-        Self::reject_down_contribution(&all)?;
-        let lengths: Vec<usize> = all.iter().map(|from| from[0].len()).collect();
-        if lengths.iter().any(|&l| l != len) {
-            return Err(CommError::LengthMismatch {
-                op: CommOp::ReduceScatter,
-                lengths,
-            });
-        }
-        if !len.is_multiple_of(self.world) {
-            return Err(CommError::IndivisibleBuffer {
-                len,
-                world_size: self.world,
-            });
-        }
-        let shard_len = len / self.world;
-        let lo = self.rank * shard_len;
-        let mut shard = vec![0.0f32; shard_len];
-        for from in all.iter() {
-            for (acc, v) in shard.iter_mut().zip(&from[0][lo..lo + shard_len]) {
-                *acc += v;
-            }
-        }
-        let payload = 4 * len as u64;
-        let (cross, intra) = self.classify_ring(ring_bytes(payload, self.world, 1));
-        self.finish(
-            CommOp::ReduceScatter,
-            payload,
-            cross,
-            intra,
-            transfer_start,
-            issued_at,
-        );
-        Ok(shard)
-    }
-
-    fn all_gather(&self, shard: Vec<f32>, issued_at: Instant) -> Result<Vec<f32>, CommError> {
-        let shard_len = shard.len();
-        let (all, transfer_start) =
-            self.floats
-                .exchange(self.rank, vec![shard], CommOp::AllGather, self.op_timeout())?;
-        Self::reject_down_contribution(&all)?;
-        let mut gathered = Vec::with_capacity(all.iter().map(|from| from[0].len()).sum());
-        for from in all.iter() {
-            gathered.extend_from_slice(&from[0]);
-        }
-        // Payload follows the OpRecord convention (this rank's contribution); the
-        // ring schedule still forwards the full gathered output around the ring.
-        let payload = 4 * shard_len as u64;
-        let gathered_bytes = 4 * gathered.len() as u64;
-        let (cross, intra) = self.classify_ring(ring_bytes(gathered_bytes, self.world, 1));
-        self.finish(
-            CommOp::AllGather,
-            payload,
-            cross,
-            intra,
-            transfer_start,
-            issued_at,
-        );
-        Ok(gathered)
     }
 }
 
@@ -943,34 +793,36 @@ impl SharedMemoryBackend {
         self.helper.is_some()
     }
 
-    /// Issues `run` on the helper thread (spawning it on first use) and returns the
+    /// Issues `op` on the helper thread (spawning it on first use) and returns the
     /// completion handle. Jobs run strictly in issue order.
-    fn enqueue<T: Send + 'static>(
+    fn issue<T: Send + 'static>(
         &mut self,
-        run: impl FnOnce(&OpCore) -> Result<T, CommError> + Send + 'static,
+        op: impl FnOnce(&OpCore, Instant) -> Result<T, CommError> + Send + 'static,
     ) -> PendingOp<T> {
-        let (op, completer) = PendingOp::channel();
+        let issued_at = Instant::now();
+        let (pending, completer) = PendingOp::channel();
         let job: Job = Box::new(move |core| {
             // A poisoned world surfaces as `Err(Aborted)` from the rendezvous, which
             // flows through the handle on its own. A panic inside the data plane is
             // a bug, not a peer failure — recover it as Aborted anyway (a dead
             // helper would hang every later wait) but print the root cause so it is
             // not erased by the abort cascade.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(core)))
-                .unwrap_or_else(|panic| {
-                    let message = panic
-                        .downcast_ref::<&str>()
-                        .map(ToString::to_string)
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
-                    if !message.contains("aborted") {
-                        eprintln!(
-                            "dmt-comm helper thread panicked (rank {}): {message}",
-                            core.rank
-                        );
-                    }
-                    Err(CommError::Aborted)
-                });
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(core, issued_at)))
+                    .unwrap_or_else(|panic| {
+                        let message = panic
+                            .downcast_ref::<&str>()
+                            .map(ToString::to_string)
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_default();
+                        if !message.contains("aborted") {
+                            eprintln!(
+                                "dmt-comm helper thread panicked (rank {}): {message}",
+                                core.rank
+                            );
+                        }
+                        Err(CommError::Aborted)
+                    });
             completer.complete(result);
         });
         let helper = self.helper.get_or_insert_with(|| {
@@ -992,13 +844,20 @@ impl SharedMemoryBackend {
             .tx
             .send(job)
             .expect("helper thread outlives its handle");
-        op
+        pending
     }
 
-    /// Whether blocking calls must detour through the helper to preserve issue
-    /// order (true once any nonblocking op has been issued on this handle).
-    fn routed(&self) -> bool {
-        self.helper.is_some()
+    /// Runs a blocking collective: inline on the caller's thread while the handle
+    /// has no helper, otherwise queued behind the outstanding nonblocking ops
+    /// (issue + wait), so ops on one handle always run in issue order.
+    fn run<T: Send + 'static>(
+        &mut self,
+        op: impl FnOnce(&OpCore, Instant) -> Result<T, CommError> + Send + 'static,
+    ) -> Result<T, CommError> {
+        if self.helper.is_some() {
+            return self.issue(op).wait();
+        }
+        op(&self.core, Instant::now())
     }
 }
 
@@ -1012,64 +871,31 @@ impl Backend for SharedMemoryBackend {
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
-        if self.routed() {
-            return self.barrier_nonblocking().wait();
-        }
-        self.core.barrier(Instant::now())
+        self.run(|core, issued_at| core.barrier(issued_at))
     }
 
     fn all_to_all(&mut self, sends: Vec<Vec<f32>>) -> Result<Vec<Vec<f32>>, CommError> {
-        if self.routed() {
-            return self.all_to_all_nonblocking(sends).wait();
-        }
-        self.core.all_to_all(sends, Instant::now())
+        self.run(move |core, issued_at| {
+            core.all_to_all(&core.floats, CommOp::AllToAll, sends, issued_at)
+        })
     }
 
     fn all_to_all_indices(&mut self, sends: Vec<Vec<u64>>) -> Result<Vec<Vec<u64>>, CommError> {
-        if self.routed() {
-            return self.all_to_all_indices_nonblocking(sends).wait();
-        }
-        self.core.all_to_all_indices(sends, Instant::now())
+        self.run(move |core, issued_at| {
+            core.all_to_all(&core.indices, CommOp::AllToAllIndices, sends, issued_at)
+        })
     }
 
     fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
-        let out = if self.routed() {
-            self.all_reduce_nonblocking(buf.to_vec()).wait()?
-        } else {
-            self.core.all_reduce(buf.to_vec(), Instant::now())?
-        };
+        self.all_reduce_cast(buf, WireFormat::Fp32)
+    }
+
+    fn all_reduce_cast(&mut self, buf: &mut [f32], wire: WireFormat) -> Result<(), CommError> {
+        let contribution = buf.to_vec();
+        let out =
+            self.run(move |core, issued_at| core.all_reduce(contribution, wire, issued_at))?;
         buf.copy_from_slice(&out);
         Ok(())
-    }
-
-    fn all_reduce_cast(
-        &mut self,
-        buf: &mut [f32],
-        wire: crate::codec::WireFormat,
-    ) -> Result<(), CommError> {
-        let out = if self.routed() {
-            self.all_reduce_cast_nonblocking(buf.to_vec(), wire)
-                .wait()?
-        } else {
-            self.core
-                .all_reduce_cast(buf.to_vec(), wire, Instant::now())?
-        };
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn reduce_scatter(&mut self, buf: &[f32]) -> Result<Vec<f32>, CommError> {
-        if self.routed() {
-            return self.reduce_scatter_nonblocking(buf.to_vec()).wait();
-        }
-        self.core.reduce_scatter(buf.to_vec(), Instant::now())
-    }
-
-    fn all_gather(&mut self, shard: &[f32]) -> Result<Vec<f32>, CommError> {
-        if self.routed() {
-            return self.all_gather_nonblocking(shard.to_vec()).wait();
-        }
-        self.core.all_gather(shard.to_vec(), Instant::now())
     }
 
     fn drain_records(&mut self) -> Vec<OpRecord> {
@@ -1077,42 +903,23 @@ impl Backend for SharedMemoryBackend {
     }
 
     fn all_to_all_nonblocking(&mut self, sends: Vec<Vec<f32>>) -> PendingOp<Vec<Vec<f32>>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.all_to_all(sends, issued_at))
+        self.issue(move |core, issued_at| {
+            core.all_to_all(&core.floats, CommOp::AllToAll, sends, issued_at)
+        })
     }
 
     fn all_to_all_indices_nonblocking(&mut self, sends: Vec<Vec<u64>>) -> PendingOp<Vec<Vec<u64>>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.all_to_all_indices(sends, issued_at))
-    }
-
-    fn all_reduce_nonblocking(&mut self, buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.all_reduce(buf, issued_at))
+        self.issue(move |core, issued_at| {
+            core.all_to_all(&core.indices, CommOp::AllToAllIndices, sends, issued_at)
+        })
     }
 
     fn all_reduce_cast_nonblocking(
         &mut self,
         buf: Vec<f32>,
-        wire: crate::codec::WireFormat,
+        wire: WireFormat,
     ) -> PendingOp<Vec<f32>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.all_reduce_cast(buf, wire, issued_at))
-    }
-
-    fn reduce_scatter_nonblocking(&mut self, buf: Vec<f32>) -> PendingOp<Vec<f32>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.reduce_scatter(buf, issued_at))
-    }
-
-    fn all_gather_nonblocking(&mut self, shard: Vec<f32>) -> PendingOp<Vec<f32>> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.all_gather(shard, issued_at))
-    }
-
-    fn barrier_nonblocking(&mut self) -> PendingOp<()> {
-        let issued_at = Instant::now();
-        self.enqueue(move |core| core.barrier(issued_at))
+        self.issue(move |core, issued_at| core.all_reduce(buf, wire, issued_at))
     }
 }
 
@@ -1192,24 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_plus_all_gather_equals_all_reduce() {
-        let world = 4;
-        let len = 8;
-        let handles = SharedMemoryComm::handles(world).unwrap();
-        let results = run_world(handles, |b| {
-            let buf: Vec<f32> = (0..len).map(|i| (i + b.rank()) as f32).collect();
-            let shard = b.reduce_scatter(&buf).unwrap();
-            let gathered = b.all_gather(&shard).unwrap();
-            let mut reduced = buf;
-            b.all_reduce(&mut reduced).unwrap();
-            (gathered, reduced)
-        });
-        for (gathered, reduced) in results {
-            assert_eq!(gathered, reduced);
-        }
-    }
-
-    #[test]
     fn shape_errors_are_symmetric() {
         // Every rank passes the same wrong-length reduction; every rank gets the same
         // error (and nobody deadlocks).
@@ -1221,22 +1010,6 @@ mod tests {
         });
         for err in results {
             assert!(matches!(err, Some(CommError::LengthMismatch { .. })));
-        }
-    }
-
-    #[test]
-    fn indivisible_reduce_scatter_is_rejected() {
-        let world = 4;
-        let handles = SharedMemoryComm::handles(world).unwrap();
-        let results = run_world(handles, |b| b.reduce_scatter(&[0.0; 6]).err());
-        for err in results {
-            assert_eq!(
-                err,
-                Some(CommError::IndivisibleBuffer {
-                    len: 6,
-                    world_size: 4
-                })
-            );
         }
     }
 
@@ -1257,7 +1030,7 @@ mod tests {
         let mut buf = vec![3.0];
         b.all_reduce(&mut buf).unwrap();
         assert_eq!(buf, vec![3.0]);
-        assert_eq!(b.all_gather(&[4.0]).unwrap(), vec![4.0]);
+        assert_eq!(b.all_to_all_indices(vec![vec![4]]).unwrap(), vec![vec![4]]);
         let records = b.drain_records();
         assert_eq!(records.len(), 3);
         assert!(records.iter().all(|r| r.wire_bytes() == 0));
@@ -1466,21 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_payload_is_the_local_contribution() {
-        let world = 4;
-        let handles = SharedMemoryComm::handles(world).unwrap();
-        let records = run_world(handles, |b| {
-            b.all_gather(&[1.0, 2.0]).unwrap();
-            b.drain_records().pop().unwrap()
-        });
-        for record in &records {
-            assert_eq!(record.payload_bytes, 8, "two f32 contributed per rank");
-            // The ring still forwards the full 4-rank output.
-            assert_eq!(record.wire_bytes(), 8 * world as u64 * 3 / 4);
-        }
-    }
-
-    #[test]
     fn quantized_all_reduce_halves_the_wire_and_bounds_the_error() {
         use crate::codec::WireFormat;
         let world = 4;
@@ -1566,7 +1324,7 @@ mod tests {
             let a2a = b.all_to_all_nonblocking(sends).wait().unwrap();
             assert!(b.has_helper(), "first nonblocking call spawns the helper");
             let reduced = b
-                .all_reduce_nonblocking(vec![b.rank() as f32 + 1.0; 3])
+                .all_reduce_cast_nonblocking(vec![b.rank() as f32 + 1.0; 3], WireFormat::Fp32)
                 .wait()
                 .unwrap();
             (a2a, reduced)
@@ -1587,8 +1345,8 @@ mod tests {
         let world = 3;
         let handles = SharedMemoryComm::handles(world).unwrap();
         let results = run_world(handles, |b| {
-            let first = b.all_reduce_nonblocking(vec![1.0f32; 2]);
-            let second = b.all_reduce_nonblocking(vec![10.0f32; 2]);
+            let first = b.all_reduce_cast_nonblocking(vec![1.0f32; 2], WireFormat::Fp32);
+            let second = b.all_reduce_cast_nonblocking(vec![10.0f32; 2], WireFormat::Fp32);
             (first.wait().unwrap(), second.wait().unwrap())
         });
         for (first, second) in results {
@@ -1633,7 +1391,7 @@ mod tests {
         let world = 2;
         let handles = SharedMemoryComm::handles(world).unwrap();
         let records = run_world(handles, |b| {
-            let op = b.all_reduce_nonblocking(vec![1.0f32; 16]);
+            let op = b.all_reduce_cast_nonblocking(vec![1.0f32; 16], WireFormat::Fp32);
             op.wait().unwrap();
             b.drain_records().pop().unwrap()
         });
@@ -1654,7 +1412,7 @@ mod tests {
         let mut handles = SharedMemoryComm::handles(2).unwrap();
         let rank1 = handles.pop().unwrap();
         let mut rank0 = handles.pop().unwrap();
-        let op = rank0.all_reduce_nonblocking(vec![1.0f32; 4]);
+        let op = rank0.all_reduce_cast_nonblocking(vec![1.0f32; 4], WireFormat::Fp32);
         assert!(!op.is_complete());
         rank1.abort();
         assert_eq!(op.wait(), Err(CommError::Aborted));
@@ -1663,19 +1421,41 @@ mod tests {
 
     #[test]
     fn blocking_calls_after_nonblocking_keep_issue_order() {
-        // Once a handle has gone nonblocking, blocking calls must queue behind the
-        // outstanding op rather than jump it.
+        // Once a handle has gone nonblocking, every blocking call must queue behind
+        // the outstanding op rather than jump it.
         let world = 2;
         let handles = SharedMemoryComm::handles(world).unwrap();
         let results = run_world(handles, |b| {
-            let pending = b.all_reduce_nonblocking(vec![1.0f32; 2]);
+            let pending = b.all_reduce_cast_nonblocking(vec![1.0f32; 2], WireFormat::Fp32);
             let mut second = vec![5.0f32; 2];
             b.all_reduce(&mut second).unwrap(); // must be generation 2 on every rank
-            (pending.wait().unwrap(), second)
+            let first = pending.wait().unwrap();
+            let me = b.rank() as u64;
+            let pending = b.all_to_all_nonblocking(vec![vec![me as f32]; world]);
+            let ids = b.all_to_all_indices(vec![vec![10 + me]; world]).unwrap();
+            let rows = pending.wait().unwrap();
+            let pending = b.all_reduce_cast_nonblocking(vec![1.0f32], WireFormat::Fp32);
+            b.barrier().unwrap();
+            let third = pending.wait().unwrap();
+            let ops: Vec<CommOp> = b.drain_records().iter().map(|r| r.op).collect();
+            (first, second, rows, ids, third, ops)
         });
-        for (first, second) in results {
+        for (first, second, rows, ids, third, ops) in results {
             assert_eq!(first, vec![2.0; 2]);
             assert_eq!(second, vec![10.0; 2]);
+            assert_eq!(rows, vec![vec![0.0], vec![1.0]]);
+            assert_eq!(ids, vec![vec![10], vec![11]]);
+            assert_eq!(third, vec![2.0]);
+            use CommOp::{AllReduce, AllToAll, AllToAllIndices, Barrier};
+            let issued = [
+                AllReduce,
+                AllReduce,
+                AllToAll,
+                AllToAllIndices,
+                AllReduce,
+                Barrier,
+            ];
+            assert_eq!(ops, issued, "records follow issue order");
         }
     }
 }

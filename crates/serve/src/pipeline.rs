@@ -895,8 +895,6 @@ impl Pipeline {
         let Some(tickets) = self.in_flight.remove(&reply.batch) else {
             return;
         };
-        self.totals.serve.cache_resident_bytes = 0;
-        self.totals.absorb(&reply.totals);
         let preds = match reply.outcome {
             Ok(preds) => preds,
             Err(errors) => {
@@ -921,6 +919,12 @@ impl Pipeline {
                 return self.fail(tickets, cause);
             }
         };
+        // Only answered batches are accounted: how far a failed batch's
+        // fetches got races the failure, so its partial bytes, retries and
+        // cache traffic would make the stats unrepeatable. Its requests are
+        // counted in `failed`.
+        self.totals.serve.cache_resident_bytes = 0;
+        self.totals.absorb(&reply.totals);
         self.totals.serve.batches += 1;
         self.totals.serve.queries += preds.len() as u64;
         self.totals.pred_bytes += 4 * preds.len() as u64;

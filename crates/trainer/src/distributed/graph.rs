@@ -286,8 +286,6 @@ pub fn price_comm(
 ) -> CollectiveEstimate {
     match op {
         CommOp::AllReduce => collectives::all_reduce(model, group, bytes),
-        CommOp::ReduceScatter => collectives::reduce_scatter(model, group, bytes),
-        CommOp::AllGather => collectives::all_gather(model, group, bytes),
         CommOp::AllToAll | CommOp::AllToAllIndices | CommOp::Barrier => {
             collectives::all_to_all(model, group, bytes)
         }

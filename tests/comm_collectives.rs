@@ -124,35 +124,6 @@ proptest! {
         }
     }
 
-    /// ReduceScatter shards the serial fold, AllGather re-assembles it: composing
-    /// the two equals AllReduce, bit for bit.
-    #[test]
-    fn reduce_scatter_then_all_gather_equals_all_reduce(
-        world in 2usize..17,
-        shard_len in 1usize..8,
-        seed in proptest::strategy::any::<u64>(),
-    ) {
-        let len = shard_len * world;
-        let buffers = rank_buffers(seed, world, len);
-        let handles = SharedMemoryComm::handles(world).unwrap();
-        let results = run_world(handles, |b| {
-            let shard = b.reduce_scatter(&buffers[b.rank()]).unwrap();
-            let gathered = b.all_gather(&shard).unwrap();
-            let mut reduced = buffers[b.rank()].clone();
-            b.all_reduce(&mut reduced).unwrap();
-            (gathered, reduced)
-        });
-        let reference = &results[0].1;
-        for (gathered, reduced) in &results {
-            for (a, e) in gathered.iter().zip(reduced) {
-                prop_assert_eq!(a.to_bits(), e.to_bits());
-            }
-            for (a, e) in reduced.iter().zip(reference) {
-                prop_assert_eq!(a.to_bits(), e.to_bits(), "ranks disagree on the sum");
-            }
-        }
-    }
-
     /// Index AlltoAll preserves every u64 payload exactly.
     #[test]
     fn index_all_to_all_transposes(

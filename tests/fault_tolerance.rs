@@ -286,31 +286,76 @@ fn shutdown_after_rank_down_is_bounded() {
 
 /// Fault injection is seed-stable: the same profile over the same stream gives
 /// the same schedule — identical predictions *and* identical ServeStats,
-/// retries included.
+/// retries included — for random drops and for a rank killed mid-stream behind
+/// a warm cache, whose failed batch must leave no trace in the stats.
 #[test]
 fn same_seed_gives_identical_stats_and_predictions() {
     let snapshot = baseline_snapshot();
-    let run = || {
-        let config = ServeConfig::new(cluster_2x4()).with_resilience(ResilienceConfig {
-            replicas: 1,
-            faults: FaultProfile::new(99).with_drop_rate(0.05),
-            op_timeout: Some(Duration::from_secs(10)),
-            max_retries: 4,
-            retry_backoff: Duration::from_millis(1),
-            ..ResilienceConfig::default()
-        });
-        let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
-        let mut preds = Vec::new();
-        for seed in 0..4 {
-            preds.extend(engine.submit(queries(&snapshot, seed, 32)).unwrap());
-        }
-        (preds, engine.shutdown())
+    let dropping = ResilienceConfig {
+        replicas: 1,
+        faults: FaultProfile::new(99).with_drop_rate(0.05),
+        op_timeout: Some(Duration::from_secs(10)),
+        max_retries: 4,
+        retry_backoff: Duration::from_millis(1),
+        ..ResilienceConfig::default()
     };
-    let (preds_a, stats_a) = run();
-    let (preds_b, stats_b) = run();
-    assert!(stats_a.retries > 0, "the drop rate must actually fire");
-    assert_eq!(stats_a, stats_b, "same seed, same ServeStats");
-    assert_bit_identical(&preds_a, &preds_b, "same seed, same predictions");
+    // As in `killed_rank_fails_over_bit_identically`: rank 3 dies at the first
+    // collective after four healthy 32-query batches, that batch fails, and
+    // the 7 survivors answer 28-query batches.
+    let killed = ResilienceConfig {
+        replicas: 1,
+        faults: FaultProfile::new(11).with_event(3, 16, FaultKind::Down),
+        op_timeout: Some(Duration::from_millis(250)),
+        down_after: 1,
+        ..ResilienceConfig::default()
+    };
+    let killed_stream: Vec<(u64, usize)> = (100..104)
+        .map(|seed| (seed, 32))
+        .chain([(1, 32)])
+        .chain((2..6).map(|seed| (seed, 28)))
+        .collect();
+    let cases = [
+        (
+            dropping,
+            BatchConfig::default().cache_rows,
+            (0..4).map(|seed| (seed, 32)).collect::<Vec<_>>(),
+            0,
+        ),
+        (killed, 4096, killed_stream, 1),
+    ];
+    for (resilience, cache_rows, stream, failures) in cases {
+        let run = || {
+            let config = ServeConfig::new(cluster_2x4())
+                .with_batch(BatchConfig {
+                    cache_rows,
+                    ..BatchConfig::default()
+                })
+                .with_resilience(resilience.clone());
+            let mut engine = ServingEngine::start(&snapshot, &config).unwrap();
+            let mut preds = Vec::new();
+            let mut failed = 0;
+            for &(seed, n) in &stream {
+                match engine.submit(queries(&snapshot, seed, n)) {
+                    Ok(batch) => preds.extend(batch),
+                    Err(err) => {
+                        assert!(err.is_fault(), "injected fault surfaced as {err}");
+                        failed += 1;
+                    }
+                }
+            }
+            assert_eq!(failed, failures, "failed batches");
+            (preds, engine.shutdown())
+        };
+        let (preds_a, stats_a) = run();
+        let (preds_b, stats_b) = run();
+        if failures == 0 {
+            assert!(stats_a.retries > 0, "the drop rate must actually fire");
+        } else {
+            assert!(stats_a.failovers > 0, "the replica must have answered");
+        }
+        assert_eq!(stats_a, stats_b, "same seed, same ServeStats");
+        assert_bit_identical(&preds_a, &preds_b, "same seed, same predictions");
+    }
 }
 
 /// A transient stall convicts the rank (its in-flight work is fenced off), but
